@@ -17,7 +17,6 @@ from .special import (
     PoleError,
     digamma_line_derivative,
     gamma_line,
-    incomplete_gamma_upper,
     log_gamma_complex,
     pareto_laplace,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "PoleError",
     "digamma_line_derivative",
     "gamma_line",
-    "incomplete_gamma_upper",
     "log_gamma_complex",
     "pareto_laplace",
 ]

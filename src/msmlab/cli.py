@@ -482,6 +482,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         return _usage(str(exc))
+    except RuntimeError as exc:
+        # Imported here, not at the top: --threads must act before numpy loads.
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        if not isinstance(exc, ArpackNoConvergence):
+            raise
+        print(f"msmlab: error: {exc}", file=sys.stderr)
+        return EXIT_NON_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Table and matrix serialization for reproducible runs.
+"""Table and document serialization for reproducible runs.
 
 CSV files follow RFC 4180 (comma separator, CRLF records) with reals
 printed to 17 significant digits so a round trip is bit-faithful. JSON
@@ -16,8 +16,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .model import FitnessVector, SymmetricMatrix
-
 __all__ = [
     "SCHEMA_VERSION",
     "fmt_float",
@@ -25,9 +23,6 @@ __all__ = [
     "write_csv",
     "json_document",
     "write_json",
-    "write_fitness_csv",
-    "save_matrix",
-    "write_matrix_csv",
 ]
 
 SCHEMA_VERSION = "1"
@@ -99,45 +94,4 @@ def json_document(config: dict[str, Any], **payload: Any) -> str:
 def write_json(path: str | Path, config: dict[str, Any], **payload: Any) -> Path:
     path = Path(path)
     path.write_text(json_document(config, **payload))
-    return path
-
-
-def write_fitness_csv(path: str | Path, fv: FitnessVector) -> Path:
-    """(j, x_j) with j counting from 1 at the hub."""
-    return write_csv(path, ("j", "x_j"), ((j + 1, x) for j, x in enumerate(fv.x)))
-
-
-def save_matrix(path: str | Path, M: SymmetricMatrix, meta: dict[str, Any]) -> tuple[Path, Path]:
-    """Binary dump plus a .meta.json sidecar naming what was dumped.
-
-    The sidecar always records n and kind; callers add alpha, epsilon_n,
-    and seed so the file is reproducible from its own metadata.
-    """
-    path = Path(path)
-    if path.suffix != ".npy":
-        path = path.with_suffix(path.suffix + ".npy")
-    np.save(path, M.entries)
-    sidecar = path.with_suffix(".meta.json")
-    doc = {"n": M.n, "kind": M.kind}
-    doc.update(meta)
-    sidecar.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
-    return path, sidecar
-
-
-def write_matrix_csv(path: str | Path, M: SymmetricMatrix, meta: dict[str, Any]) -> Path:
-    """Row-major CSV dump with a single '#'-prefixed header line.
-
-    The header carries n, kind, and the caller's metadata as key=value
-    pairs. Strictly speaking RFC 4180 has no comment lines; the leading
-    '#' keeps the body parseable by anything that skips comments.
-    """
-    path = Path(path)
-    doc = {"n": M.n, "kind": M.kind}
-    doc.update(meta)
-    head = "# " + " ".join(f"{k}={v}" for k, v in sorted(doc.items()))
-    body = csv_lines(
-        tuple(f"c{j}" for j in range(M.n)),
-        (row for row in M.entries),
-    )
-    path.write_text(head + "\r\n" + body, newline="")
     return path

@@ -1,16 +1,27 @@
-"""Complex log-Gamma, digamma, and Pareto Laplace transforms.
+"""Complex log-Gamma, digamma, and the Pareto Laplace transform.
 
-Everything downstream keys off the Gamma function along the vertical line
-z = -alpha/2 + i*omega, so the evaluations here fix the branch of the
-argument once and for all: arg Gamma is taken continuous in omega with
-value -pi at omega = 0 (the limit from the upper half plane). Working in
-log space keeps |Gamma| representable for the whole omega range we use.
+The numerics are the ``scipy.special`` ufuncs ``loggamma``, ``digamma``
+and ``gammaincc``; this module adds parameter checks, error reporting and
+the branch convention. Everything downstream keys off the Gamma function
+along the vertical line z = -alpha/2 + i*omega, so the branch of the
+argument is fixed here once and for all: arg Gamma is continuous in omega
+with value -pi at omega = 0 (the limit from the upper half plane). That is
+scipy's principal branch of log Gamma once a zero imaginary part is read
+as +0; the tests pin the value -pi exactly, for omega = 0.0 and -0.0.
+Working in log space keeps |Gamma| representable for the whole omega
+range we use. The line functions take a scalar omega or an array of them.
+
+numpy and scipy are imported inside the functions: the package imports
+this module, and the CLI must apply --threads before numpy loads.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PoleError",
@@ -19,7 +30,6 @@ __all__ = [
     "gamma_line",
     "digamma_line_derivative",
     "pareto_laplace",
-    "incomplete_gamma_upper",
 ]
 
 
@@ -27,35 +37,18 @@ class PoleError(ValueError):
     """Raised when an evaluation point sits on a pole of Gamma."""
 
 
-# Lanczos approximation, g = 7, 9 coefficients. Gives ~1e-14 relative
-# accuracy on Re z >= 0.5; points left of that are shifted across with
-# the recurrence before the kernel is applied.
-_LANCZOS_G = 7
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+def _log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
+    import numpy as np
+    from scipy.special import loggamma
 
-_TWO_PI_LOG_HALF = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lanczos_log_gamma(z: complex) -> complex:
-    # Requires Re z >= 0.5. The shifted argument t then has Re t >= 7,
-    # and the coefficient sum stays in the right half plane, so both
-    # principal logs below are analytic: no branch bookkeeping needed.
-    zp = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for k in range(1, 9):
-        acc += _LANCZOS_COEF[k] / (zp + k)
-    t = zp + _LANCZOS_G + 0.5
-    return _TWO_PI_LOG_HALF + (zp + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    # scipy reads Im z = -0.0 as the limit from below (arg +pi on the
+    # negative real axis); adding 0j turns -0.0 into +0.0, the limit from
+    # above, which is the branch used here.
+    out = loggamma(z + 0j)
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise OverflowError(f"log Gamma overflow at z = {np.asarray(z)[~finite][0]}")
+    return out
 
 
 def log_gamma_complex(z: complex) -> complex:
@@ -72,21 +65,7 @@ def log_gamma_complex(z: complex) -> complex:
     nearest = round(z.real)
     if nearest <= 0 and abs(z - nearest) < 1e-13:
         raise PoleError(f"log Gamma pole at z = {z}")
-    if z.imag < 0.0:
-        return log_gamma_complex(z.conjugate()).conjugate()
-    if z.real >= 0.5:
-        out = _lanczos_log_gamma(z)
-    else:
-        # Recurrence shift: log Gamma(z) = log Gamma(z+m) - sum log(z+k).
-        # Principal logs are correct here because every factor z+k stays
-        # in the closed upper half plane where log Gamma(z+m) is built.
-        m = math.ceil(0.5 - z.real)
-        out = _lanczos_log_gamma(z + m)
-        for k in range(m):
-            out -= cmath.log(z + k)
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise OverflowError(f"log Gamma overflow at z = {z}")
-    return out
+    return complex(_log_gamma(z))
 
 
 @dataclass(frozen=True)
@@ -94,13 +73,14 @@ class GammaLineEvaluation:
     """Gamma(-alpha/2 + i*omega) in polar log form.
 
     arg_continuous is the branch-fixed argument: continuous in omega,
-    equal to -pi at omega = 0.
+    equal to -pi at omega = 0. omega, log_abs and arg_continuous are
+    arrays of one shape when omega was given as an array.
     """
 
     alpha: float
-    omega: float
-    log_abs: float
-    arg_continuous: float
+    omega: float | np.ndarray
+    log_abs: float | np.ndarray
+    arg_continuous: float | np.ndarray
 
 
 def _check_alpha(alpha: float) -> None:
@@ -108,144 +88,46 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
 
 
-def gamma_line(alpha: float, omega: float) -> GammaLineEvaluation:
-    """Evaluate Gamma on the line z = -alpha/2 + i*omega, omega >= 0."""
+def _line(alpha: float, omega: float | np.ndarray) -> np.ndarray:
+    """z = -alpha/2 + i*omega, after checking alpha and omega >= 0."""
+    import numpy as np
+
     _check_alpha(alpha)
-    if omega < 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    lg = log_gamma_complex(complex(-alpha / 2.0, omega))
+    omega = np.asarray(omega, dtype=float)
+    if (omega < 0.0).any():
+        raise ValueError(f"omega must be >= 0, got {omega.min()}")
+    return -alpha / 2.0 + 1j * omega
+
+
+def gamma_line(alpha: float, omega: float | np.ndarray) -> GammaLineEvaluation:
+    """Evaluate Gamma on the line z = -alpha/2 + i*omega, omega >= 0."""
+    lg = _log_gamma(_line(alpha, omega))
     return GammaLineEvaluation(
         alpha=alpha, omega=omega, log_abs=lg.real, arg_continuous=lg.imag
     )
 
 
-# Bernoulli terms B_2j/(2j) for the digamma asymptotic series.
-_PSI_ASYMPTOTIC = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+def digamma_line_derivative(alpha: float, omega: float | np.ndarray) -> float | np.ndarray:
+    """d/domega of arg Gamma(-alpha/2 + i*omega), i.e. Re psi(-alpha/2 + i*omega)."""
+    from scipy.special import digamma
 
-_EULER_GAMMA = 0.5772156649015328606
-
-# Number of explicit series terms before the tail is closed in one shot.
-# With this many, |M+1+z| >= 24 on the whole parameter domain and the
-# asymptotic remainder is far below double precision.
-_PSI_SERIES_TERMS = 24
-
-
-def _psi_asymptotic(v: complex) -> complex:
-    # Stirling-type digamma expansion, valid for large |v|, Re v > 0.
-    out = cmath.log(v) - 0.5 / v
-    v2 = 1.0 / (v * v)
-    p = v2
-    for c in _PSI_ASYMPTOTIC:
-        out -= c * p
-        p *= v2
-    return out
-
-
-def digamma_line_derivative(alpha: float, omega: float) -> float:
-    """d/domega of arg Gamma(-alpha/2 + i*omega), i.e. Re psi(-alpha/2 + i*omega).
-
-    Computed as the partial sums of the series
-
-        -euler_gamma + a/(a^2+omega^2)
-            + sum_m ( 1/m - (m-a)/((m-a)^2+omega^2) ),   a = alpha/2,
-
-    with the tail summed exactly: the remainder past M terms equals
-    Re[psi(M+1+z) - psi(M+1)] with z = -a + i*omega, and at M = 24 both
-    points are deep enough in the right half plane for the asymptotic
-    digamma expansion to be exact at double precision.
-    """
-    _check_alpha(alpha)
-    if omega < 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    a = alpha / 2.0
-    z = complex(-a, omega)
-    total = -_EULER_GAMMA + a / (a * a + omega * omega)
-    for m in range(1, _PSI_SERIES_TERMS + 1):
-        d = m - a
-        total += 1.0 / m - d / (d * d + omega * omega)
-    tail = _psi_asymptotic(_PSI_SERIES_TERMS + 1 + z) - _psi_asymptotic(
-        complex(_PSI_SERIES_TERMS + 1)
-    )
-    return total + tail.real
-
-
-def incomplete_gamma_upper(z: complex, s: float) -> complex:
-    """Upper incomplete Gamma(z, s) for s > 0 and Re z < 1.
-
-    Two regimes: for s < 2 the lower incomplete series is summed and
-    subtracted from Gamma(z) (this path needs Gamma(z) itself, so z may
-    not sit on a pole); for s >= 2 the standard continued fraction is
-    evaluated with the modified Lentz scheme, which has no pole issue.
-    """
-    z = complex(z)
-    if s <= 0.0:
-        raise ValueError(f"s must be > 0, got {s}")
-    if z.real >= 1.0 + 1e-12 and z != 1.0:
-        raise ValueError(f"Re z must be < 1, got {z}")
-    if s < 2.0:
-        nearest = round(z.real)
-        if nearest <= 0 and abs(z - nearest) < 1e-13:
-            raise PoleError(
-                f"series path for Gamma(z, s) needs Gamma(z), pole at z = {z}"
-            )
-        # gamma_lower(z,s) = s^z e^-s sum_k s^k / (z (z+1) ... (z+k))
-        term = 1.0 / z
-        total = term
-        k = 0
-        while abs(term) > 1e-18 * abs(total) + 1e-300:
-            k += 1
-            term *= s / (z + k)
-            total += term
-            if k > 500:
-                break
-        lower = cmath.exp(z * math.log(s) - s) * total
-        out = cmath.exp(log_gamma_complex(z)) - lower
-    else:
-        tiny = 1e-300
-        b = s + 1.0 - z
-        c = 1.0 / tiny
-        d = 1.0 / b
-        h = d
-        for j in range(1, 400):
-            a_j = -j * (j - z)
-            b += 2.0
-            d = a_j * d + b
-            if abs(d) < tiny:
-                d = tiny
-            c = b + a_j / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            if abs(delta - 1.0) < 1e-16:
-                break
-        out = cmath.exp(-s + z * math.log(s)) * h
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise OverflowError(f"incomplete Gamma overflow at z = {z}, s = {s}")
-    return out
+    return digamma(_line(alpha, omega)).real
 
 
 def pareto_laplace(alpha: float, t: float) -> float:
     """Laplace transform of the Pareto(alpha) law: E exp(-t u^(-1/alpha)).
 
     Equals alpha * t^alpha * Gamma(-alpha, t) for t > 0, and 1 at t = 0.
+    The recurrence Gamma(1-alpha, t) = -alpha Gamma(-alpha, t) + t^-alpha e^-t
+    turns that into e^-t - t^alpha Gamma(1-alpha) Q(1-alpha, t), with Q
+    the regularized upper incomplete Gamma; 1-alpha > 0 keeps both Gamma
+    arguments off the poles.
     Small-t behaviour: 1 - pareto_laplace(alpha, t) ~ t^alpha * Gamma(1-alpha).
     """
+    from scipy.special import gammaincc
+
     _check_alpha(alpha)
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return 1.0
-    val = alpha * cmath.exp(alpha * math.log(t)) * incomplete_gamma_upper(
-        complex(-alpha), t
-    )
-    return val.real
+    tail = t**alpha * math.gamma(1.0 - alpha) * gammaincc(1.0 - alpha, t)
+    return float(math.exp(-t) - tail)

@@ -46,7 +46,7 @@ __all__ = [
     "k_star_estimate",
 ]
 
-EULER_GAMMA = 0.5772156649015328606
+EULER_GAMMA = np.euler_gamma
 
 
 class NoRootError(RuntimeError):
@@ -196,7 +196,7 @@ def stationary_point(alpha: float) -> StationaryPoint:
     omega_alpha = math.sqrt(alpha / 2.0 * (1.0 / EULER_GAMMA - alpha / 2.0))
     phi_alpha = gamma_line(alpha, omega_alpha).arg_continuous
     grid = np.linspace(1e-6, 5.0, 400)
-    vals = np.array([digamma_line_derivative(alpha, w) for w in grid])
+    vals = digamma_line_derivative(alpha, grid)
     signs = np.sign(vals)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if flips.size:
@@ -217,15 +217,15 @@ def stationary_point(alpha: float) -> StationaryPoint:
     return StationaryPoint(alpha, omega_alpha, phi_alpha, float(res.x), False)
 
 
-def _sigma(alpha: float, n: int, omega: float, branch: str) -> complex:
+def _sigma(alpha: float, n: int, omega: float | np.ndarray, branch: str) -> complex | np.ndarray:
     ev = gamma_line(alpha, omega)
     # plus branch: -alpha Gamma(-alpha/2 - i omega) n^(1/2 + i omega/alpha);
     # conjugate-symmetric in the branch sign.
     theta = (omega / alpha) * math.log(n) - ev.arg_continuous + math.pi
-    mag = alpha * math.exp(ev.log_abs + 0.5 * math.log(n))
+    mag = alpha * np.exp(ev.log_abs + 0.5 * math.log(n))
     if branch == "minus":
         theta = -theta
-    return mag * complex(math.cos(theta), math.sin(theta))
+    return mag * np.exp(1j * theta)
 
 
 def spiral(
@@ -240,10 +240,8 @@ def spiral(
     if branch not in ("plus", "minus"):
         raise ValueError(f"unknown branch {branch!r}")
     omegas = np.linspace(0.0, omega_max, steps)
-    rows = np.empty((steps, 3))
-    for i, w in enumerate(omegas):
-        val = _sigma(alpha, n, float(w), branch)
-        rows[i] = (w, val.real, val.imag)
+    vals = _sigma(alpha, n, omegas, branch)
+    rows = np.column_stack((omegas, vals.real, vals.imag))
     return SpiralLocus(alpha=alpha, n=n, branch=branch, samples=rows)
 
 
@@ -257,11 +255,9 @@ def spiral_crossings(alpha: float, n: int, omega_max: float, steps: int = 2000) 
     _check_n(n)
     imag_part = lambda w: _sigma(alpha, n, w, "plus").imag
     omegas = np.linspace(0.0, omega_max, steps)[1:]
-    vals = np.array([imag_part(float(w)) for w in omegas])
-    out = []
-    for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        out.append(brentq(imag_part, omegas[i], omegas[i + 1], xtol=1e-12))
-    return np.array(out)
+    vals = imag_part(omegas)
+    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    return np.array([brentq(imag_part, omegas[i], omegas[i + 1], xtol=1e-12) for i in flips])
 
 
 def k_star_estimate(n: int, alpha: float, k_cap: int = 10_000) -> KStarEstimate:

@@ -97,6 +97,24 @@ class TestPredict:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.fixture
+def lanczos_fails(monkeypatch):
+    """Make every Lanczos solve (the spectral norm of H) fail to converge."""
+    import scipy.sparse.linalg
+
+    def eigsh(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "No convergence (1 iterations, 0/1 eigenvectors converged)", [], []
+        )
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+
+
+def assert_one_line_error(err):
+    assert err.startswith("msmlab: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def compare_outdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cmp")
@@ -265,6 +283,11 @@ class TestCompare:
         # partial output still written in full
         assert len(doc["rows"]) == 16
 
+    def test_lanczos_non_convergence_exit_code(self, tmp_path, capsys, lanczos_fails):
+        rc = main(["compare", "--n", "64", "--k-max", "2", "--out", str(tmp_path / "c")])
+        assert rc == EXIT_NON_CONVERGENCE
+        assert_one_line_error(capsys.readouterr().err)
+
 
 class TestSpiral:
     def test_locus_starts_on_positive_real_axis(self, spiral_outdir):
@@ -378,6 +401,11 @@ class TestBulk:
         capsys.readouterr()
         assert rc == EXIT_USAGE
 
+    def test_lanczos_non_convergence_exit_code(self, tmp_path, capsys, lanczos_fails):
+        rc = main(["bulk", "--n", "32", "--realizations", "1", "--out", str(tmp_path / "b")])
+        assert rc == EXIT_NON_CONVERGENCE
+        assert_one_line_error(capsys.readouterr().err)
+
 
 class TestCoarseGrain:
     def test_identity_holds_at_n100_b10(self, capsys):
@@ -479,6 +507,12 @@ class TestConfigAndEnvironment:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         _apply_threads(None)
         assert "OMP_NUM_THREADS" not in os.environ
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # --threads only takes effect if numpy loads after it is applied.
+        code = "import sys, msmlab.cli; sys.exit('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], timeout=120)
+        assert result.returncode == 0
 
 
 class TestInstalledScript:

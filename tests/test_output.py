@@ -1,4 +1,4 @@
-"""Serialization primitives: CSV dialect, JSON documents, matrix dumps."""
+"""Serialization primitives: CSV dialect and JSON documents."""
 from __future__ import annotations
 
 import csv
@@ -9,17 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from msmlab.model import ModelParams, expected_matrix, gen_fitness
 from msmlab.output import (
     SCHEMA_VERSION,
     csv_lines,
     fmt_float,
     json_document,
-    save_matrix,
     write_csv,
-    write_fitness_csv,
     write_json,
-    write_matrix_csv,
 )
 
 
@@ -88,39 +84,6 @@ class TestJson:
         doc = json.loads(path.read_text())
         assert doc["config"]["seed"] == 3
         assert doc["ok"] is True
-
-
-class TestMatrixDumps:
-    def test_fitness_csv_is_one_indexed(self, tmp_path):
-        fv = gen_fitness(ModelParams(n=5, alpha=0.5))
-        path = write_fitness_csv(tmp_path / "x.csv", fv)
-        # read_bytes: read_text would translate the CRLF separators away
-        lines = path.read_bytes().decode().split("\r\n")
-        assert lines[0] == "j,x_j"
-        assert lines[1].startswith("1,")
-        assert float(lines[1].split(",")[1]) == fv.x[0]
-        assert len(lines) == 5 + 2  # header + 5 rows + trailing empty
-
-    def test_save_matrix_npy_and_sidecar(self, tmp_path):
-        params = ModelParams(n=6, alpha=0.4)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
-        npy, sidecar = save_matrix(tmp_path / "P.npy", P, {"alpha": 0.4})
-        assert np.array_equal(np.load(npy), P.entries)
-        meta = json.loads(sidecar.read_text())
-        assert meta["n"] == 6
-        assert meta["kind"] == "expected_P"
-        assert meta["alpha"] == 0.4
-
-    def test_matrix_csv_header_and_body(self, tmp_path):
-        params = ModelParams(n=3, alpha=0.5)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
-        path = write_matrix_csv(tmp_path / "P.csv", P, {"seed": 0})
-        lines = path.read_bytes().decode().split("\r\n")
-        assert lines[0].startswith("#")
-        assert "n=3" in lines[0] and "kind=expected_P" in lines[0] and "seed=0" in lines[0]
-        assert lines[1] == "c0,c1,c2"
-        body = np.array([[float(c) for c in line.split(",")] for line in lines[2:5]])
-        assert np.array_equal(body, P.entries)
 
 
 class TestDeterminism:

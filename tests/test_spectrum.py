@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from msmlab.special import digamma_line_derivative
 from msmlab.spectrum import (
     EULER_GAMMA,
     KStarEstimate,
@@ -238,6 +239,15 @@ class TestStationaryPoint:
         assert not sp08.is_true_root
         assert abs(sp08.omega_star_numeric - 0.612810) < 1e-4
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_grid_matches_scalar_loop(self, alpha):
+        # stationary_point scans f' on this grid in one array call; the
+        # per-point scalar loop is the reference.
+        grid = np.linspace(1e-6, 5.0, 400)
+        want = np.array([digamma_line_derivative(alpha, float(w)) for w in grid])
+        got = digamma_line_derivative(alpha, grid)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
     def test_omega_star_deviation_band(self):
         # Closed form vs numeric: within 15% for alpha = 0.2 and 0.5; the
         # alpha = 0.8 deviation is 16.1%, just outside that band (f' has
@@ -264,6 +274,16 @@ class TestSpiral:
         minus = spiral(0.4, 2048, 2.0, 333, branch="minus")
         assert np.allclose(plus.samples[:, 1], minus.samples[:, 1], rtol=1e-12, atol=1e-300)
         assert np.allclose(plus.samples[:, 2], -minus.samples[:, 2], rtol=1e-12, atol=1e-30)
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_samples_match_scalar_loop(self, branch):
+        from msmlab.spectrum import _sigma
+
+        loc = spiral(0.5, 10**4, 3.0, 2001, branch=branch)
+        want = np.array([_sigma(0.5, 10**4, float(w), branch) for w in loc.samples[:, 0]])
+        got = loc.samples[:, 1] + 1j * loc.samples[:, 2]
+        assert np.array_equal(loc.samples[:, 0], np.linspace(0.0, 3.0, 2001))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_crossings_match_admissible_roots(self):
         alpha, n = 0.5, 4096
