@@ -17,6 +17,7 @@ from .special import (
     PoleError,
     digamma_line_derivative,
     gamma_line,
+    incomplete_gamma_upper,
     log_gamma_complex,
     pareto_laplace,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "PoleError",
     "digamma_line_derivative",
     "gamma_line",
+    "incomplete_gamma_upper",
     "log_gamma_complex",
     "pareto_laplace",
 ]
