@@ -1,12 +1,17 @@
 """Command-line front end tying the modules into reproducible runs.
 
-Every command is pure given its resolved configuration: the same flags
-and seed produce byte-identical outputs. A JSON config file can supply
-any long-form flag value; explicit flags win over the file. The only
-environment variable honored is MSMLAB_THREADS (same meaning as
---threads), which caps the BLAS worker pool and must therefore be
-applied before the numerical modules are imported — keep heavy imports
-inside the command handlers.
+_COMMANDS declares each subcommand once: its help text, its handler, the
+files that make --out required, and a (key, converter, default) row per
+option. The parser, the config-file reader and the defaults all come
+from those rows. A JSON --config file may set any option by its key;
+its values go through the flag's converter, so a value the flag rejects
+exits 2. Explicit flags win over the file, the file over the defaults.
+
+Every command is pure given its resolved configuration and the BLAS
+thread count. The only environment variable honored is MSMLAB_THREADS
+(same meaning as --threads), which caps the BLAS worker pool and must
+therefore be applied before the numerical modules are imported — keep
+heavy imports inside the command handlers.
 
 Exit codes: 0 success, 2 usage error, 3 numerical non-convergence,
 4 no-root truncation (partial output is still written).
@@ -14,12 +19,13 @@ Exit codes: 0 success, 2 usage error, 3 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,6 +35,9 @@ EXIT_TRUNCATED = 4
 # largest n allowed without the --paper-scale acknowledgment; dense
 # decompositions beyond this take minutes, not seconds
 CI_SCALE_LIMIT = 4096
+
+# largest |closed form - aggregated kernel| that coarsegrain accepts
+_IDENTITY_TOL = 1e-12
 
 
 def _positive_int(text: str) -> int:
@@ -45,90 +54,14 @@ def _alpha_value(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="msmlab",
-        description="Spectra of rank-heavy random graphs: predictions, "
-        "dense comparisons, and bulk diagnostics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, seed: bool = True) -> None:
-        p.add_argument("--config", type=Path, help="JSON file supplying flag defaults")
-        p.add_argument("--out", type=Path, help="output path prefix")
-        p.add_argument("--threads", type=int, help="cap the BLAS worker pool")
-        if seed:
-            p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("predict", help="analytic eigenvalue ladder")
-    common(p, seed=False)
-    p.add_argument("--alpha", type=_alpha_value)
-    p.add_argument("--n", type=_positive_int)
-    p.add_argument("--k-max", type=_positive_int)
-    p.add_argument("--format", choices=("csv", "json"))
-
-    p = sub.add_parser("compare", help="predictions vs dense spectra of P and A")
-    common(p)
-    p.add_argument("--alpha", type=_alpha_value)
-    p.add_argument("--n", type=_positive_int)
-    p.add_argument("--k-max", type=_positive_int)
-    p.add_argument("--deterministic", action=argparse.BooleanOptionalAction)
-    p.add_argument("--bins", type=_positive_int, help="histogram bin count")
-    p.add_argument("--paper-scale", action=argparse.BooleanOptionalAction)
-
-    p = sub.add_parser("spiral", help="eigenvalue locus and real-axis crossings")
-    common(p, seed=False)
-    p.add_argument("--alpha", type=_alpha_value)
-    p.add_argument("--n", type=_positive_int)
-    p.add_argument("--omega-max", type=float)
-    p.add_argument("--steps", type=_positive_int)
-
-    p = sub.add_parser("bulk", help="noise-edge sweep and cavity densities")
-    common(p)
-    p.add_argument("--alpha", type=_alpha_value, nargs="+")
-    p.add_argument("--n", type=_positive_int, nargs="+")
-    p.add_argument("--realizations", type=_positive_int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--density", action=argparse.BooleanOptionalAction)
-    p.add_argument("--grid-points", type=_positive_int)
-    p.add_argument("--grid-span", type=float)
-    p.add_argument("--damping", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--paper-scale", action=argparse.BooleanOptionalAction)
-
-    p = sub.add_parser("coarsegrain", help="supernode aggregation identity check")
-    common(p)
-    p.add_argument("--alpha", type=_alpha_value)
-    p.add_argument("--n", type=_positive_int)
-    p.add_argument("--b", type=_positive_int, help="block size, must divide n")
-    p.add_argument("--partition", choices=("contiguous", "random"))
-
-    return parser
-
-
-def _resolve(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
-    """Flag value if given, else config-file value, else hard default."""
-    config: dict[str, Any] = {}
-    if getattr(args, "config", None) is not None:
-        config = json.loads(Path(args.config).read_text())
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, default)
-        resolved[key] = value
-    return resolved
-
-
 def _apply_threads(threads: int | None) -> None:
     if threads is None and os.environ.get("MSMLAB_THREADS"):
         threads = int(os.environ["MSMLAB_THREADS"])
     if threads is not None:
+        # more BLAS workers than cores only oversubscribe them
+        threads = max(1, min(threads, os.cpu_count() or threads))
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(max(1, threads))
+            os.environ[var] = str(threads)
 
 
 def _usage(message: str) -> int:
@@ -136,13 +69,8 @@ def _usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args,
-        {"alpha": 0.5, "n": 10_000, "k_max": 8, "format": "csv", "out": None, "threads": None},
-    )
-    _apply_threads(cfg["threads"])
-    from .output import csv_lines, json_document, write_csv, write_json
+def cmd_predict(cfg: dict[str, Any]) -> int:
+    from .output import csv_lines, json_document
     from .spectrum import NoRootError, omega_k_approx, solve_omega_k
 
     rows = []
@@ -157,55 +85,24 @@ def cmd_predict(args: argparse.Namespace) -> int:
         rows.append((k, pred.omega_k, approx, pred.lambda_k, pred.method, pred.residual))
 
     header = ("k", "omega_k", "omega_k_approx", "lambda_k", "method", "residual")
-    config = {k: v for k, v in cfg.items() if k not in ("out", "threads")}
-    config["out"] = None if cfg["out"] is None else str(cfg["out"])
     if cfg["format"] == "json":
         table = [dict(zip(header, row)) for row in rows]
-        if cfg["out"] is None:
-            print(json_document(config, predictions=table, truncated=truncated), end="")
-        else:
-            write_json(
-                Path(cfg["out"]).with_suffix(".json"),
-                config,
-                predictions=table,
-                truncated=truncated,
-            )
+        text = json_document(cfg, predictions=table, truncated=truncated)
     else:
-        if cfg["out"] is None:
-            print(csv_lines(header, rows), end="")
-        else:
-            write_csv(Path(cfg["out"]).with_suffix(".csv"), header, rows)
+        text = csv_lines(header, rows)
+    if cfg["out"] is None:
+        print(text, end="")
+    else:
+        Path(cfg["out"]).with_suffix("." + cfg["format"]).write_text(text, newline="")
     return EXIT_TRUNCATED if truncated else EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "alpha": 0.5,
-            "n": 2048,
-            "seed": 0,
-            "k_max": 8,
-            "deterministic": True,
-            "bins": 64,
-            "paper_scale": False,
-            "out": None,
-            "threads": None,
-        },
-    )
-    if cfg["out"] is None:
-        return _usage("compare writes several files; --out is required")
-    if cfg["n"] > CI_SCALE_LIMIT and not cfg["paper_scale"]:
-        return _usage(
-            f"n={cfg['n']} exceeds the desk-scale limit {CI_SCALE_LIMIT}; "
-            "pass --paper-scale to acknowledge the runtime"
-        )
-    _apply_threads(cfg["threads"])
+def cmd_compare(cfg: dict[str, Any]) -> int:
     import numpy as np
 
     from .eigenvectors import l1_normalize
     from .model import ModelParams
-    from .numeric import compare_with_vectors
+    from .numeric import ComparisonRow, compare_with_vectors
     from .output import write_csv, write_json
 
     params = ModelParams(
@@ -217,36 +114,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report, artifacts = compare_with_vectors(params, cfg["k_max"])
 
     base = Path(cfg["out"])
-    config = {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items() if k != "threads"}
-    header = (
-        "k",
-        "lambda_pred",
-        "lambda_P",
-        "lambda_A",
-        "rel_err_pred_vs_P",
-        "rel_err_P_vs_A",
-        "cosine_sim_pred_vs_P",
-        "cosine_sim_P_vs_A",
-        "sign_ok",
-    )
-    rows = [
-        (
-            r.k,
-            r.lambda_pred,
-            r.lambda_P,
-            r.lambda_A,
-            r.rel_err_pred_vs_P,
-            r.rel_err_P_vs_A,
-            r.cosine_sim_pred_vs_P,
-            r.cosine_sim_P_vs_A,
-            r.sign_ok,
-        )
-        for r in report.rows
-    ]
+    header = tuple(f.name for f in dataclasses.fields(ComparisonRow))
+    rows = [dataclasses.astuple(r) for r in report.rows]
     write_csv(base.parent / (base.name + "_report.csv"), header, rows)
     write_json(
         base.parent / (base.name + "_report.json"),
-        config,
+        cfg,
         rows=[dict(zip(header, row)) for row in rows],
         bulk_edge_measured=report.bulk_edge_measured,
         k_break=report.k_break,
@@ -266,15 +139,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             if float(pred @ v_a) < 0.0:
                 v_a = -v_a
         for j in range(params.n):
-            vec_rows.append(
-                (
-                    m.k,
-                    j + 1,
-                    None if m.predicted is None else pred[j],
-                    v_p[j],
-                    v_a[j],
-                )
-            )
+            vec_rows.append((m.k, j + 1, None if m.predicted is None else pred[j], v_p[j], v_a[j]))
     write_csv(
         base.parent / (base.name + "_eigenvectors.csv"),
         ("k", "j", "predicted", "numerical_P", "numerical_A"),
@@ -297,21 +162,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_TRUNCATED if report.pred_truncated_at is not None else EXIT_OK
 
 
-def cmd_spiral(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "alpha": 0.5,
-            "n": 10_000,
-            "omega_max": 1.0,
-            "steps": 2000,
-            "out": None,
-            "threads": None,
-        },
-    )
-    if cfg["out"] is None:
-        return _usage("spiral writes two files; --out is required")
-    _apply_threads(cfg["threads"])
+def cmd_spiral(cfg: dict[str, Any]) -> int:
     from .output import write_csv
     from .spectrum import lambda_k_from_omega, spiral, spiral_crossings
 
@@ -336,34 +187,7 @@ def cmd_spiral(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bulk(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "alpha": [0.2, 0.5, 0.8],
-            "n": [512, 1024, 2048],
-            "realizations": 10,
-            "seed": 0,
-            "eta": 0.05,
-            "density": False,
-            "grid_points": 61,
-            "grid_span": 0.75,
-            "damping": 0.5,
-            "tol": 1e-9,
-            "paper_scale": False,
-            "out": None,
-            "threads": None,
-        },
-    )
-    if cfg["out"] is None:
-        return _usage("bulk writes sweep files; --out is required")
-    biggest = max(cfg["n"])
-    if biggest > CI_SCALE_LIMIT and not cfg["paper_scale"]:
-        return _usage(
-            f"n={biggest} exceeds the desk-scale limit {CI_SCALE_LIMIT}; "
-            "pass --paper-scale to acknowledge the runtime"
-        )
-    _apply_threads(cfg["threads"])
+def cmd_bulk(cfg: dict[str, Any]) -> int:
     import numpy as np
 
     from .bulk import cavity_solve, measure_bulk_edge
@@ -371,7 +195,6 @@ def cmd_bulk(args: argparse.Namespace) -> int:
     from .output import write_csv, write_json
 
     base = Path(cfg["out"])
-    config = {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items() if k != "threads"}
     sweep_rows = []
     convergence: list[dict[str, Any]] = []
     all_converged = True
@@ -415,61 +238,174 @@ def cmd_bulk(args: argparse.Namespace) -> int:
         sweep_rows,
     )
     if cfg["density"]:
-        write_json(base.parent / (base.name + "_convergence.json"), config, grids=convergence)
+        write_json(base.parent / (base.name + "_convergence.json"), cfg, grids=convergence)
         if not all_converged:
             return EXIT_NON_CONVERGENCE
     return EXIT_OK
 
 
-def cmd_coarsegrain(args: argparse.Namespace) -> int:
-    cfg = _resolve(
-        args,
-        {
-            "alpha": 0.5,
-            "n": 100,
-            "b": 10,
-            "partition": "contiguous",
-            "seed": 0,
-            "out": None,
-            "threads": None,
-        },
-    )
-    if cfg["n"] % cfg["b"] != 0:
-        return _usage(f"block size {cfg['b']} does not divide n = {cfg['n']}")
-    _apply_threads(cfg["threads"])
+def cmd_coarsegrain(cfg: dict[str, Any]) -> int:
     import numpy as np
 
-    from .model import ModelParams, coarse_grain, gen_fitness
-    from .output import json_document, write_json
+    from .model import ModelParams, coarse_grain, expected_matrix, gen_fitness
+    from .output import json_document
 
     params = ModelParams(n=cfg["n"], alpha=cfg["alpha"], seed=cfg["seed"])
     fv = gen_fitness(params)
+    # coarse_grain rejects a block size that does not divide n (exit 2)
     big_x, coarse = coarse_grain(
         fv, params.epsilon_n, cfg["b"], partition=cfg["partition"], seed=cfg["seed"]
     )
-    closed = -np.expm1(-params.epsilon_n * np.outer(big_x.x, big_x.x))
+    closed = expected_matrix(big_x, params.epsilon_n).entries
     off = ~np.eye(coarse.n, dtype=bool)
     violation = float(np.abs(coarse.entries - closed)[off].max()) if coarse.n > 1 else 0.0
-    config = {k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items() if k != "threads"}
-    payload = {
-        "supernodes": coarse.n,
-        "max_identity_violation": violation,
-        "passed": violation < 1e-12,
-    }
+    passed = violation < _IDENTITY_TOL
+    text = json_document(
+        cfg, report={"supernodes": coarse.n, "max_identity_violation": violation, "passed": passed}
+    )
     if cfg["out"] is None:
-        print(json_document(config, report=payload), end="")
+        print(text, end="")
     else:
-        write_json(Path(cfg["out"]).with_suffix(".json"), config, report=payload)
-    return EXIT_OK if violation < 1e-12 else EXIT_NON_CONVERGENCE
+        Path(cfg["out"]).with_suffix(".json").write_text(text)
+    return EXIT_OK if passed else EXIT_NON_CONVERGENCE
 
 
-_HANDLERS = {
-    "predict": cmd_predict,
-    "compare": cmd_compare,
-    "spiral": cmd_spiral,
-    "bulk": cmd_bulk,
-    "coarsegrain": cmd_coarsegrain,
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    """A subcommand; `writes` names its files when --out is required.
+
+    Each option is a row (key, converter, default[, help]). A tuple
+    converter lists the accepted strings, a list default takes one or
+    more values, and a bool default makes a --key/--no-key pair.
+    """
+
+    help: str
+    handler: Callable[[dict[str, Any]], int]
+    writes: str | None
+    options: tuple[tuple[Any, ...], ...]
+
+
+# every command takes these, from a flag or from a config file
+_COMMON = (("out", Path, None, "output path prefix"), ("threads", int, None, "cap the BLAS worker pool"))
+# rows several commands share
+_SEED = ("seed", int, 0)
+_ALPHA = ("alpha", _alpha_value, 0.5)
+_K_MAX = ("k_max", _positive_int, 8)
+_PAPER_SCALE = ("paper_scale", bool, False)
+
+_COMMANDS = {
+    "predict": _Command("analytic eigenvalue ladder", cmd_predict, None, (
+        _ALPHA,
+        ("n", _positive_int, 10_000),
+        _K_MAX,
+        ("format", ("csv", "json"), "csv"),
+    )),
+    "compare": _Command("predictions vs dense spectra of P and A", cmd_compare, "several files", (
+        _SEED,
+        _ALPHA,
+        ("n", _positive_int, 2048),
+        _K_MAX,
+        ("deterministic", bool, True),
+        ("bins", _positive_int, 64, "histogram bin count"),
+        _PAPER_SCALE,
+    )),
+    "spiral": _Command("eigenvalue locus and real-axis crossings", cmd_spiral, "two files", (
+        _ALPHA,
+        ("n", _positive_int, 10_000),
+        ("omega_max", float, 1.0),
+        ("steps", _positive_int, 2000),
+    )),
+    "bulk": _Command("noise-edge sweep and cavity densities", cmd_bulk, "sweep files", (
+        _SEED,
+        ("alpha", _alpha_value, [0.2, 0.5, 0.8]),
+        ("n", _positive_int, [512, 1024, 2048]),
+        ("realizations", _positive_int, 10),
+        ("eta", float, 0.05),
+        ("density", bool, False),
+        ("grid_points", _positive_int, 61),
+        ("grid_span", float, 0.75),
+        ("damping", float, 0.5),
+        ("tol", float, 1e-9),
+        _PAPER_SCALE,
+    )),
+    "coarsegrain": _Command("supernode aggregation identity check", cmd_coarsegrain, None, (
+        _SEED,
+        _ALPHA,
+        ("n", _positive_int, 100),
+        ("b", _positive_int, 10, "block size, must divide n"),
+        ("partition", ("contiguous", "random"), "contiguous"),
+    )),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="msmlab",
+        description="Spectra of rank-heavy random graphs: predictions, "
+        "dense comparisons, and bulk diagnostics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", type=Path, help="JSON file supplying flag defaults")
+        for key, convert, default, *help_text in _COMMON + command.options:
+            kwargs: dict[str, Any] = {"help": help_text[0] if help_text else None}
+            if isinstance(default, bool):
+                kwargs["action"] = argparse.BooleanOptionalAction
+            elif isinstance(convert, tuple):
+                kwargs["choices"] = convert
+            else:
+                kwargs["type"] = convert
+            if isinstance(default, list):
+                kwargs["nargs"] = "+"
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
+    return parser
+
+
+def _from_config(key: str, convert: Any, default: Any, value: Any) -> Any:
+    """A config-file value, checked and converted as its flag would be."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r}: expected true or false, got {value!r}")
+        return value
+    if isinstance(default, list):
+        values = value if isinstance(value, list) else [value]
+        if not values:
+            raise ValueError(f"config key {key!r}: expected one or more values")
+        return [_from_config(key, convert, None, v) for v in values]
+    text = str(value)  # the flag's converter is handed text too
+    if isinstance(convert, tuple):
+        if text not in convert:
+            raise ValueError(f"config key {key!r}: expected one of {list(convert)}, got {value!r}")
+        return text
+    try:
+        return convert(text)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
+def _resolve(args: argparse.Namespace, rows: tuple[tuple[Any, ...], ...]) -> dict[str, Any]:
+    """Flag value if given, else config-file value, else the table default.
+
+    A JSON null counts as absent, so a saved document whose "out" is
+    null reads back as a run that prints to stdout.
+    """
+    config: dict[str, Any] = {}
+    if args.config is not None:
+        config = json.loads(args.config.read_text())
+        if not isinstance(config, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(config).__name__}")
+        unknown = set(config) - {row[0] for row in rows}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    resolved = {}
+    for key, convert, default, *_ in rows:
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key)
+            value = default if value is None else _from_config(key, convert, default, value)
+        resolved[key] = value
+    return resolved
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -478,8 +414,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors by exiting
         return int(exc.code or 0)
+    command = _COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args)
+        cfg = _resolve(args, _COMMON + command.options)
+        if command.writes is not None and cfg["out"] is None:
+            return _usage(f"{args.command} writes {command.writes}; --out is required")
+        biggest = max(cfg["n"]) if isinstance(cfg["n"], list) else cfg["n"]
+        if "paper_scale" in cfg and biggest > CI_SCALE_LIMIT and not cfg["paper_scale"]:
+            return _usage(
+                f"n={biggest} exceeds the desk-scale limit {CI_SCALE_LIMIT}; "
+                "pass --paper-scale to acknowledge the runtime"
+            )
+        _apply_threads(cfg.pop("threads"))
+        # the configuration documents record; threads is not in it, so a
+        # document reproduces its run only at the same BLAS thread count
+        return command.handler({k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()})
     except (ValueError, OSError) as exc:
         return _usage(str(exc))
     except RuntimeError as exc:

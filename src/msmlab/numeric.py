@@ -231,9 +231,8 @@ def spectral_norm(matrix: np.ndarray | SymmetricMatrix) -> float:
     if m.shape[0] <= 2 or not m.any():
         return float(np.max(np.abs(np.linalg.eigvalsh(m))))
     v0 = np.random.default_rng(0).standard_normal(m.shape[0])
-    lo = scipy.sparse.linalg.eigsh(m, k=1, which="SA", v0=v0, return_eigenvectors=False)
-    hi = scipy.sparse.linalg.eigsh(m, k=1, which="LA", v0=v0, return_eigenvectors=False)
-    return float(max(abs(lo[0]), abs(hi[0])))
+    top = scipy.sparse.linalg.eigsh(m, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    return float(abs(top[0]))
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -2,10 +2,11 @@
 
 CSV files follow RFC 4180 (comma separator, CRLF records) with reals
 printed to 17 significant digits so a round trip is bit-faithful. JSON
-documents always carry schema_version and the fully resolved
-configuration of the run that produced them, with keys sorted, so a
-saved document is enough to reproduce its run byte for byte. NaN never
-reaches JSON; it becomes null.
+documents always carry schema_version and the resolved configuration of
+the run that produced them, with keys sorted. The configuration leaves
+out the BLAS thread count, and the last bits of dense results depend on
+it, so a saved document reproduces its run byte for byte only when run
+again at the same thread count. NaN never reaches JSON; it becomes null.
 """
 from __future__ import annotations
 

@@ -179,8 +179,14 @@ def omega_k_approx(k: int, n: int, alpha: float) -> float:
     _check_n(n)
     if k < 2:
         raise ValueError(f"approximation needs k >= 2, got {k}")
-    phi = stationary_point(alpha).phi_alpha
+    _, phi = _plateau(alpha)
     return alpha * (k * math.pi + phi) / math.log(n)
+
+
+def _plateau(alpha: float) -> tuple[float, float]:
+    """Closed-form omega_alpha and phi_alpha = arg Gamma(-alpha/2 + i omega_alpha)."""
+    omega_alpha = math.sqrt(alpha / 2.0 * (1.0 / EULER_GAMMA - alpha / 2.0))
+    return omega_alpha, gamma_line(alpha, omega_alpha).arg_continuous
 
 
 def stationary_point(alpha: float) -> StationaryPoint:
@@ -193,8 +199,7 @@ def stationary_point(alpha: float) -> StationaryPoint:
     positive on that interval, the minimizer of f' is reported instead
     and is_true_root is False.
     """
-    omega_alpha = math.sqrt(alpha / 2.0 * (1.0 / EULER_GAMMA - alpha / 2.0))
-    phi_alpha = gamma_line(alpha, omega_alpha).arg_continuous
+    omega_alpha, phi_alpha = _plateau(alpha)
     grid = np.linspace(1e-6, 5.0, 400)
     vals = digamma_line_derivative(alpha, grid)
     signs = np.sign(vals)

@@ -477,12 +477,46 @@ class TestConfigAndEnvironment:
         capsys.readouterr()
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, config, flags",
+        [
+            (["predict", "--k-max", "2"], {"n": "100"}, ["--n", "100"]),
+            (["coarsegrain"], {"b": 0}, None),
+            (["bulk", "--realizations", "1"], {"n": 64, "alpha": 0.5}, ["--n", "64", "--alpha", "0.5"]),
+            (["predict"], {"k_max": 0}, None),
+            (["predict"], {"format": "xml"}, None),
+            (["compare", "--n", "64"], {"deterministic": "false"}, None),
+            (["coarsegrain"], {"partition": "blocks"}, None),
+        ],
+        ids=["text_int", "b_zero", "scalar_list", "k_max_zero", "format_xml", "text_bool", "partition"],
+    )
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, argv, config, flags):
+        # flags=None: the flag would reject the value, so the file's value must
+        # exit 2 naming the key; otherwise it must write what the flags write
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        rc = main(argv + ["--config", str(path), "--out", str(tmp_path / "file")])
+        err = capsys.readouterr().err
+        if flags is None:
+            assert rc == EXIT_USAGE
+            assert_one_line_error(err)
+            assert repr(next(iter(config))) in err
+            return
+        assert rc == EXIT_OK
+        assert main(argv + flags + ["--out", str(tmp_path / "flag")]) == EXIT_OK
+        written = sorted(p.name for p in tmp_path.glob("file*"))
+        assert written
+        for name in written:
+            flagged = tmp_path / name.replace("file", "flag", 1)
+            assert (tmp_path / name).read_bytes() == flagged.read_bytes()
+
     def test_threads_flag_caps_blas_pool(self, monkeypatch):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         monkeypatch.delenv("MSMLAB_THREADS", raising=False)
         import os
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # above every value asked for
         _apply_threads(2)
         assert os.environ["OMP_NUM_THREADS"] == "2"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
@@ -494,11 +528,19 @@ class TestConfigAndEnvironment:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("MSMLAB_THREADS", "3")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # above every value asked for
         _apply_threads(None)
         assert os.environ["OMP_NUM_THREADS"] == "3"
         # explicit flag wins over the environment
         _apply_threads(1)
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "environ", {})
+        _apply_threads(os.cpu_count() + 1)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == str(os.cpu_count())
 
     def test_no_threads_request_leaves_environment_alone(self, monkeypatch):
         import os

@@ -201,8 +201,12 @@ class TestSpectralNorm:
         rng = np.random.default_rng(3)
         m = rng.standard_normal((40, 40))
         m = m + m.T
-        dense = np.max(np.abs(np.linalg.eigvalsh(m)))
-        assert spectral_norm(m) == pytest.approx(dense, rel=1e-9)
+        # eigenvalues -4 and 1 (four times): the norm comes from a negative
+        # eigenvalue on the Lanczos path, past the n <= 2 shortcut
+        hub = np.eye(5) - np.ones((5, 5))
+        for matrix in (m, hub):
+            dense = np.max(np.abs(np.linalg.eigvalsh(matrix)))
+            assert spectral_norm(matrix) == pytest.approx(dense, rel=1e-9)
 
     def test_tiny_matrix_path(self):
         assert spectral_norm(np.array([[0.0, -3.0], [-3.0, 0.0]])) == pytest.approx(3.0)

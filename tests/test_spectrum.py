@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import msmlab.spectrum as spectrum
 from msmlab.special import digamma_line_derivative
 from msmlab.spectrum import (
     EULER_GAMMA,
@@ -203,6 +204,16 @@ class TestOmegaKApprox:
     def test_k1_rejected(self):
         with pytest.raises(ValueError):
             omega_k_approx(1, 100, 0.5)
+
+    def test_skips_the_stationary_point_search(self, monkeypatch):
+        # only the closed-form phi_alpha enters; the f' scan is not needed
+        want = omega_k_approx(2, 10_000, 0.5)
+
+        def no_search(alpha):
+            raise AssertionError("stationary_point called")
+
+        monkeypatch.setattr(spectrum, "stationary_point", no_search)
+        assert omega_k_approx(2, 10_000, 0.5) == want
 
 
 class TestStationaryPoint:
