@@ -56,10 +56,13 @@ def _alpha_value(text: str) -> float:
 
 def _apply_threads(threads: int | None) -> None:
     if threads is None and os.environ.get("MSMLAB_THREADS"):
-        threads = int(os.environ["MSMLAB_THREADS"])
+        try:
+            threads = _positive_int(os.environ["MSMLAB_THREADS"])
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise ValueError(f"environment variable MSMLAB_THREADS: {exc}") from None
     if threads is not None:
         # more BLAS workers than cores only oversubscribe them
-        threads = max(1, min(threads, os.cpu_count() or threads))
+        threads = min(threads, os.cpu_count() or threads)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
 
@@ -286,7 +289,7 @@ class _Command:
 
 
 # every command takes these, from a flag or from a config file
-_COMMON = (("out", Path, None, "output path prefix"), ("threads", int, None, "cap the BLAS worker pool"))
+_COMMON = (("out", Path, None, "output path prefix"), ("threads", _positive_int, None, "cap the BLAS worker pool"))
 # rows several commands share
 _SEED = ("seed", int, 0)
 _ALPHA = ("alpha", _alpha_value, 0.5)

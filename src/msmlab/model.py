@@ -17,8 +17,7 @@ in parallel, without changing the result. Stream purposes:
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,8 +80,6 @@ class FitnessVector:
     """Weights sorted descending; x[0] is the hub."""
 
     x: np.ndarray
-    mode: str
-    seed: int
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -102,7 +99,17 @@ class FitnessVector:
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    n: int
+    """A symmetric n x n matrix with zero diagonal, tagged by its role.
+
+    The constructor is the checked boundary for matrices made outside this
+    module: it rejects a non-square array, asymmetry to the bit, a nonzero
+    diagonal and entries outside the kind's range, all O(n^2) passes.
+    expected_matrix, sample_adjacency and coarse_grain build arrays whose
+    invariants hold by how they are computed, so they wrap them through
+    _built, which only makes the array read-only. noise_matrix keeps the
+    checks, because its (-1, 1) range holds only when A was drawn from P.
+    """
+
     entries: np.ndarray
     kind: str
 
@@ -112,8 +119,8 @@ class SymmetricMatrix:
         object.__setattr__(self, "entries", m)
         if self.kind not in MATRIX_KINDS:
             raise ValueError(f"unknown matrix kind {self.kind!r}")
-        if m.shape != (self.n, self.n):
-            raise ValueError(f"expected shape ({self.n},{self.n}), got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"need a square matrix, got shape {m.shape}")
         if not np.array_equal(m, m.T):
             raise ValueError("matrix must be symmetric to the bit")
         if np.any(np.diagonal(m) != 0.0):
@@ -128,6 +135,19 @@ class SymmetricMatrix:
         if self.kind == "noise_H" and not (-1.0 < lo and hi < 1.0):
             raise ValueError(f"noise entries outside (-1,1): [{lo},{hi}]")
 
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
+
+    @classmethod
+    def _built(cls, entries: np.ndarray, kind: str) -> SymmetricMatrix:
+        """Wrap a float array that a builder here made valid by construction."""
+        entries.setflags(write=False)
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        object.__setattr__(matrix, "kind", kind)
+        return matrix
+
 
 def gen_fitness(params: ModelParams) -> FitnessVector:
     """Draw or construct the weight vector for params, sorted descending."""
@@ -139,7 +159,7 @@ def gen_fitness(params: ModelParams) -> FitnessVector:
         u = stream_rng(params.seed, STREAM_FITNESS).random(n)
         x = u ** (-1.0 / alpha)
         x = np.sort(x)[::-1]
-    return FitnessVector(x=x, mode=params.weight_mode, seed=params.seed)
+    return FitnessVector(x=x)
 
 
 def expected_matrix(x: FitnessVector, epsilon_n: float) -> SymmetricMatrix:
@@ -148,7 +168,9 @@ def expected_matrix(x: FitnessVector, epsilon_n: float) -> SymmetricMatrix:
         raise ValueError(f"epsilon_n must be > 0, got {epsilon_n}")
     p = -np.expm1(-epsilon_n * np.outer(x.x, x.x))
     np.fill_diagonal(p, 0.0)
-    return SymmetricMatrix(n=x.n, entries=p, kind="expected_P")
+    # each entry is a function of the commutative product x_i x_j, the
+    # diagonal is zeroed, and -expm1 of a non-positive argument lies in [0, 1]
+    return SymmetricMatrix._built(p, "expected_P")
 
 
 def sample_adjacency(P: SymmetricMatrix, seed: int) -> SymmetricMatrix:
@@ -164,8 +186,8 @@ def sample_adjacency(P: SymmetricMatrix, seed: int) -> SymmetricMatrix:
     for i in range(n - 1):
         u = stream_rng(seed, STREAM_ADJACENCY, i).random(n - 1 - i)
         a[i, i + 1 :] = (u < P.entries[i, i + 1 :]).astype(float)
-    a += a.T
-    return SymmetricMatrix(n=n, entries=a, kind="adjacency_A")
+    a += a.T  # the upper triangle holds 0/1 draws and is mirrored
+    return SymmetricMatrix._built(a, "adjacency_A")
 
 
 def noise_matrix(A: SymmetricMatrix, P: SymmetricMatrix) -> SymmetricMatrix:
@@ -174,7 +196,7 @@ def noise_matrix(A: SymmetricMatrix, P: SymmetricMatrix) -> SymmetricMatrix:
         raise ValueError(f"need (adjacency_A, expected_P), got ({A.kind}, {P.kind})")
     if A.n != P.n:
         raise ValueError(f"dimension mismatch: {A.n} vs {P.n}")
-    return SymmetricMatrix(n=A.n, entries=A.entries - P.entries, kind="noise_H")
+    return SymmetricMatrix(entries=A.entries - P.entries, kind="noise_H")
 
 
 def coarse_grain(
@@ -225,10 +247,8 @@ def coarse_grain(
     big_x = big_x[rank]
     coarse = coarse[rank][:, rank]
     coarse = 0.5 * (coarse + coarse.T)  # re-mirror after fancy indexing
-    return (
-        FitnessVector(x=big_x, mode=x.mode, seed=x.seed),
-        SymmetricMatrix(n=nb, entries=coarse, kind="expected_P"),
-    )
+    # re-mirrored, zero diagonal, and -expm1 of a log-sum <= 0 lies in [0, 1]
+    return FitnessVector(x=big_x), SymmetricMatrix._built(coarse, "expected_P")
 
 
 def expected_degrees(P: SymmetricMatrix) -> np.ndarray:

@@ -54,7 +54,6 @@ class EigenDecomposition:
     source_kind: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None  # column i pairs with eigenvalues[i]
-    params: ModelParams | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -127,21 +126,24 @@ class CompareArtifacts:
 
 
 def _as_entries(matrix: np.ndarray | SymmetricMatrix) -> tuple[np.ndarray, str]:
+    """The entries and kind of a matrix; a plain array is checked here.
+
+    A SymmetricMatrix passes unchecked: its constructor's range checks
+    already exclude non-finite entries, and the builders cannot make them.
+    """
     if isinstance(matrix, SymmetricMatrix):
         return matrix.entries, matrix.kind
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must all be finite")
     if not np.array_equal(m, m.T):
         raise ValueError("matrix must be symmetric")
     return m, "custom"
 
 
-def eig_sym(
-    matrix: np.ndarray | SymmetricMatrix,
-    vectors: bool = True,
-    params: ModelParams | None = None,
-) -> EigenDecomposition:
+def eig_sym(matrix: np.ndarray | SymmetricMatrix, vectors: bool = True) -> EigenDecomposition:
     """Dense symmetric eigendecomposition in descending-magnitude order.
 
     Ties in magnitude are broken by descending signed value, so a
@@ -150,8 +152,6 @@ def eig_sym(
     silent garbage.
     """
     m, kind = _as_entries(matrix)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must all be finite")
     if vectors:
         vals, vecs = np.linalg.eigh(m)
     else:
@@ -160,9 +160,7 @@ def eig_sym(
     vals = vals[order]
     if vecs is not None:
         vecs = vecs[:, order]
-    return EigenDecomposition(
-        source_kind=kind, eigenvalues=vals, eigenvectors=vecs, params=params
-    )
+    return EigenDecomposition(source_kind=kind, eigenvalues=vals, eigenvectors=vecs)
 
 
 def reconstruction_residuals(
@@ -293,8 +291,8 @@ def compare_with_vectors(
     H = noise_matrix(A, P)
     bulk_edge = spectral_norm(H)
     del H
-    decomp_P = eig_sym(P, params=params)
-    decomp_A = eig_sym(A, params=params)
+    decomp_P = eig_sym(P)
+    decomp_A = eig_sym(A)
 
     preds: list[tuple[SpectralPrediction, EigenvectorPrediction] | None] = []
     truncated_at: int | None = None

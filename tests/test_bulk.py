@@ -30,7 +30,7 @@ from msmlab.model import (
 
 
 def zero_P(n: int) -> SymmetricMatrix:
-    return SymmetricMatrix(n=n, entries=np.zeros((n, n)), kind="expected_P")
+    return SymmetricMatrix(entries=np.zeros((n, n)), kind="expected_P")
 
 
 class TestVarianceProfile:
@@ -43,7 +43,7 @@ class TestVarianceProfile:
     def test_maximal_bernoulli_variance(self):
         # p = 1/2 everywhere maximizes p(1-p), pinning both maxima
         n = 6
-        P = SymmetricMatrix(n=n, entries=0.5 * (np.ones((n, n)) - np.eye(n)), kind="expected_P")
+        P = SymmetricMatrix(entries=0.5 * (np.ones((n, n)) - np.eye(n)), kind="expected_P")
         vp = variance_profile(P)
         assert vp.sigma_star == 0.5
         assert vp.sigma == pytest.approx(math.sqrt(n - 1) / 2, abs=1e-15)
@@ -63,7 +63,7 @@ class TestVarianceProfile:
         assert vp.sigma**2 <= vp.d_max + 1e-9
 
     def test_rejects_wrong_kind(self):
-        A = SymmetricMatrix(n=3, entries=np.zeros((3, 3)), kind="adjacency_A")
+        A = SymmetricMatrix(entries=np.zeros((3, 3)), kind="adjacency_A")
         with pytest.raises(ValueError):
             variance_profile(A)
 
@@ -163,7 +163,7 @@ class TestLowerBound:
 
 class TestCavitySolve:
     def test_free_resolvent_exact(self):
-        fv = FitnessVector(x=np.ones(32), mode="deterministic", seed=0)
+        fv = FitnessVector(x=np.ones(32))
         sol = cavity_solve(fv, 0.0, np.array([0.3]), eta=0.7)
         # numpy and CPython complex division differ in the last ulp
         free = -1.0 / complex(0.3, 0.7)
@@ -178,7 +178,7 @@ class TestCavitySolve:
         # scalar root of c g^2 + z g + 1 = 0 with c = p (n-1)/n
         p, n = 0.3, 64
         eps = -math.log1p(-p)
-        fv = FitnessVector(x=np.ones(n), mode="deterministic", seed=0)
+        fv = FitnessVector(x=np.ones(n))
         sol = cavity_solve(fv, eps, np.array([zr]), eta=eta, tol=1e-12)
         c = p * (n - 1) / n
         z = complex(zr, eta)
@@ -205,13 +205,13 @@ class TestCavitySolve:
             warnings.warn(f"{violations} non-monotone delta steps after burn-in")
 
     def test_default_eta_heuristic(self):
-        fv = FitnessVector(x=np.ones(64), mode="deterministic", seed=0)
+        fv = FitnessVector(x=np.ones(64))
         grid = np.linspace(-1.0, 1.0, 5)
         sol = cavity_solve(fv, 0.0, grid)
         assert np.allclose(sol.z_grid.imag, 2.5 / math.sqrt(64) * 2.0)
 
     def test_validation(self):
-        fv = FitnessVector(x=np.ones(8), mode="deterministic", seed=0)
+        fv = FitnessVector(x=np.ones(8))
         grid = np.array([0.0])
         with pytest.raises(ValueError):
             cavity_solve(fv, 0.0, grid, eta=0.1, damping=0.0)

@@ -511,11 +511,9 @@ class TestConfigAndEnvironment:
             assert (tmp_path / name).read_bytes() == flagged.read_bytes()
 
     def test_threads_flag_caps_blas_pool(self, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.delenv("MSMLAB_THREADS", raising=False)
         import os
 
+        monkeypatch.setattr(os, "environ", {})
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # above every value asked for
         _apply_threads(2)
         assert os.environ["OMP_NUM_THREADS"] == "2"
@@ -525,9 +523,7 @@ class TestConfigAndEnvironment:
     def test_env_variable_fills_in_when_flag_absent(self, monkeypatch):
         import os
 
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("MSMLAB_THREADS", "3")
+        monkeypatch.setattr(os, "environ", {"MSMLAB_THREADS": "3"})
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # above every value asked for
         _apply_threads(None)
         assert os.environ["OMP_NUM_THREADS"] == "3"
@@ -541,6 +537,28 @@ class TestConfigAndEnvironment:
         monkeypatch.setattr(os, "environ", {})
         _apply_threads(os.cpu_count() + 1)
         assert os.environ["OPENBLAS_NUM_THREADS"] == str(os.cpu_count())
+
+    @pytest.mark.parametrize(
+        "argv, environ, last_line",
+        [
+            (["--threads", "0"], {}, "msmlab predict: error: argument --threads: must be >= 1, got 0"),
+            (["--threads", "-3"], {}, "msmlab predict: error: argument --threads: must be >= 1, got -3"),
+            ([], {"MSMLAB_THREADS": "0"}, "msmlab: error: environment variable MSMLAB_THREADS: must be >= 1, got 0"),
+        ],
+        ids=["flag_zero", "flag_negative", "env_zero"],
+    )
+    def test_thread_count_below_one_is_usage_error(self, monkeypatch, capsys, argv, environ, last_line):
+        # a flag is rejected by argparse (usage line, then the error), like
+        # --k-max 0; the environment variable gets the one-line error
+        import os
+
+        monkeypatch.setattr(os, "environ", environ)
+        assert main(["predict", "--n", "100", "--k-max", "2"] + argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == last_line
+        if not argv:
+            assert_one_line_error(err)
 
     def test_no_threads_request_leaves_environment_alone(self, monkeypatch):
         import os

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from msmlab.model import (
     STREAM_ADJACENCY,
+    WEIGHT_MODES,
     FitnessVector,
     ModelParams,
     SymmetricMatrix,
@@ -82,7 +83,7 @@ class TestGenFitness:
 
 class TestExpectedMatrix:
     def test_small_kernel_first_order(self):
-        fv = FitnessVector(x=np.array([3.0, 2.0, 1.0]), mode="deterministic", seed=0)
+        fv = FitnessVector(x=np.array([3.0, 2.0, 1.0]))
         eps = 1e-12
         P = expected_matrix(fv, eps)
         linear = eps * np.outer(fv.x, fv.x)
@@ -111,7 +112,7 @@ class TestExpectedMatrix:
 def constant_P(n: int, p: float) -> SymmetricMatrix:
     m = np.full((n, n), p)
     np.fill_diagonal(m, 0.0)
-    return SymmetricMatrix(n=n, entries=m, kind="expected_P")
+    return SymmetricMatrix(entries=m, kind="expected_P")
 
 
 class TestSampleAdjacency:
@@ -148,7 +149,7 @@ class TestSampleAdjacency:
         m = np.zeros((10, 10))
         m[np.triu_indices(10, 1)] = rng.uniform(0.05, 0.95, 45)
         m += m.T
-        P = SymmetricMatrix(n=10, entries=m, kind="expected_P")
+        P = SymmetricMatrix(entries=m, kind="expected_P")
         R = 3000
         acc = np.zeros((10, 10))
         for s in range(R):
@@ -305,20 +306,52 @@ class TestSymmetricMatrixValidation:
         m = np.zeros((3, 3))
         m[0, 1] = 0.5
         with pytest.raises(ValueError):
-            SymmetricMatrix(n=3, entries=m, kind="expected_P")
+            SymmetricMatrix(entries=m, kind="expected_P")
 
     def test_rejects_nonzero_diagonal(self):
         m = np.eye(3) * 0.5
         with pytest.raises(ValueError):
-            SymmetricMatrix(n=3, entries=m, kind="expected_P")
+            SymmetricMatrix(entries=m, kind="expected_P")
 
     def test_rejects_out_of_range(self):
         m = np.full((3, 3), 1.5)
         np.fill_diagonal(m, 0.0)
         with pytest.raises(ValueError):
-            SymmetricMatrix(n=3, entries=m, kind="expected_P")
+            SymmetricMatrix(entries=m, kind="expected_P")
 
     def test_entries_read_only(self):
         P = constant_P(5, 0.3)
         with pytest.raises(ValueError):
             P.entries[0, 1] = 0.9
+
+
+class TestBuildersValidByConstruction:
+    @pytest.mark.parametrize("n", [257, 1000])  # odd n leaves a tail after the vector loop of expm1
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_outputs_pass_the_checked_constructor(self, alpha, mode, n):
+        params = ModelParams(n=n, alpha=alpha, seed=3, weight_mode=mode)
+        fv = gen_fitness(params)
+        P = expected_matrix(fv, params.epsilon_n)
+        built = [P, sample_adjacency(P, seed=3)]
+        if n == 1000:
+            for partition in ("contiguous", "random"):
+                built.append(coarse_grain(fv, params.epsilon_n, 10, partition, seed=3)[1])
+        for M in built:
+            SymmetricMatrix(entries=M.entries, kind=M.kind)
+
+    def test_builders_skip_the_checks_and_noise_keeps_them(self, monkeypatch):
+        class CheckRan(Exception):
+            pass
+
+        def refuse(self):
+            raise CheckRan
+
+        fv = det_fitness(20, 0.5)
+        eps = ModelParams(n=20, alpha=0.5).epsilon_n
+        monkeypatch.setattr(SymmetricMatrix, "__post_init__", refuse)
+        P = expected_matrix(fv, eps)
+        A = sample_adjacency(P, seed=1)
+        coarse_grain(fv, eps, 5)
+        with pytest.raises(CheckRan):
+            noise_matrix(A, P)

@@ -211,6 +211,12 @@ class TestSpectralNorm:
     def test_tiny_matrix_path(self):
         assert spectral_norm(np.array([[0.0, -3.0], [-3.0, 0.0]])) == pytest.approx(3.0)
 
+    def test_rejects_non_finite(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = m[1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            spectral_norm(m)
+
 
 @pytest.fixture(scope="module")
 def report_2048() -> ComparisonReport:
