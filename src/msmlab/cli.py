@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -194,7 +194,7 @@ def cmd_bulk(cfg: dict[str, Any]) -> int:
     import numpy as np
 
     from .bulk import cavity_solve, measure_bulk_edge
-    from .model import ModelParams, gen_fitness
+    from .model import ModelParams, expected_matrix, gen_fitness
     from .output import write_csv, write_json
 
     base = Path(cfg["out"])
@@ -204,19 +204,13 @@ def cmd_bulk(cfg: dict[str, Any]) -> int:
     for n in cfg["n"]:
         for alpha in cfg["alpha"]:
             params = ModelParams(n=n, alpha=alpha, seed=cfg["seed"])
-            mean, stderr = measure_bulk_edge(params, cfg["realizations"])
+            P = expected_matrix(gen_fitness(params), params.epsilon_n)
+            mean, stderr = measure_bulk_edge(P, cfg["realizations"], params.seed)
             crude = math.sqrt(n) / 2 + math.sqrt(math.log(n)) / 4
             sweep_rows.append((n, alpha, mean, stderr, crude))
             if cfg["density"]:
                 grid = np.linspace(-cfg["grid_span"], cfg["grid_span"], cfg["grid_points"])
-                sol = cavity_solve(
-                    gen_fitness(params),
-                    params.epsilon_n,
-                    grid,
-                    eta=cfg["eta"],
-                    damping=cfg["damping"],
-                    tol=cfg["tol"],
-                )
+                sol = cavity_solve(P, grid, eta=cfg["eta"], damping=cfg["damping"], tol=cfg["tol"])
                 name = f"_density_n{n}_a{alpha}.csv"
                 write_csv(
                     base.parent / (base.name + name),
@@ -327,7 +321,7 @@ _COMMANDS = {
         ("density", bool, False),
         ("grid_points", _positive_int, 61),
         ("grid_span", float, 0.75),
-        ("damping", float, 0.5),
+        ("damping", float, 0.5, "cavity mixing parameter in (0, 1]"),
         ("tol", float, 1e-9),
         _PAPER_SCALE,
     )),
@@ -341,8 +335,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected flag in the one-line format of every other usage error."""
+
+    def error(self, message: str) -> NoReturn:
+        sys.exit(_usage(message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # add_subparsers makes the subcommand parsers of the same class
+    parser = _Parser(
         prog="msmlab",
         description="Spectra of rank-heavy random graphs: predictions, "
         "dense comparisons, and bulk diagnostics.",

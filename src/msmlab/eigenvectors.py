@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import log_gamma_complex
-from .spectrum import SpectralPrediction, solve_omega_k
+from .spectrum import solve_omega_k
 
 __all__ = [
     "EigenvectorPrediction",
@@ -77,27 +77,29 @@ def _resolve_omega(k: int, n: int, alpha: float) -> float:
     return solve_omega_k(k, n, alpha).omega_k
 
 
+def _mode(ratio: np.ndarray | float, alpha: float, omega: float) -> np.ndarray | float:
+    """nu_k at the weight x with x^alpha = ratio, for the root omega = omega_k.
+
+    Taking x^alpha rather than x keeps the grid ratio n/j exact, so
+    (c.real/alpha), exactly 1/2 at k = 1, makes the Perron anchor
+    v_1^(j) = sqrt(n/j)/2 exact entry by entry.
+    """
+    c = _coefficient(alpha, omega)
+    phase = (omega / alpha) * np.log(ratio)
+    return np.sqrt(ratio) * ((c.real / alpha) * np.cos(phase) - (c.imag / alpha) * np.sin(phase))
+
+
 def nu_k(x: float, k: int, n: int, alpha: float) -> float:
     """Eigenfunction value at weight coordinate x >= 1."""
     if x < 1.0:
         raise ValueError(f"x must be >= 1, got {x}")
-    omega = _resolve_omega(k, n, alpha)
-    c = _coefficient(alpha, omega)
-    t = omega * math.log(x)
-    return (x ** (alpha / 2.0) / alpha) * (c.real * math.cos(t) - c.imag * math.sin(t))
+    return float(_mode(x**alpha, alpha, _resolve_omega(k, n, alpha)))
 
 
 def eigenvector_entries(k: int, n: int, alpha: float) -> EigenvectorPrediction:
     """Entry prediction on the deterministic weight grid, j = 1..n."""
-    pred: SpectralPrediction = solve_omega_k(k, n, alpha)
-    omega = pred.omega_k
-    c = _coefficient(alpha, omega)
-    j = np.arange(1, n + 1, dtype=float)
-    ratio = n / j
-    phase = (omega / alpha) * np.log(ratio)
-    # (c.real/alpha) is exactly 1/2 at k = 1, making the Perron anchor
-    # v_1^(j) = sqrt(n/j)/2 exact entry by entry.
-    entries = np.sqrt(ratio) * ((c.real / alpha) * np.cos(phase) - (c.imag / alpha) * np.sin(phase))
+    omega = _resolve_omega(k, n, alpha)
+    entries = _mode(n / np.arange(1, n + 1, dtype=float), alpha, omega)
     return EigenvectorPrediction(k=k, n=n, alpha=alpha, omega_k=omega, entries=entries)
 
 

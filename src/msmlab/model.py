@@ -37,7 +37,6 @@ __all__ = [
     "sample_adjacency",
     "noise_matrix",
     "coarse_grain",
-    "expected_degrees",
 ]
 
 WEIGHT_MODES = ("iid_pareto", "deterministic")
@@ -249,10 +248,3 @@ def coarse_grain(
     coarse = 0.5 * (coarse + coarse.T)  # re-mirror after fancy indexing
     # re-mirrored, zero diagonal, and -expm1 of a log-sum <= 0 lies in [0, 1]
     return FitnessVector(x=big_x), SymmetricMatrix._built(coarse, "expected_P")
-
-
-def expected_degrees(P: SymmetricMatrix) -> np.ndarray:
-    """Row sums of the expected kernel."""
-    if P.kind != "expected_P":
-        raise ValueError(f"need an expected_P matrix, got {P.kind}")
-    return P.entries.sum(axis=1)

@@ -38,7 +38,6 @@ __all__ = [
     "CompareArtifacts",
     "eig_sym",
     "reconstruction_residuals",
-    "orthonormality_defect",
     "outliers",
     "effective_rank",
     "spectral_norm",
@@ -185,15 +184,6 @@ def residual_tolerances(
     m, _ = _as_entries(matrix)
     scale = np.linalg.norm(m, "fro") / math.sqrt(decomp.n)
     return 1e-8 * (scale + np.abs(decomp.eigenvalues))
-
-
-def orthonormality_defect(decomp: EigenDecomposition) -> float:
-    """max |V^T V - I|, zero for an exactly orthonormal basis."""
-    if decomp.eigenvectors is None:
-        raise ValueError("decomposition carries no eigenvectors")
-    v = decomp.eigenvectors
-    g = v.T @ v
-    return float(np.max(np.abs(g - np.eye(decomp.n))))
 
 
 def outliers(decomp: EigenDecomposition, edge: float) -> list[tuple[int, float]]:

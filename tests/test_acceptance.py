@@ -121,7 +121,8 @@ def test_criterion_06_bulk_edge_envelope():
     for alpha in (0.2, 0.5, 0.8):
         means = []
         for n in sizes:
-            mean, _ = measure_bulk_edge(ModelParams(n=n, alpha=alpha, seed=0), 10)
+            params = ModelParams(n=n, alpha=alpha, seed=0)
+            mean, _ = measure_bulk_edge(expected_matrix(gen_fitness(params), params.epsilon_n), 10, params.seed)
             means.append(mean)
             under.append(mean <= math.sqrt(n) / 2 + math.sqrt(math.log(n)) / 4)
         slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
@@ -165,12 +166,12 @@ def test_criterion_09_cavity_density_sanity():
     params = ModelParams(n=2048, alpha=0.5, seed=1)
     fv = gen_fitness(params)
     lam = np.linspace(-0.75, 0.75, 61)
-    sol = cavity_solve(fv, params.epsilon_n, lam, eta=0.05)
+    P = expected_matrix(fv, params.epsilon_n)
+    sol = cavity_solve(P, lam, eta=0.05)
     frac = sol.converged.mean()
     herglotz = bool((sol.S_n.imag[sol.converged] > 0).all())
     mass = density_mass(sol)
 
-    P = expected_matrix(fv, params.epsilon_n)
     H = noise_matrix(sample_adjacency(P, params.seed), P)
     ev = np.linalg.eigvalsh(H.entries) / math.sqrt(params.n)
     edges = np.array([-0.75, -0.25, 0.25, 0.75])

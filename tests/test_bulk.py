@@ -1,11 +1,13 @@
 """Variance bounds, measured edges, cavity and Poisson-process solvers."""
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from msmlab import bulk
 from msmlab.bulk import (
     PPPAtoms,
     cavity_solve,
@@ -19,7 +21,6 @@ from msmlab.bulk import (
     variance_profile,
 )
 from msmlab.model import (
-    FitnessVector,
     ModelParams,
     SymmetricMatrix,
     expected_matrix,
@@ -31,6 +32,14 @@ from msmlab.model import (
 
 def zero_P(n: int) -> SymmetricMatrix:
     return SymmetricMatrix(entries=np.zeros((n, n)), kind="expected_P")
+
+
+def constant_P(n: int, p: float) -> SymmetricMatrix:
+    return SymmetricMatrix(entries=p * (np.ones((n, n)) - np.eye(n)), kind="expected_P")
+
+
+def model_P(params: ModelParams) -> SymmetricMatrix:
+    return expected_matrix(gen_fitness(params), params.epsilon_n)
 
 
 class TestVarianceProfile:
@@ -98,24 +107,38 @@ class TestBulkEdge:
 
     def test_mean_under_crude_bound(self):
         params = ModelParams(n=512, alpha=0.5, seed=0)
-        mean, stderr = measure_bulk_edge(params, 6)
+        mean, stderr = measure_bulk_edge(model_P(params), 6, params.seed)
         _, crude = norm_upper_bound(variance_profile(zero_P(4)), 512)
         assert 0.0 < mean <= crude
         assert stderr > 0.0
 
     def test_single_realization_has_zero_stderr(self):
         params = ModelParams(n=128, alpha=0.5, seed=0)
-        mean, stderr = measure_bulk_edge(params, 1)
+        mean, stderr = measure_bulk_edge(model_P(params), 1, params.seed)
         assert mean > 0.0
         assert stderr == 0.0
 
     def test_reproducible(self):
         params = ModelParams(n=128, alpha=0.3, seed=5)
-        assert measure_bulk_edge(params, 3) == measure_bulk_edge(params, 3)
+        P = model_P(params)
+        assert measure_bulk_edge(P, 3, params.seed) == measure_bulk_edge(P, 3, params.seed)
 
     def test_rejects_no_realizations(self):
         with pytest.raises(ValueError):
             edge_samples(zero_P(4), 0, 0)
+
+    def test_one_adjacency_alive_at_a_time(self):
+        # drawing realization r + 1 while r's A is still held costs a third
+        # n x n array; P is built before tracing starts
+        n = 512
+        P = model_P(ModelParams(n=n, alpha=0.5))
+        tracemalloc.start()
+        try:
+            edge_samples(P, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +186,7 @@ class TestLowerBound:
 
 class TestCavitySolve:
     def test_free_resolvent_exact(self):
-        fv = FitnessVector(x=np.ones(32))
-        sol = cavity_solve(fv, 0.0, np.array([0.3]), eta=0.7)
+        sol = cavity_solve(zero_P(32), np.array([0.3]), eta=0.7)
         # numpy and CPython complex division differ in the last ulp
         free = -1.0 / complex(0.3, 0.7)
         assert np.max(np.abs(sol.g_per_node - free)) < 1e-15
@@ -177,9 +199,7 @@ class TestCavitySolve:
         # equal weights make the kernel constant, so the fixed point is the
         # scalar root of c g^2 + z g + 1 = 0 with c = p (n-1)/n
         p, n = 0.3, 64
-        eps = -math.log1p(-p)
-        fv = FitnessVector(x=np.ones(n))
-        sol = cavity_solve(fv, eps, np.array([zr]), eta=eta, tol=1e-12)
+        sol = cavity_solve(constant_P(n, p), np.array([zr]), eta=eta, tol=1e-12)
         c = p * (n - 1) / n
         z = complex(zr, eta)
         disc = cmath.sqrt(z * z - 4 * c)
@@ -189,9 +209,8 @@ class TestCavitySolve:
 
     def test_bulk_window_density(self):
         params = ModelParams(n=512, alpha=0.5, seed=1)
-        fv = gen_fitness(params)
         sol, history = cavity_solve(
-            fv, params.epsilon_n, np.linspace(-0.75, 0.75, 41), eta=0.05, track_deltas=True
+            model_P(params), np.linspace(-0.75, 0.75, 41), eta=0.05, track_deltas=True
         )
         assert sol.converged.all()
         assert (sol.S_n.imag > 0.0).all()
@@ -205,31 +224,50 @@ class TestCavitySolve:
             warnings.warn(f"{violations} non-monotone delta steps after burn-in")
 
     def test_default_eta_heuristic(self):
-        fv = FitnessVector(x=np.ones(64))
         grid = np.linspace(-1.0, 1.0, 5)
-        sol = cavity_solve(fv, 0.0, grid)
+        sol = cavity_solve(zero_P(64), grid)
         assert np.allclose(sol.z_grid.imag, 2.5 / math.sqrt(64) * 2.0)
 
     def test_validation(self):
-        fv = FitnessVector(x=np.ones(8))
+        P = zero_P(8)
         grid = np.array([0.0])
         with pytest.raises(ValueError):
-            cavity_solve(fv, 0.0, grid, eta=0.1, damping=0.0)
+            cavity_solve(P, grid, eta=0.1, damping=0.0)
         with pytest.raises(ValueError):
-            cavity_solve(fv, 0.0, grid, eta=-0.1)
+            cavity_solve(P, grid, eta=-0.1)
+        for kind in ("adjacency_A", "noise_H"):
+            with pytest.raises(ValueError):
+                cavity_solve(SymmetricMatrix(entries=np.zeros((8, 8)), kind=kind), grid, eta=0.1)
         with pytest.raises(ValueError):
-            cavity_solve(fv, -1.0, grid, eta=0.1)
-        with pytest.raises(ValueError):
-            cavity_solve(fv, 0.0, np.empty(0), eta=0.1)
+            cavity_solve(P, np.empty(0), eta=0.1)
 
     def test_herglotz_across_alpha(self):
         for alpha in (0.2, 0.8):
             params = ModelParams(n=256, alpha=alpha)
-            sol = cavity_solve(
-                gen_fitness(params), params.epsilon_n, np.linspace(-0.6, 0.6, 7), eta=0.1
-            )
+            sol = cavity_solve(model_P(params), np.linspace(-0.6, 0.6, 7), eta=0.1)
             assert sol.converged.all()
             assert (sol.S_n.imag > 0.0).all()
+
+    def test_real_view_product_matches_complex(self):
+        # the solver multiplies the real kernel by the interleaved (re, im)
+        # view of g instead of upcasting the kernel to complex
+        P = model_P(ModelParams(n=512, alpha=0.5))
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((512, 15)) + 1j * rng.standard_normal((512, 15))
+        real_view = (P.entries @ np.ascontiguousarray(g).view(float)).view(complex)
+        reference = P.entries @ g
+        assert np.abs(real_view - reference).max() <= 1e-15 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    def test_anderson_matches_damped_map_in_half_the_sweeps(self, alpha, monkeypatch):
+        P = model_P(ModelParams(n=512, alpha=alpha))
+        grid = np.linspace(-0.75, 0.75, 15)
+        mixed = cavity_solve(P, grid, eta=0.05)
+        monkeypatch.setattr(bulk, "_ANDERSON_DEPTH", 0)
+        damped = cavity_solve(P, grid, eta=0.05)
+        assert mixed.converged.all() and damped.converged.all()
+        assert np.abs(mixed.S_n - damped.S_n).max() <= 1e-8 * np.abs(damped.S_n).min()
+        assert 2 * mixed.iterations.max() <= damped.iterations.max()
 
 
 class TestPPPSample:
@@ -305,10 +343,10 @@ class TestCrossMethod:
         # both transforms are near the free resolvent at these z, so the
         # band mostly certifies that scaling and sign conventions line up
         params = ModelParams(n=2048, alpha=0.5)
-        fv = gen_fitness(params)
+        P = model_P(params)
         atoms = ppp_sample(0.5, 10_000, 0)
         for eta in (0.5, 1.0, 2.0):
-            sol = cavity_solve(fv, params.epsilon_n, np.array([0.0]), eta=eta)
+            sol = cavity_solve(P, np.array([0.0]), eta=eta)
             fp = ppp_fixed_point(atoms, 0.0, eta)
             assert sol.converged.all() and fp.converged
             rel = abs(sol.S_n[0] - fp.averaged) / abs(sol.S_n[0])

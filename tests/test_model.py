@@ -13,7 +13,6 @@ from msmlab.model import (
     ModelParams,
     SymmetricMatrix,
     coarse_grain,
-    expected_degrees,
     expected_matrix,
     gen_fitness,
     noise_matrix,
@@ -269,17 +268,17 @@ class TestCoarseGrain:
 
 class TestExpectedDegrees:
     def test_zero_kernel(self):
-        assert not expected_degrees(constant_P(9, 0.0)).any()
+        assert not constant_P(9, 0.0).entries.sum(axis=1).any()
 
     def test_constant_kernel(self):
-        d = expected_degrees(constant_P(9, 0.25))
+        d = constant_P(9, 0.25).entries.sum(axis=1)
         assert np.allclose(d, 8 * 0.25, rtol=1e-15)
 
     def test_degree_ccdf_tail_slope(self, det_instance_n1e4):
         # CCDF of expected degrees on log-log axes: slope -1 over the
         # middle two decades (degree density tail exponent 2).
         _, fv, P = det_instance_n1e4
-        d = expected_degrees(P)
+        d = P.entries.sum(axis=1)
         n = fv.n
         j = np.arange(1, n + 1)
         logd = np.log10(d)
