@@ -5,6 +5,12 @@ drive every bound here: sigma is the largest row deviation, sigma_star the
 largest single-entry deviation, and the measured edge is ||H|| averaged
 over independently sampled realizations.
 
+The measured edge and the cavity solver take the kernel P either as the
+dense expected_P matrix or as a model.KernelOperator. With the operator
+they hold no n x n array: each realization's A is a sparse draw, ||H|| is
+a Lanczos solve on v -> A v - P v, and the cavity sweep multiplies by P
+through its near/far split.
+
 The two Stieltjes solvers share one convention: the resolvent is taken of
 M/sqrt(n) using G = (M - z)^(-1), so Im S(z) > 0 on the upper half plane
 and the boundary density is recovered as (1/pi) Im S(lambda + i eta). The
@@ -21,8 +27,15 @@ from typing import Sequence
 import numpy as np
 import scipy.integrate
 
-from .model import STREAM_PPP, SymmetricMatrix, noise_matrix, sample_adjacency, stream_rng
-from .numeric import spectral_norm
+from .model import (
+    STREAM_PPP,
+    KernelOperator,
+    SymmetricMatrix,
+    _kernel_product,
+    sample_sparse_adjacency,
+    stream_rng,
+)
+from .numeric import noise_norm, spectral_norm
 
 __all__ = [
     "VarianceProfile",
@@ -178,9 +191,14 @@ def norm_upper_bound(vp: VarianceProfile, n: int) -> tuple[float, float]:
     )
 
 
-def edge_samples(P: SymmetricMatrix, realizations: int, seed: int) -> np.ndarray:
+def edge_samples(
+    kernel: SymmetricMatrix | KernelOperator, realizations: int, seed: int
+) -> np.ndarray:
     """||H|| for `realizations` independent adjacency draws from P.
 
+    kernel is the expected_P matrix or the KernelOperator of P; both give
+    the same draws. Each A is sampled sparse and its ||A - P|| taken by
+    noise_norm, so no n x n array is made beyond a dense P passed in.
     Realization r uses adjacency seed `seed + r`, so sweeps over seeds
     stay reproducible and non-overlapping draws need distinct base seeds.
     """
@@ -188,14 +206,19 @@ def edge_samples(P: SymmetricMatrix, realizations: int, seed: int) -> np.ndarray
         raise ValueError(f"need at least one realization, got {realizations}")
     out = np.empty(realizations)
     for r in range(realizations):
-        # no name holds A, so realization r's A is freed before r + 1 draws
-        out[r] = spectral_norm(noise_matrix(sample_adjacency(P, seed + r), P))
+        out[r] = noise_norm(sample_sparse_adjacency(kernel, seed + r), kernel)
     return out
 
 
-def measure_bulk_edge(P: SymmetricMatrix, realizations: int, seed: int) -> tuple[float, float]:
-    """Mean and standard error of ||H|| over independent realizations from P."""
-    edges = edge_samples(P, realizations, seed)
+def measure_bulk_edge(
+    kernel: SymmetricMatrix | KernelOperator, realizations: int, seed: int
+) -> tuple[float, float]:
+    """Mean and standard error of ||H|| over independent realizations from P.
+
+    kernel is the expected_P matrix or the KernelOperator of P, as in
+    edge_samples.
+    """
+    edges = edge_samples(kernel, realizations, seed)
     if realizations == 1:
         return float(edges[0]), 0.0
     return float(edges.mean()), float(edges.std(ddof=1) / math.sqrt(realizations))
@@ -250,7 +273,7 @@ def norm_lower_bound_check(
 
 
 def cavity_solve(
-    P: SymmetricMatrix,
+    kernel: SymmetricMatrix | KernelOperator,
     z_grid: np.ndarray,
     eta: float | None = None,
     damping: float = 0.5,
@@ -260,9 +283,10 @@ def cavity_solve(
 ) -> StieltjesSolution | tuple[StieltjesSolution, list[np.ndarray]]:
     """Anderson-mixed fixed point of the kernel self-consistency on a z-grid.
 
-    P is the expected_P matrix whose entries p_ij = 1 - exp(-eps x_i x_j)
-    weight the equation; a zero P gives the free resolvent g_i = -1/z
-    exactly. z_grid holds real spectral positions lambda (on the
+    kernel is P, whose entries p_ij = 1 - exp(-eps x_i x_j) weight the
+    equation: the expected_P matrix or its KernelOperator, which agree to
+    about 1e-14 and hold no n x n array. A zero P gives the free resolvent
+    g_i = -1/z exactly. z_grid holds real spectral positions lambda (on the
     M/sqrt(n) scale); each is lifted to lambda + i eta. eta defaults to
     2.5/sqrt(n) times the grid span, small enough to resolve the bulk
     while keeping the iteration a contraction.
@@ -286,14 +310,13 @@ def cavity_solve(
     step; non-converged points are flagged, never raised. With
     track_deltas=True also returns that step size per sweep.
     """
-    if P.kind != "expected_P":
-        raise ValueError(f"need an expected_P matrix, got {P.kind}")
+    product = _kernel_product(kernel)
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0,1], got {damping}")
     lam = np.asarray(z_grid, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("z_grid must be a nonempty 1-d real array")
-    n = P.n
+    n = kernel.n
     if eta is None:
         span = float(lam.max() - lam.min())
         eta = 2.5 / math.sqrt(n) * (span if span > 0.0 else 1.0)
@@ -318,7 +341,7 @@ def cavity_solve(
         idx = np.flatnonzero(active)
         g_act = np.ascontiguousarray(g[:, idx])
         # P is real: one real product on the interleaved (re, im) columns
-        phi = (P.entries @ g_act.view(float)).view(complex) / n
+        phi = product(g_act.view(float)).view(complex) / n
         r = -1.0 / (z[idx] + phi) - g_act
         size = np.abs(r).max(axis=0)
         g_rows, r_rows = g_act.T, r.T

@@ -32,8 +32,9 @@ EXIT_USAGE = 2
 EXIT_NON_CONVERGENCE = 3
 EXIT_TRUNCATED = 4
 
-# largest n allowed without the --paper-scale acknowledgment; dense
-# decompositions beyond this take minutes, not seconds
+# largest n allowed without the --paper-scale acknowledgment; beyond it
+# compare's dense decompositions take minutes, and bulk's adjacency
+# sampling, which tests all n(n-1)/2 pairs, grows quadratically
 CI_SCALE_LIMIT = 4096
 
 # largest |closed form - aggregated kernel| that coarsegrain accepts
@@ -194,7 +195,7 @@ def cmd_bulk(cfg: dict[str, Any]) -> int:
     import numpy as np
 
     from .bulk import cavity_solve, measure_bulk_edge
-    from .model import ModelParams, expected_matrix, gen_fitness
+    from .model import KernelOperator, ModelParams, gen_fitness
     from .output import write_csv, write_json
 
     base = Path(cfg["out"])
@@ -204,7 +205,7 @@ def cmd_bulk(cfg: dict[str, Any]) -> int:
     for n in cfg["n"]:
         for alpha in cfg["alpha"]:
             params = ModelParams(n=n, alpha=alpha, seed=cfg["seed"])
-            P = expected_matrix(gen_fitness(params), params.epsilon_n)
+            P = KernelOperator(gen_fitness(params), params.epsilon_n)
             mean, stderr = measure_bulk_edge(P, cfg["realizations"], params.seed)
             crude = math.sqrt(n) / 2 + math.sqrt(math.log(n)) / 4
             sweep_rows.append((n, alpha, mean, stderr, crude))

@@ -2,9 +2,10 @@
 
 Everything here works on exact dense symmetric eigendecompositions; no
 sparse shortcuts are taken for the spectra themselves. The one iterative
-piece is the spectral norm of the noise part H = A - P, obtained by a
-Lanczos extremal-eigenvalue solve, which only feeds the reported bulk
-edge and never the eigenvalue tables.
+piece is the spectral norm, a Lanczos extremal-eigenvalue solve that only
+feeds the reported bulk edge and never the eigenvalue tables. For the
+noise part H = A - P it runs on the operator v -> A v - P v, so H is never
+stored and A and P may be sparse or matrix-free.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -21,11 +22,12 @@ import scipy.sparse.linalg
 
 from .eigenvectors import EigenvectorPrediction, eigenvector_entries
 from .model import (
+    KernelOperator,
     ModelParams,
     SymmetricMatrix,
+    _kernel_product,
     expected_matrix,
     gen_fitness,
-    noise_matrix,
     sample_adjacency,
 )
 from .spectrum import NoRootError, SpectralPrediction, solve_omega_k
@@ -41,6 +43,7 @@ __all__ = [
     "outliers",
     "effective_rank",
     "spectral_norm",
+    "noise_norm",
     "compare",
     "compare_with_vectors",
 ]
@@ -209,18 +212,61 @@ def effective_rank(decomp: EigenDecomposition, c: float = 0.5) -> int:
     return len(outliers(decomp, c * math.sqrt(decomp.n)))
 
 
-def spectral_norm(matrix: np.ndarray | SymmetricMatrix) -> float:
-    """Largest |eigenvalue| of a symmetric matrix via a Lanczos solve.
+def _top_magnitude(op: np.ndarray | scipy.sparse.linalg.LinearOperator) -> float:
+    """Largest |eigenvalue| of a symmetric matrix or operator via a Lanczos solve.
 
-    A fixed starting vector keeps the result deterministic; the zero
-    matrix is short-circuited because the iteration cannot start there.
+    A fixed starting vector v0 keeps the result deterministic. For n <= 2
+    the operator is applied to the identity and decomposed densely. The
+    zero matrix, where Lanczos cannot start, is recognized by sending an
+    integer probe to exactly zero: with 0/1 entries, as in a noise part
+    A - P drawn from a P of only 0s and 1s, every partial sum is an exact
+    integer, so the probe vanishes in any summation order. Any other matrix
+    sends it to zero only by a chance cancellation.
     """
-    m, _ = _as_entries(matrix)
-    if m.shape[0] <= 2 or not m.any():
-        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    v0 = np.random.default_rng(0).standard_normal(m.shape[0])
-    top = scipy.sparse.linalg.eigsh(m, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    n = op.shape[0]
+    if n <= 2:
+        return float(np.max(np.abs(np.linalg.eigvalsh(op @ np.eye(n)))))
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n)
+    if not (op @ rng.integers(1, 2**30, n).astype(float)).any():
+        return 0.0
+    top = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)
     return float(abs(top[0]))
+
+
+def spectral_norm(matrix: np.ndarray | SymmetricMatrix) -> float:
+    """Largest |eigenvalue| of a dense symmetric matrix via a Lanczos solve."""
+    m, _ = _as_entries(matrix)
+    return _top_magnitude(m)
+
+
+def noise_norm(
+    A: SymmetricMatrix | scipy.sparse.sparray, kernel: SymmetricMatrix | KernelOperator
+) -> float:
+    """||H|| = ||A - P|| from the Lanczos solve on v -> A v - P v.
+
+    A is the adjacency drawn from kernel: an adjacency_A matrix or a
+    scipy sparse array such as sample_sparse_adjacency returns. kernel is
+    the expected_P matrix or the KernelOperator it was drawn from. H is
+    never stored; the result matches spectral_norm(noise_matrix(A, P)) to
+    rounding.
+    """
+    if isinstance(A, SymmetricMatrix):
+        if A.kind != "adjacency_A":
+            raise ValueError(f"need an adjacency_A matrix, got {A.kind}")
+        A = A.entries
+    product = _kernel_product(kernel)
+    n = kernel.n
+    if A.shape != (n, n):
+        raise ValueError(f"dimension mismatch: {A.shape} vs {n}")
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return A @ v - product(v)
+
+    op = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda v: apply(v.reshape(n, 1)), matmat=apply, dtype=float
+    )
+    return _top_magnitude(op)
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -278,9 +324,7 @@ def compare_with_vectors(
     fv = gen_fitness(params)
     P = expected_matrix(fv, params.epsilon_n)
     A = sample_adjacency(P, params.seed)
-    H = noise_matrix(A, P)
-    bulk_edge = spectral_norm(H)
-    del H
+    bulk_edge = noise_norm(A, P)
     decomp_P = eig_sym(P)
     decomp_A = eig_sym(A)
 

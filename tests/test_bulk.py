@@ -21,6 +21,7 @@ from msmlab.bulk import (
     variance_profile,
 )
 from msmlab.model import (
+    KernelOperator,
     ModelParams,
     SymmetricMatrix,
     expected_matrix,
@@ -139,6 +140,29 @@ class TestBulkEdge:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n * n * 8
+
+
+    def test_operator_path_holds_no_dense_array(self):
+        # with the kernel operator each A is sparse and H is never stored, so
+        # the peak stays far below the one n x n array the dense path starts at
+        n = 2048
+        params = ModelParams(n=n, alpha=0.5)
+        fv = gen_fitness(params)
+        tracemalloc.start()
+        try:
+            edge_samples(KernelOperator(fv, params.epsilon_n), 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * n * n * 8
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    def test_operator_and_dense_kernel_give_the_same_edges(self, alpha):
+        params = ModelParams(n=1000, alpha=alpha, seed=2)
+        fv = gen_fitness(params)
+        dense = edge_samples(expected_matrix(fv, params.epsilon_n), 3, params.seed)
+        matrix_free = edge_samples(KernelOperator(fv, params.epsilon_n), 3, params.seed)
+        assert np.all(np.abs(matrix_free - dense) <= 1e-13 * dense)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +292,18 @@ class TestCavitySolve:
         assert mixed.converged.all() and damped.converged.all()
         assert np.abs(mixed.S_n - damped.S_n).max() <= 1e-8 * np.abs(damped.S_n).min()
         assert 2 * mixed.iterations.max() <= damped.iterations.max()
+
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    def test_operator_matches_dense_kernel(self, alpha):
+        params = ModelParams(n=2048, alpha=alpha)
+        fv = gen_fitness(params)
+        grid = np.linspace(-0.75, 0.75, 15)
+        dense = cavity_solve(expected_matrix(fv, params.epsilon_n), grid, eta=0.05)
+        matrix_free = cavity_solve(KernelOperator(fv, params.epsilon_n), grid, eta=0.05)
+        assert matrix_free.converged.all()
+        assert np.array_equal(matrix_free.iterations, dense.iterations)
+        assert np.all(np.abs(matrix_free.S_n - dense.S_n) <= 1e-10 * np.abs(dense.S_n))
 
 
 class TestPPPSample:

@@ -573,6 +573,13 @@ class TestConfigAndEnvironment:
         assert result.returncode == 0
 
 
+    def test_model_import_leaves_scipy_unloaded(self):
+        # coarsegrain loads cli, model and output only; scipy.sparse alone
+        # takes about a quarter second to import
+        code = "import sys, msmlab.model; sys.exit('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], timeout=120)
+        assert result.returncode == 0
+
 class TestInstalledScript:
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -1,5 +1,6 @@
 """Model construction: weights, kernel, adjacency sampling, coarse-graining."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from msmlab.model import (
     STREAM_ADJACENCY,
     WEIGHT_MODES,
     FitnessVector,
+    KernelOperator,
     ModelParams,
     SymmetricMatrix,
     coarse_grain,
@@ -17,6 +19,7 @@ from msmlab.model import (
     gen_fitness,
     noise_matrix,
     sample_adjacency,
+    sample_sparse_adjacency,
     stream_rng,
 )
 
@@ -114,6 +117,40 @@ def constant_P(n: int, p: float) -> SymmetricMatrix:
     return SymmetricMatrix(entries=m, kind="expected_P")
 
 
+class TestKernelOperator:
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("n", [257, 1000, 4096])
+    def test_matches_dense_product(self, n, alpha, mode):
+        params = ModelParams(n=n, alpha=alpha, seed=1, weight_mode=mode)
+        fv = gen_fitness(params)
+        P = expected_matrix(fv, params.epsilon_n).entries
+        K = KernelOperator(fv, params.epsilon_n)
+        v = np.random.default_rng(0).standard_normal((n, 30))
+        for got, want in ((K.matvec(v[:, 0]), P @ v[:, 0]), (K.matmat(v), P @ v)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.95])
+    def test_extreme_alpha_neither_overflows_nor_loses_accuracy(self, alpha):
+        # at alpha = 0.05 the hub has y = sqrt(eps) x ~ 1e36, whose 14th power
+        # overflows unless its row and column are evaluated exactly
+        params = ModelParams(n=4096, alpha=alpha)
+        fv = gen_fitness(params)
+        v = np.random.default_rng(1).standard_normal((4096, 3))
+        with np.errstate(over="raise", invalid="raise"):
+            got = KernelOperator(fv, params.epsilon_n).matmat(v)
+        want = expected_matrix(fv, params.epsilon_n).entries @ v
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_validation(self):
+        fv = det_fitness(10, 0.5)
+        with pytest.raises(ValueError):
+            KernelOperator(fv, 0.0)
+        with pytest.raises(ValueError):
+            KernelOperator(fv, 1e-2).matmat(np.ones((9, 2)))
+
+
 class TestSampleAdjacency:
     def test_zero_kernel_gives_empty_graph(self):
         A = sample_adjacency(constant_P(12, 0.0), seed=0)
@@ -157,6 +194,44 @@ class TestSampleAdjacency:
         iu = np.triu_indices(10, 1)
         sigma = np.sqrt(m[iu] * (1 - m[iu]) / R)
         assert np.all(np.abs(mean[iu] - m[iu]) < 5 * sigma)
+
+
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    @pytest.mark.parametrize("n", [257, 1000])
+    def test_same_graph_as_dense_row_loop(self, n, alpha, mode):
+        params = ModelParams(n=n, alpha=alpha, seed=2, weight_mode=mode)
+        fv = gen_fitness(params)
+        P = expected_matrix(fv, params.epsilon_n)
+        K = KernelOperator(fv, params.epsilon_n)
+        for seed in (0, 7):
+            # reference: fill the dense upper triangle row by row, then mirror
+            want = np.zeros((n, n))
+            for i in range(n - 1):
+                u = stream_rng(seed, STREAM_ADJACENCY, i).random(n - 1 - i)
+                want[i, i + 1 :] = (u < P.entries[i, i + 1 :]).astype(float)
+            want += want.T
+            assert np.array_equal(sample_adjacency(P, seed).entries, want)
+            assert np.array_equal(sample_sparse_adjacency(P, seed).toarray(), want)
+            assert np.array_equal(sample_sparse_adjacency(K, seed).toarray(), want)
+
+    def test_peak_memory_is_the_result(self):
+        # mirroring in place with a += a.T copies the whole array first and
+        # doubles the peak; the edges are scattered into one zeroed array
+        n = 1024
+        P = expected_matrix(det_fitness(n, 0.5), ModelParams(n=n, alpha=0.5).epsilon_n)
+        sample_adjacency(P, seed=1)  # the first call imports scipy.sparse
+        tracemalloc.start()
+        try:
+            sample_adjacency(P, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
+
+    def test_sparse_rejects_wrong_kind(self):
+        with pytest.raises(ValueError):
+            sample_sparse_adjacency(SymmetricMatrix(entries=np.zeros((4, 4)), kind="adjacency_A"), 0)
 
 
 class TestNoiseMatrix:

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 import msmlab.numeric as numeric
 from msmlab.model import (
+    WEIGHT_MODES,
+    KernelOperator,
     ModelParams,
+    SymmetricMatrix,
     expected_matrix,
     gen_fitness,
     noise_matrix,
     sample_adjacency,
+    sample_sparse_adjacency,
 )
 from msmlab.numeric import (
     ComparisonReport,
@@ -20,6 +24,7 @@ from msmlab.numeric import (
     compare,
     effective_rank,
     eig_sym,
+    noise_norm,
     outliers,
     reconstruction_residuals,
     residual_tolerances,
@@ -214,6 +219,44 @@ class TestSpectralNorm:
         m[0, 1] = m[1, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             spectral_norm(m)
+
+
+def constant_P(n: int, p: float) -> SymmetricMatrix:
+    return SymmetricMatrix(entries=p * (np.ones((n, n)) - np.eye(n)), kind="expected_P")
+
+
+class TestNoiseNorm:
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_matches_norm_of_dense_noise(self, alpha, mode):
+        params = ModelParams(n=1000, alpha=alpha, seed=4, weight_mode=mode)
+        fv = gen_fitness(params)
+        P = expected_matrix(fv, params.epsilon_n)
+        K = KernelOperator(fv, params.epsilon_n)
+        for seed in (0, 1):
+            A = sample_adjacency(P, seed)
+            want = spectral_norm(noise_matrix(A, P))
+            for got in (noise_norm(A, P), noise_norm(sample_sparse_adjacency(K, seed), K)):
+                assert abs(got - want) <= 1e-13 * want
+
+    def test_tiny_and_vanishing_noise_are_exact(self):
+        # n <= 2 is decomposed densely; a constant 0 or 1 kernel draws A = P
+        for P in (constant_P(2, 0.3), constant_P(8, 0.0), constant_P(8, 1.0)):
+            for seed in (0, 1):
+                A = sample_adjacency(P, seed)
+                want = spectral_norm(noise_matrix(A, P))
+                assert noise_norm(A, P) == want
+                assert noise_norm(sample_sparse_adjacency(P, seed), P) == want
+
+    def test_validation(self):
+        P = constant_P(8, 0.2)
+        A = sample_adjacency(P, 0)
+        with pytest.raises(ValueError):
+            noise_norm(A, A)
+        with pytest.raises(ValueError):
+            noise_norm(P, P)
+        with pytest.raises(ValueError):
+            noise_norm(A, constant_P(9, 0.2))
 
 
 @pytest.fixture(scope="module")
