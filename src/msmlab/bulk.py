@@ -13,22 +13,24 @@ through its near/far split.
 
 The two Stieltjes solvers share one convention: the resolvent is taken of
 M/sqrt(n) using G = (M - z)^(-1), so Im S(z) > 0 on the upper half plane
-and the boundary density is recovered as (1/pi) Im S(lambda + i eta). The
-cavity solver iterates the kernel-weighted self-consistency over the n
-sampled weights; the Poisson solver iterates the same equation over the
-atoms y_k = Gamma_k^(-1/alpha) of the limiting point process.
+and the boundary density is recovered as (1/pi) Im S(lambda + i eta).
+They share one Anderson-mixed loop too. The cavity solver iterates the
+kernel-weighted self-consistency over the n sampled weights; the Poisson
+solver iterates it with no 1/n and with the l = k term, on a
+KernelOperator of the atoms y_k = Gamma_k^(-1/alpha) of the limit process.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.integrate
 
 from .model import (
     STREAM_PPP,
+    FitnessVector,
     KernelOperator,
     SymmetricMatrix,
     _kernel_product,
@@ -42,7 +44,6 @@ __all__ = [
     "LowerBoundReport",
     "StieltjesSolution",
     "PPPAtoms",
-    "PPPFixedPoint",
     "variance_profile",
     "norm_upper_bound",
     "measure_bulk_edge",
@@ -54,7 +55,7 @@ __all__ = [
     "ppp_fixed_point",
 ]
 
-# Anderson history length of the cavity solver; 0 gives the plain damped map
+# Anderson history length of the Stieltjes solvers; 0 gives the plain damped map
 _ANDERSON_DEPTH = 5
 
 
@@ -96,7 +97,7 @@ class LowerBoundReport:
 
 @dataclass(frozen=True)
 class StieltjesSolution:
-    """Fixed point of the cavity equation on one z-grid.
+    """Fixed point of the cavity or atom equation on one z-grid.
 
     density is the Plemelj boundary value (1/pi) Im S_n, which is
     non-negative wherever the solve converged; converged and iterations
@@ -105,7 +106,7 @@ class StieltjesSolution:
     """
 
     z_grid: np.ndarray  # complex, Im z = eta > 0
-    g_per_node: np.ndarray  # n x grid
+    g_per_node: np.ndarray  # nodes (or atoms) x grid
     S_n: np.ndarray  # grid, (1/n) sum_i g_i
     density: np.ndarray  # grid, (1/pi) Im S_n
     iterations: np.ndarray  # grid, ints
@@ -117,10 +118,8 @@ class PPPAtoms:
     """Truncated atoms y_k = Gamma_k^(-1/alpha) of the limit process."""
 
     alpha: float
-    K: int
     gamma_cumsum: np.ndarray
     y: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         g = np.asarray(self.gamma_cumsum, dtype=float)
@@ -129,13 +128,16 @@ class PPPAtoms:
         y.setflags(write=False)
         object.__setattr__(self, "gamma_cumsum", g)
         object.__setattr__(self, "y", y)
-        if g.size != self.K or y.size != self.K:
-            raise ValueError("atom arrays must have length K")
-        if self.K > 0:
-            if not np.all(np.diff(g) > 0.0):
-                raise ValueError("Gamma partial sums must be strictly increasing")
-            if not np.all(np.diff(y) < 0.0):
-                raise ValueError("atoms must be strictly decreasing")
+        if g.size != y.size:
+            raise ValueError(f"gamma_cumsum and y differ in length: {g.size} vs {y.size}")
+        if not np.all(np.diff(g) > 0.0):
+            raise ValueError("Gamma partial sums must be strictly increasing")
+        if not np.all(np.diff(y) < 0.0):
+            raise ValueError("atoms must be strictly decreasing")
+
+    @property
+    def K(self) -> int:
+        return self.y.size
 
     @property
     def tail_weight_bound(self) -> float:
@@ -148,15 +150,6 @@ class PPPAtoms:
             return math.inf
         a = self.alpha
         return a / (1.0 - a) * float(self.K) ** (-(1.0 - a) / a)
-
-
-@dataclass(frozen=True)
-class PPPFixedPoint:
-    z: complex
-    g: np.ndarray  # per atom
-    averaged: complex  # plain mean of g over the atoms
-    iterations: int
-    converged: bool
 
 
 def variance_profile(P: SymmetricMatrix) -> VarianceProfile:
@@ -272,6 +265,92 @@ def norm_lower_bound_check(
     )
 
 
+def _lift(z_grid: np.ndarray, eta: float) -> np.ndarray:
+    """The grid's real positions lambda lifted to lambda + i eta."""
+    lam = np.asarray(z_grid, dtype=float)
+    if lam.ndim != 1 or lam.size == 0:
+        raise ValueError("z_grid must be a nonempty 1-d real array")
+    if not eta > 0.0:
+        raise ValueError(f"eta must be > 0, got {eta}")
+    return lam + 1j * eta
+
+
+def _stieltjes_fixed_point(
+    product: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    z_grid: np.ndarray,
+    eta: float,
+    damping: float,
+    tol: float,
+    max_iter: int,
+) -> tuple[StieltjesSolution, list[np.ndarray]]:
+    """Anderson-mixed fixed point of g = -1 / (z + Phi(g)) on a z-grid.
+
+    The loop of cavity_solve and ppp_fixed_point, mixed and stopped as
+    cavity_solve describes. g is n x grid; product maps the real (re, im)
+    view of a block of its columns to that view of Phi. The list holds the
+    damped step size per sweep, 0 for points already converged.
+    """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must lie in (0,1], got {damping}")
+    z = _lift(z_grid, eta)
+
+    nz = z.size
+    g = np.full((n, nz), 0j) - 1.0 / z  # free initialization
+    # per grid point (row): the last iterate, residual and residual size, and
+    # the Anderson history of their differences, newest first, zero-padded
+    last_g = np.zeros((nz, n), dtype=complex)
+    last_r = np.zeros_like(last_g)
+    last_size = np.full(nz, -np.inf)  # so the first sweep starts every history
+    hist_g = np.zeros((nz, _ANDERSON_DEPTH, n), dtype=complex)
+    hist_r = np.zeros_like(hist_g)
+    iterations = np.zeros(nz, dtype=int)
+    converged = np.zeros(nz, dtype=bool)
+    active = np.ones(nz, dtype=bool)
+    history: list[np.ndarray] = []
+    for it in range(1, max_iter + 1):
+        idx = np.flatnonzero(active)
+        g_act = np.ascontiguousarray(g[:, idx])
+        # Phi is real-linear in g: one real product on the interleaved (re, im) columns
+        phi = product(g_act.view(float)).view(complex)
+        r = -1.0 / (z[idx] + phi) - g_act
+        size = np.abs(r).max(axis=0)
+        g_rows, r_rows = g_act.T, r.T
+        dg = np.concatenate([(g_rows - last_g[idx])[:, None], hist_g[idx]], axis=1)[:, :_ANDERSON_DEPTH]
+        dr = np.concatenate([(r_rows - last_r[idx])[:, None], hist_r[idx]], axis=1)[:, :_ANDERSON_DEPTH]
+        restart = size > last_size[idx]  # the residual grew: take the damped step
+        dg[restart] = dr[restart] = 0.0
+        hist_g[idx], hist_r[idx] = dg, dr
+        last_g[idx], last_r[idx], last_size[idx] = g_rows, r_rows, size
+        # gamma minimizes |r - dR gamma| through the normal equations; the
+        # pseudo-inverse gives zero and near-dependent slots no weight
+        dr_h = dr.conj()
+        gram = dr_h @ dr.transpose(0, 2, 1)
+        gamma = np.linalg.pinv(gram, hermitian=True) @ (dr_h @ r_rows[:, :, None])
+        mixed = (gamma.transpose(0, 2, 1) @ (dg + damping * dr))[:, 0]
+        g[:, idx] = g_act + damping * r - mixed.T
+        delta = damping * size
+        iterations[idx] = it
+        history.append(np.zeros(nz))
+        history[-1][idx] = delta
+        done = delta < tol
+        converged[idx[done]] = True
+        active[idx[done]] = False
+        if not active.any():
+            break
+
+    S = g.mean(axis=0)
+    sol = StieltjesSolution(
+        z_grid=z,
+        g_per_node=g,
+        S_n=S,
+        density=np.imag(S) / math.pi,
+        iterations=iterations,
+        converged=converged,
+    )
+    return sol, history
+
+
 def cavity_solve(
     kernel: SymmetricMatrix | KernelOperator,
     z_grid: np.ndarray,
@@ -311,73 +390,14 @@ def cavity_solve(
     track_deltas=True also returns that step size per sweep.
     """
     product = _kernel_product(kernel)
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0,1], got {damping}")
-    lam = np.asarray(z_grid, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("z_grid must be a nonempty 1-d real array")
     n = kernel.n
     if eta is None:
-        span = float(lam.max() - lam.min())
+        lam = np.asarray(z_grid, dtype=float)
+        span = float(lam.max() - lam.min()) if lam.size else 0.0
         eta = 2.5 / math.sqrt(n) * (span if span > 0.0 else 1.0)
-    if not eta > 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    z = lam + 1j * eta
-
-    nz = z.size
-    g = np.full((n, nz), 0j) - 1.0 / z  # free initialization
-    # per grid point (row): the last iterate, residual and residual size, and
-    # the Anderson history of their differences, newest first, zero-padded
-    last_g = np.zeros((nz, n), dtype=complex)
-    last_r = np.zeros_like(last_g)
-    last_size = np.full(nz, -np.inf)  # so the first sweep starts every history
-    hist_g = np.zeros((nz, _ANDERSON_DEPTH, n), dtype=complex)
-    hist_r = np.zeros_like(hist_g)
-    iterations = np.zeros(nz, dtype=int)
-    converged = np.zeros(nz, dtype=bool)
-    active = np.ones(nz, dtype=bool)
-    history: list[np.ndarray] = []
-    for it in range(1, max_iter + 1):
-        idx = np.flatnonzero(active)
-        g_act = np.ascontiguousarray(g[:, idx])
-        # P is real: one real product on the interleaved (re, im) columns
-        phi = product(g_act.view(float)).view(complex) / n
-        r = -1.0 / (z[idx] + phi) - g_act
-        size = np.abs(r).max(axis=0)
-        g_rows, r_rows = g_act.T, r.T
-        dg = np.concatenate([(g_rows - last_g[idx])[:, None], hist_g[idx]], axis=1)[:, :_ANDERSON_DEPTH]
-        dr = np.concatenate([(r_rows - last_r[idx])[:, None], hist_r[idx]], axis=1)[:, :_ANDERSON_DEPTH]
-        restart = size > last_size[idx]  # the residual grew: take the damped step
-        dg[restart] = dr[restart] = 0.0
-        hist_g[idx], hist_r[idx] = dg, dr
-        last_g[idx], last_r[idx], last_size[idx] = g_rows, r_rows, size
-        # gamma minimizes |r - dR gamma| through the normal equations; the
-        # pseudo-inverse gives zero and near-dependent slots no weight
-        dr_h = dr.conj()
-        gram = dr_h @ dr.transpose(0, 2, 1)
-        gamma = np.linalg.pinv(gram, hermitian=True) @ (dr_h @ r_rows[:, :, None])
-        mixed = (gamma.transpose(0, 2, 1) @ (dg + damping * dr))[:, 0]
-        g[:, idx] = g_act + damping * r - mixed.T
-        delta = damping * size
-        iterations[idx] = it
-        if track_deltas:
-            full = np.zeros(nz)
-            full[idx] = delta
-            history.append(full)
-        done = delta < tol
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        if not active.any():
-            break
-
-    S = g.mean(axis=0)
-    sol = StieltjesSolution(
-        z_grid=z,
-        g_per_node=g,
-        S_n=S,
-        density=np.imag(S) / math.pi,
-        iterations=iterations,
-        converged=converged,
+    # times 1/n: the rounding of numpy's complex division by n
+    sol, history = _stieltjes_fixed_point(
+        lambda v: product(v) * (1.0 / n), n, z_grid, eta, damping, tol, max_iter
     )
     return (sol, history) if track_deltas else sol
 
@@ -400,65 +420,38 @@ def ppp_sample(alpha: float, K: int, seed: int) -> PPPAtoms:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     e = stream_rng(seed, STREAM_PPP).standard_exponential(K)
     gamma = np.cumsum(e)
-    return PPPAtoms(alpha=alpha, K=K, gamma_cumsum=gamma, y=gamma ** (-1.0 / alpha), seed=seed)
+    return PPPAtoms(alpha=alpha, gamma_cumsum=gamma, y=gamma ** (-1.0 / alpha))
 
 
 def ppp_fixed_point(
     atoms: PPPAtoms,
-    z: float,
+    z_grid: np.ndarray,
     eta: float,
     damping: float = 0.5,
     tol: float = 1e-9,
     max_iter: int = 5000,
-    split: float = 0.01,
-) -> PPPFixedPoint:
-    """Damped fixed point of the atom self-consistency at one z.
+) -> StieltjesSolution:
+    """Fixed point of the atom self-consistency on a z-grid.
 
     Solves g(y_k) = -1/(z + Phi_k) with Phi_k = sum_l g(y_l)(1 - e^(-y_k y_l))
     over the truncated atom set, the sum including l = k since the limit
-    equation integrates over the whole process. Atom pairs with both
-    sides below `split` use the cubic expansion of 1 - e^(-t) through
-    shared power sums, which keeps the per-iteration cost linear in K;
-    the neglected quartic term is below split^8/24, far under tol.
-
-    The averaged transform is the plain mean of g over the atoms.
+    equation integrates over the whole process. That is the cavity equation
+    on the atoms without its 1/n, so cavity_solve's loop runs it on the
+    KernelOperator with sqrt(eps) x = y, plus the l = k term it leaves out.
+    z_grid and eta are as in cavity_solve; S_n is the plain mean of g over
+    the atoms, or the free resolvent -1/z when there are none.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0,1], got {damping}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    zc = complex(z, eta)
+    if atoms.K == 0:  # no atoms leave Phi = 0, so S is the free resolvent
+        z = _lift(z_grid, eta)
+        free = np.array([-1.0 / complex(v) for v in z])  # to the bit of Python's -1 / z
+        sweeps = np.zeros(z.size, dtype=int)
+        empty = np.empty((0, z.size), dtype=complex)
+        return StieltjesSolution(z, empty, free, free.imag / math.pi, sweeps, sweeps == 0)
     y = atoms.y
-    if y.size == 0:
-        return PPPFixedPoint(z=zc, g=np.empty(0, complex), averaged=-1.0 / zc, iterations=0, converged=True)
-
-    big = y > split
-    y_big = y[big]
-    y_small = y[~big]
-    # exact kernel blocks touching any big atom, built once
-    k_from_big = -np.expm1(-np.outer(y, y_big))  # K x B
-    k_big_small = -np.expm1(-np.outer(y_big, y_small))  # B x K_small
-
-    g = np.full(y.size, -1.0 / zc)
-    iterations = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        g_big = g[big]
-        g_small = g[~big]
-        phi = k_from_big @ g_big
-        if y_small.size:
-            phi[big] += k_big_small @ g_small
-            s1 = np.dot(y_small, g_small)
-            s2 = np.dot(y_small**2, g_small)
-            s3 = np.dot(y_small**3, g_small)
-            phi[~big] += y_small * s1 - y_small**2 * (s2 / 2.0) + y_small**3 * (s3 / 6.0)
-        g_new = (1.0 - damping) * g - damping / (zc + phi)
-        delta = float(np.abs(g_new - g).max())
-        g = g_new
-        iterations = it
-        if delta < tol:
-            converged = True
-            break
-    return PPPFixedPoint(
-        z=zc, g=g, averaged=complex(g.mean()), iterations=iterations, converged=converged
+    # the last atom is the smallest, so these weights are >= 1
+    kernel = KernelOperator(FitnessVector(y / y[-1]), y[-1] ** 2)
+    diag = -np.expm1(-(y * y))[:, None]
+    sol, _ = _stieltjes_fixed_point(
+        lambda v: kernel.matmat(v) + diag * v, atoms.K, z_grid, eta, damping, tol, max_iter
     )
+    return sol

@@ -48,6 +48,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # reported as for a plain float option
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _alpha_value(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -310,7 +320,7 @@ _COMMANDS = {
     "spiral": _Command("eigenvalue locus and real-axis crossings", cmd_spiral, "two files", (
         _ALPHA,
         ("n", _positive_int, 10_000),
-        ("omega_max", float, 1.0),
+        ("omega_max", _finite_float, 1.0),
         ("steps", _positive_int, 2000),
     )),
     "bulk": _Command("noise-edge sweep and cavity densities", cmd_bulk, "sweep files", (
@@ -318,12 +328,12 @@ _COMMANDS = {
         ("alpha", _alpha_value, [0.2, 0.5, 0.8]),
         ("n", _positive_int, [512, 1024, 2048]),
         ("realizations", _positive_int, 10),
-        ("eta", float, 0.05),
+        ("eta", _finite_float, 0.05),
         ("density", bool, False),
         ("grid_points", _positive_int, 61),
-        ("grid_span", float, 0.75),
-        ("damping", float, 0.5, "cavity mixing parameter in (0, 1]"),
-        ("tol", float, 1e-9),
+        ("grid_span", _finite_float, 0.75),
+        ("damping", _finite_float, 0.5, "cavity mixing parameter in (0, 1]"),
+        ("tol", _finite_float, 1e-9),
         _PAPER_SCALE,
     )),
     "coarsegrain": _Command("supernode aggregation identity check", cmd_coarsegrain, None, (

@@ -278,10 +278,6 @@ class KernelOperator:
         self._diag = np.zeros(n)
         self._diag[inside] = -np.expm1(-y[inside] ** 2)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """P v for one vector."""
-        return self.matmat(np.asarray(v, dtype=float).reshape(-1, 1))[:, 0]
-
     def matmat(self, v: np.ndarray) -> np.ndarray:
         """P V for an n x k block, as a C-contiguous n x k array."""
         v = np.asarray(v, dtype=float)

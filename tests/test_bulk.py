@@ -282,13 +282,20 @@ class TestCavitySolve:
         reference = P.entries @ g
         assert np.abs(real_view - reference).max() <= 1e-15 * np.abs(reference).max()
 
-    @pytest.mark.parametrize("alpha", [0.2, 0.8])
-    def test_anderson_matches_damped_map_in_half_the_sweeps(self, alpha, monkeypatch):
-        P = model_P(ModelParams(n=512, alpha=alpha))
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            pytest.param(lambda grid: cavity_solve(model_P(ModelParams(n=512, alpha=0.2)), grid, eta=0.05), id="0.2"),
+            pytest.param(lambda grid: cavity_solve(model_P(ModelParams(n=512, alpha=0.8)), grid, eta=0.05), id="0.8"),
+            # the Poisson-process solver runs the same loop
+            pytest.param(lambda grid: ppp_fixed_point(ppp_sample(0.5, 5000, 3), grid, eta=0.05), id="ppp"),
+        ],
+    )
+    def test_anderson_matches_damped_map_in_half_the_sweeps(self, solve, monkeypatch):
         grid = np.linspace(-0.75, 0.75, 15)
-        mixed = cavity_solve(P, grid, eta=0.05)
+        mixed = solve(grid)
         monkeypatch.setattr(bulk, "_ANDERSON_DEPTH", 0)
-        damped = cavity_solve(P, grid, eta=0.05)
+        damped = solve(grid)
         assert mixed.converged.all() and damped.converged.all()
         assert np.abs(mixed.S_n - damped.S_n).max() <= 1e-8 * np.abs(damped.S_n).min()
         assert 2 * mixed.iterations.max() <= damped.iterations.max()
@@ -331,47 +338,58 @@ class TestPPPSample:
         with pytest.raises(ValueError):
             ppp_sample(1.0, 10, 0)
         with pytest.raises(ValueError):
-            PPPAtoms(alpha=0.5, K=2, gamma_cumsum=np.array([2.0, 1.0]), y=np.array([2.0, 1.0]), seed=0)
+            PPPAtoms(alpha=0.5, gamma_cumsum=np.array([2.0, 1.0]), y=np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
-            PPPAtoms(alpha=0.5, K=3, gamma_cumsum=np.array([1.0, 2.0]), y=np.array([2.0, 1.0]), seed=0)
+            PPPAtoms(alpha=0.5, gamma_cumsum=np.array([1.0, 2.0, 3.0]), y=np.array([2.0, 1.0]))
 
 
 class TestPPPFixedPoint:
     def test_empty_atoms_free_resolvent(self):
-        empty = PPPAtoms(alpha=0.5, K=0, gamma_cumsum=np.empty(0), y=np.empty(0), seed=0)
-        fp = ppp_fixed_point(empty, 0.3, 0.7)
-        assert fp.averaged == -1.0 / complex(0.3, 0.7)
-        assert fp.converged
+        empty = PPPAtoms(alpha=0.5, gamma_cumsum=np.empty(0), y=np.empty(0))
+        sol = ppp_fixed_point(empty, [0.3], 0.7)
+        assert sol.S_n[0] == -1.0 / complex(0.3, 0.7)
+        assert sol.converged.all()
 
     @pytest.mark.parametrize("zr,eta", [(0.0, 2.0), (0.5, 1.0), (-0.3, 0.8)])
     def test_single_saturated_atom_quadratic(self, zr, eta):
         # one huge atom saturates the kernel, so g = -1/(z + g)
-        one = PPPAtoms(alpha=0.5, K=1, gamma_cumsum=np.array([1e-4]), y=np.array([1e8]), seed=0)
-        fp = ppp_fixed_point(one, zr, eta, tol=1e-13)
+        one = PPPAtoms(alpha=0.5, gamma_cumsum=np.array([1e-4]), y=np.array([1e8]))
+        sol = ppp_fixed_point(one, [zr], eta, tol=1e-13)
         z = complex(zr, eta)
         disc = cmath.sqrt(z * z - 4)
         oracle = next(r for r in ((-z + disc) / 2, (-z - disc) / 2) if r.imag > 0)
-        assert abs(fp.g[0] - oracle) < 1e-12
-        assert fp.converged
+        assert abs(sol.g_per_node[0, 0] - oracle) < 1e-12
+        assert sol.converged.all()
 
     def test_truncation_stability_under_doubling(self):
-        f1 = ppp_fixed_point(ppp_sample(0.5, 10_000, 0), 0.0, 0.5)
-        f2 = ppp_fixed_point(ppp_sample(0.5, 20_000, 0), 0.0, 0.5)
-        assert f1.converged and f2.converged
-        assert abs(f1.averaged - f2.averaged) / abs(f1.averaged) < 0.05
+        f1 = ppp_fixed_point(ppp_sample(0.5, 10_000, 0), [0.0], 0.5)
+        f2 = ppp_fixed_point(ppp_sample(0.5, 20_000, 0), [0.0], 0.5)
+        assert f1.converged.all() and f2.converged.all()
+        assert abs(f1.S_n[0] - f2.S_n[0]) / abs(f1.S_n[0]) < 0.05
 
     def test_herglotz(self):
-        fp = ppp_fixed_point(ppp_sample(0.5, 5_000, 3), 0.2, 0.3)
-        assert fp.converged
-        assert fp.averaged.imag > 0
-        assert (fp.g.imag > 0).all()
+        sol = ppp_fixed_point(ppp_sample(0.5, 5_000, 3), [0.2], 0.3)
+        assert sol.converged.all()
+        assert sol.S_n[0].imag > 0
+        assert (sol.g_per_node[:, 0].imag > 0).all()
 
     def test_validation(self):
         atoms = ppp_sample(0.5, 10, 0)
         with pytest.raises(ValueError):
-            ppp_fixed_point(atoms, 0.0, 0.0)
+            ppp_fixed_point(atoms, [0.0], 0.0)
         with pytest.raises(ValueError):
-            ppp_fixed_point(atoms, 0.0, 0.5, damping=1.5)
+            ppp_fixed_point(atoms, [0.0], 0.5, damping=1.5)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_fixed_point_of_the_dense_kernel_with_its_diagonal(self, alpha):
+        # the operator leaves out l = k and the solver adds it back, so the
+        # result must solve the equation on the full dense atom kernel
+        atoms = ppp_sample(alpha, 2000, 1)
+        sol = ppp_fixed_point(atoms, [-0.5, 0.0, 0.3], 0.05)
+        p = -np.expm1(-np.outer(atoms.y, atoms.y))
+        residual = sol.g_per_node + 1.0 / (sol.z_grid + p @ sol.g_per_node)
+        assert sol.converged.all()
+        assert np.abs(residual).max() <= 1e-8
 
 
 class TestCrossMethod:
@@ -383,7 +401,7 @@ class TestCrossMethod:
         atoms = ppp_sample(0.5, 10_000, 0)
         for eta in (0.5, 1.0, 2.0):
             sol = cavity_solve(P, np.array([0.0]), eta=eta)
-            fp = ppp_fixed_point(atoms, 0.0, eta)
-            assert sol.converged.all() and fp.converged
-            rel = abs(sol.S_n[0] - fp.averaged) / abs(sol.S_n[0])
+            fp = ppp_fixed_point(atoms, np.array([0.0]), eta)
+            assert sol.converged.all() and fp.converged.all()
+            rel = abs(sol.S_n[0] - fp.S_n[0]) / abs(sol.S_n[0])
             assert rel < 0.2

@@ -510,6 +510,31 @@ class TestConfigAndEnvironment:
             flagged = tmp_path / name.replace("file", "flag", 1)
             assert (tmp_path / name).read_bytes() == flagged.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, key, text",
+        [
+            (["spiral", "--steps", "10"], "omega_max", "nan"),
+            (["spiral", "--steps", "10"], "omega_max", "inf"),
+            (["bulk", "--n", "64", "--realizations", "1"], "grid_span", "nan"),
+            (["bulk", "--n", "64", "--realizations", "1"], "grid_span", "inf"),
+            (["bulk", "--n", "64", "--realizations", "1"], "eta", "inf"),
+            (["bulk", "--n", "64", "--realizations", "1"], "damping", "-inf"),
+            (["bulk", "--n", "64", "--realizations", "1", "--density"], "tol", "nan"),
+        ],
+        ids=["omega_nan", "omega_inf", "span_nan", "span_inf", "eta_inf", "damping_inf", "tol_nan"],
+    )
+    def test_non_finite_float_is_usage_error(self, tmp_path, capsys, argv, key, text):
+        # float() accepts nan and inf, so every float option checks that its
+        # value is finite, whether it comes from a flag or a config file
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: float(text)}))
+        flag = "--" + key.replace("_", "-") + "=" + text  # "=" lets "-inf" through
+        for given in ([flag], ["--config", str(path)]):
+            assert main(argv + given + ["--out", str(tmp_path / "f")]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert_one_line_error(err)
+            assert f"must be finite, got {text}" in err
+
     def test_threads_flag_caps_blas_pool(self, monkeypatch):
         import os
 
