@@ -5,11 +5,10 @@ drive every bound here: sigma is the largest row deviation, sigma_star the
 largest single-entry deviation, and the measured edge is ||H|| averaged
 over independently sampled realizations.
 
-The measured edge and the cavity solver take the kernel P either as the
-dense expected_P matrix or as a model.KernelOperator. With the operator
-they hold no n x n array: each realization's A is a sparse draw, ||H|| is
-a Lanczos solve on v -> A v - P v, and the cavity sweep multiplies by P
-through its near/far split.
+The measured edge and the cavity solver take the kernel P as a
+model.KernelOperator and hold no n x n array: each realization's A is a
+sparse draw, ||H|| is a Lanczos solve on v -> A v - P v, and the cavity
+sweep multiplies by P through its near/far split.
 
 The two Stieltjes solvers share one convention: the resolvent is taken of
 M/sqrt(n) using G = (M - z)^(-1), so Im S(z) > 0 on the upper half plane
@@ -33,7 +32,6 @@ from .model import (
     FitnessVector,
     KernelOperator,
     SymmetricMatrix,
-    _kernel_product,
     sample_sparse_adjacency,
     stream_rng,
 )
@@ -184,16 +182,13 @@ def norm_upper_bound(vp: VarianceProfile, n: int) -> tuple[float, float]:
     )
 
 
-def edge_samples(
-    kernel: SymmetricMatrix | KernelOperator, realizations: int, seed: int
-) -> np.ndarray:
+def edge_samples(kernel: KernelOperator, realizations: int, seed: int) -> np.ndarray:
     """||H|| for `realizations` independent adjacency draws from P.
 
-    kernel is the expected_P matrix or the KernelOperator of P; both give
-    the same draws. Each A is sampled sparse and its ||A - P|| taken by
-    noise_norm, so no n x n array is made beyond a dense P passed in.
-    Realization r uses adjacency seed `seed + r`, so sweeps over seeds
-    stay reproducible and non-overlapping draws need distinct base seeds.
+    Each A is sampled sparse from the operator and its ||A - P|| taken by
+    noise_norm, so no n x n array is made. Realization r uses adjacency
+    seed `seed + r`, so sweeps over seeds stay reproducible and
+    non-overlapping draws need distinct base seeds.
     """
     if realizations < 1:
         raise ValueError(f"need at least one realization, got {realizations}")
@@ -203,14 +198,8 @@ def edge_samples(
     return out
 
 
-def measure_bulk_edge(
-    kernel: SymmetricMatrix | KernelOperator, realizations: int, seed: int
-) -> tuple[float, float]:
-    """Mean and standard error of ||H|| over independent realizations from P.
-
-    kernel is the expected_P matrix or the KernelOperator of P, as in
-    edge_samples.
-    """
+def measure_bulk_edge(kernel: KernelOperator, realizations: int, seed: int) -> tuple[float, float]:
+    """Mean and standard error of ||H|| over edge_samples' realizations from P."""
     edges = edge_samples(kernel, realizations, seed)
     if realizations == 1:
         return float(edges[0]), 0.0
@@ -293,6 +282,8 @@ def _stieltjes_fixed_point(
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0,1], got {damping}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     z = _lift(z_grid, eta)
 
     nz = z.size
@@ -352,7 +343,7 @@ def _stieltjes_fixed_point(
 
 
 def cavity_solve(
-    kernel: SymmetricMatrix | KernelOperator,
+    kernel: KernelOperator,
     z_grid: np.ndarray,
     eta: float | None = None,
     damping: float = 0.5,
@@ -362,13 +353,12 @@ def cavity_solve(
 ) -> StieltjesSolution | tuple[StieltjesSolution, list[np.ndarray]]:
     """Anderson-mixed fixed point of the kernel self-consistency on a z-grid.
 
-    kernel is P, whose entries p_ij = 1 - exp(-eps x_i x_j) weight the
-    equation: the expected_P matrix or its KernelOperator, which agree to
-    about 1e-14 and hold no n x n array. A zero P gives the free resolvent
-    g_i = -1/z exactly. z_grid holds real spectral positions lambda (on the
-    M/sqrt(n) scale); each is lifted to lambda + i eta. eta defaults to
-    2.5/sqrt(n) times the grid span, small enough to resolve the bulk
-    while keeping the iteration a contraction.
+    kernel is the KernelOperator of P, whose entries
+    p_ij = 1 - exp(-eps x_i x_j) weight the equation; it matches the dense
+    product to about 1e-14 and holds no n x n array. z_grid holds real
+    spectral positions lambda (on the M/sqrt(n) scale); each is lifted to
+    lambda + i eta. eta defaults to 2.5/sqrt(n) times the grid span, small
+    enough to resolve the bulk while keeping the iteration a contraction.
 
     The map is
 
@@ -385,11 +375,10 @@ def cavity_solve(
     squares. With no history this is the plain damped step, and depth 0
     is the plain damped map. A grid point whose residual max_i |r_i|
     grows drops its history and takes the damped step. A point stops
-    once damping * max_i |r_i| falls below tol, the size of a damped
+    once damping * max_i |r_i| falls below tol > 0, the size of a damped
     step; non-converged points are flagged, never raised. With
     track_deltas=True also returns that step size per sweep.
     """
-    product = _kernel_product(kernel)
     n = kernel.n
     if eta is None:
         lam = np.asarray(z_grid, dtype=float)
@@ -397,7 +386,7 @@ def cavity_solve(
         eta = 2.5 / math.sqrt(n) * (span if span > 0.0 else 1.0)
     # times 1/n: the rounding of numpy's complex division by n
     sol, history = _stieltjes_fixed_point(
-        lambda v: product(v) * (1.0 / n), n, z_grid, eta, damping, tol, max_iter
+        lambda v: kernel.matmat(v) * (1.0 / n), n, z_grid, eta, damping, tol, max_iter
     )
     return (sol, history) if track_deltas else sol
 

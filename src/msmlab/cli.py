@@ -41,25 +41,49 @@ CI_SCALE_LIMIT = 4096
 _IDENTITY_TOL = 1e-12
 
 
+def _number(kind: Callable[[str], Any], text: str) -> Any:
+    """int(text) or float(text), with text that is no number reported as for a plain option."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _number(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:  # reported as for a plain float option
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    value = _number(float, text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
+def _above_zero(key: str) -> Callable[[str], float]:
+    """_finite_float that also rejects values <= 0, worded as the solvers word it."""
+
+    def convert(text: str) -> float:
+        value = _finite_float(text)
+        if not value > 0.0:
+            raise argparse.ArgumentTypeError(f"{key} must be > 0, got {value}")
+        return value
+
+    return convert
+
+
+def _damping_value(text: str) -> float:
+    value = _finite_float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"damping must lie in (0,1], got {value}")
+    return value
+
+
 def _alpha_value(text: str) -> float:
-    value = float(text)
+    value = _number(float, text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"alpha must lie in (0,1), got {value}")
     return value
@@ -69,7 +93,7 @@ def _apply_threads(threads: int | None) -> None:
     if threads is None and os.environ.get("MSMLAB_THREADS"):
         try:
             threads = _positive_int(os.environ["MSMLAB_THREADS"])
-        except (argparse.ArgumentTypeError, ValueError) as exc:
+        except argparse.ArgumentTypeError as exc:
             raise ValueError(f"environment variable MSMLAB_THREADS: {exc}") from None
     if threads is not None:
         # more BLAS workers than cores only oversubscribe them
@@ -328,12 +352,12 @@ _COMMANDS = {
         ("alpha", _alpha_value, [0.2, 0.5, 0.8]),
         ("n", _positive_int, [512, 1024, 2048]),
         ("realizations", _positive_int, 10),
-        ("eta", _finite_float, 0.05),
+        ("eta", _above_zero("eta"), 0.05),
         ("density", bool, False),
         ("grid_points", _positive_int, 61),
         ("grid_span", _finite_float, 0.75),
-        ("damping", _finite_float, 0.5, "cavity mixing parameter in (0, 1]"),
-        ("tol", _finite_float, 1e-9),
+        ("damping", _damping_value, 0.5, "cavity mixing parameter in (0, 1]"),
+        ("tol", _above_zero("tol"), 1e-9),
         _PAPER_SCALE,
     )),
     "coarsegrain": _Command("supernode aggregation identity check", cmd_coarsegrain, None, (

@@ -6,11 +6,11 @@ no self loops. The weights are either iid draws or the deterministic
 quantile mapping x_j = (n/j)^(1/alpha), sorted descending in both cases so
 index 1 is the largest hub.
 
-P exists in two forms: expected_matrix builds the dense n x n array, which
-the eigensolves and coarse-graining need, and KernelOperator applies P to
-vectors without one. Both, and the adjacency sampler's rows, evaluate
-each entry through one formula, so they agree to the bit where they
-overlap and a seed draws the same graph from either form.
+KernelOperator applies P and reads its rows without an n x n array; the
+adjacency sampler, and the norms and solvers elsewhere, take P in that
+form. expected_matrix builds the dense array only for what needs one: the
+eigensolves, the noise matrix and coarse-graining. Both evaluate each
+entry through one formula, so they agree to the bit where they overlap.
 
 Randomness uses the counter-based Philox generator with one child stream
 per (purpose, row) pair, so adjacency rows can be sampled in any order, or
@@ -23,10 +23,9 @@ in parallel, without changing the result. Stream purposes:
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -297,38 +296,17 @@ class KernelOperator:
         return _kernel(self._epsilon_n, self._x[i], self._x[i + 1 :])
 
 
-def _upper_rows(kernel: SymmetricMatrix | KernelOperator) -> Callable[[int], np.ndarray]:
-    """i -> p_ij for j > i, from an expected_P matrix or a KernelOperator."""
-    if isinstance(kernel, KernelOperator):
-        return kernel._upper_row
-    if kernel.kind != "expected_P":
-        raise ValueError(f"need an expected_P matrix, got {kernel.kind}")
-    return lambda i: kernel.entries[i, i + 1 :]
-
-
-def _kernel_product(kernel: SymmetricMatrix | KernelOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """V -> P V, from an expected_P matrix or a KernelOperator."""
-    if isinstance(kernel, KernelOperator):
-        return kernel.matmat
-    if kernel.kind != "expected_P":
-        raise ValueError(f"need an expected_P matrix, got {kernel.kind}")
-    return functools.partial(np.matmul, kernel.entries)
-
-
-def sample_sparse_adjacency(
-    kernel: SymmetricMatrix | KernelOperator, seed: int
-) -> scipy.sparse.csr_array:
+def sample_sparse_adjacency(kernel: KernelOperator, seed: int) -> scipy.sparse.csr_array:
     """One adjacency draw from P as a symmetric scipy CSR array of 0/1 entries.
 
-    kernel is an expected_P matrix or a KernelOperator. Row i draws
-    uniforms u from its own child stream and keeps the j > i with
-    u < p_ij, so the sample does not depend on the order rows are
-    processed in, and both forms of P built from the same weights give
-    the same graph. Only the hits are stored; the O(n^2) cost is time.
+    Row i draws uniforms u from its own child stream and keeps the j > i
+    with u < p_ij, p_ij to the bit as expected_matrix stores it, so the
+    sample does not depend on the order rows are processed in. Only the
+    hits are stored; the O(n^2) cost is time.
     """
     import scipy.sparse
 
-    row = _upper_rows(kernel)
+    row = kernel._upper_row
     n = kernel.n
     hits = [
         i + 1 + np.flatnonzero(stream_rng(seed, STREAM_ADJACENCY, i).random(n - 1 - i) < row(i))
@@ -340,15 +318,13 @@ def sample_sparse_adjacency(
     return scipy.sparse.csr_array((np.ones(2 * upper.size), both), shape=(n, n))
 
 
-def sample_adjacency(P: SymmetricMatrix, seed: int) -> SymmetricMatrix:
+def sample_adjacency(kernel: KernelOperator, seed: int) -> SymmetricMatrix:
     """sample_sparse_adjacency scattered into a dense 0/1 matrix.
 
     Only the result is n x n: each sampled edge is written into both
     triangles of one zeroed array.
     """
-    if P.kind != "expected_P":
-        raise ValueError(f"need an expected_P matrix, got {P.kind}")
-    return SymmetricMatrix._built(sample_sparse_adjacency(P, seed).toarray(), "adjacency_A")
+    return SymmetricMatrix._built(sample_sparse_adjacency(kernel, seed).toarray(), "adjacency_A")
 
 
 def noise_matrix(A: SymmetricMatrix, P: SymmetricMatrix) -> SymmetricMatrix:

@@ -4,8 +4,8 @@ Everything here works on exact dense symmetric eigendecompositions; no
 sparse shortcuts are taken for the spectra themselves. The one iterative
 piece is the spectral norm, a Lanczos extremal-eigenvalue solve that only
 feeds the reported bulk edge and never the eigenvalue tables. For the
-noise part H = A - P it runs on the operator v -> A v - P v, so H is never
-stored and A and P may be sparse or matrix-free.
+noise part H = A - P it runs on the operator v -> A v - P v, with P the
+matrix-free KernelOperator, so H is never stored.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -25,7 +25,6 @@ from .model import (
     KernelOperator,
     ModelParams,
     SymmetricMatrix,
-    _kernel_product,
     expected_matrix,
     gen_fitness,
     sample_adjacency,
@@ -240,28 +239,24 @@ def spectral_norm(matrix: np.ndarray | SymmetricMatrix) -> float:
     return _top_magnitude(m)
 
 
-def noise_norm(
-    A: SymmetricMatrix | scipy.sparse.sparray, kernel: SymmetricMatrix | KernelOperator
-) -> float:
+def noise_norm(A: SymmetricMatrix | scipy.sparse.sparray, kernel: KernelOperator) -> float:
     """||H|| = ||A - P|| from the Lanczos solve on v -> A v - P v.
 
-    A is the adjacency drawn from kernel: an adjacency_A matrix or a
-    scipy sparse array such as sample_sparse_adjacency returns. kernel is
-    the expected_P matrix or the KernelOperator it was drawn from. H is
-    never stored; the result matches spectral_norm(noise_matrix(A, P)) to
-    rounding.
+    A is the adjacency drawn from kernel, the KernelOperator of P: an
+    adjacency_A matrix or a scipy sparse array such as
+    sample_sparse_adjacency returns. H is never stored; the result matches
+    spectral_norm(noise_matrix(A, P)) to rounding.
     """
     if isinstance(A, SymmetricMatrix):
         if A.kind != "adjacency_A":
             raise ValueError(f"need an adjacency_A matrix, got {A.kind}")
         A = A.entries
-    product = _kernel_product(kernel)
     n = kernel.n
     if A.shape != (n, n):
         raise ValueError(f"dimension mismatch: {A.shape} vs {n}")
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return A @ v - product(v)
+        return A @ v - kernel.matmat(v)
 
     op = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: apply(v.reshape(n, 1)), matmat=apply, dtype=float
@@ -309,7 +304,8 @@ def compare_with_vectors(
     """Three-way ladder comparison: analytic roots vs eig(P) vs eig(A).
 
     Builds the expected kernel for params, samples one adjacency with the
-    params seed, decomposes both densely, and matches analytic rank k to
+    params seed from its KernelOperator, takes ||A - P|| on that operator,
+    decomposes P and A densely, and matches analytic rank k to
     the k-th eigenvalue by descending magnitude with a sign veto (the
     predicted sign must agree for the match to stand while same-signed
     candidates remain). A missing root bracket at some k truncates the
@@ -323,8 +319,9 @@ def compare_with_vectors(
     k_max = min(k_max, params.n)
     fv = gen_fitness(params)
     P = expected_matrix(fv, params.epsilon_n)
-    A = sample_adjacency(P, params.seed)
-    bulk_edge = noise_norm(A, P)
+    K = KernelOperator(fv, params.epsilon_n)
+    A = sample_adjacency(K, params.seed)
+    bulk_edge = noise_norm(A, K)
     decomp_P = eig_sym(P)
     decomp_A = eig_sym(A)
 

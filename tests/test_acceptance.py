@@ -18,6 +18,7 @@ from scipy.integrate import trapezoid
 from msmlab.bulk import cavity_solve, density_mass, measure_bulk_edge
 from msmlab.eigenvectors import entry_identity_check
 from msmlab.model import (
+    KernelOperator,
     ModelParams,
     coarse_grain,
     expected_matrix,
@@ -122,7 +123,7 @@ def test_criterion_06_bulk_edge_envelope():
         means = []
         for n in sizes:
             params = ModelParams(n=n, alpha=alpha, seed=0)
-            mean, _ = measure_bulk_edge(expected_matrix(gen_fitness(params), params.epsilon_n), 10, params.seed)
+            mean, _ = measure_bulk_edge(KernelOperator(gen_fitness(params), params.epsilon_n), 10, params.seed)
             means.append(mean)
             under.append(mean <= math.sqrt(n) / 2 + math.sqrt(math.log(n)) / 4)
         slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
@@ -166,13 +167,13 @@ def test_criterion_09_cavity_density_sanity():
     params = ModelParams(n=2048, alpha=0.5, seed=1)
     fv = gen_fitness(params)
     lam = np.linspace(-0.75, 0.75, 61)
-    P = expected_matrix(fv, params.epsilon_n)
-    sol = cavity_solve(P, lam, eta=0.05)
+    K = KernelOperator(fv, params.epsilon_n)
+    sol = cavity_solve(K, lam, eta=0.05)
     frac = sol.converged.mean()
     herglotz = bool((sol.S_n.imag[sol.converged] > 0).all())
     mass = density_mass(sol)
 
-    H = noise_matrix(sample_adjacency(P, params.seed), P)
+    H = noise_matrix(sample_adjacency(K, params.seed), expected_matrix(fv, params.epsilon_n))
     ev = np.linalg.eigvalsh(H.entries) / math.sqrt(params.n)
     edges = np.array([-0.75, -0.25, 0.25, 0.75])
     hist_frac = np.histogram(ev, bins=edges)[0] / ev.size

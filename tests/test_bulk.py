@@ -21,6 +21,7 @@ from msmlab.bulk import (
     variance_profile,
 )
 from msmlab.model import (
+    FitnessVector,
     KernelOperator,
     ModelParams,
     SymmetricMatrix,
@@ -29,18 +30,24 @@ from msmlab.model import (
     noise_matrix,
     sample_adjacency,
 )
+from msmlab.numeric import spectral_norm
 
 
 def zero_P(n: int) -> SymmetricMatrix:
     return SymmetricMatrix(entries=np.zeros((n, n)), kind="expected_P")
 
 
-def constant_P(n: int, p: float) -> SymmetricMatrix:
-    return SymmetricMatrix(entries=p * (np.ones((n, n)) - np.eye(n)), kind="expected_P")
-
-
 def model_P(params: ModelParams) -> SymmetricMatrix:
     return expected_matrix(gen_fitness(params), params.epsilon_n)
+
+
+def constant_kernel(n: int, p: float) -> KernelOperator:
+    """Equal weights, so every p_ij is p to rounding; p = 1 saturates (eps = 40)."""
+    return KernelOperator(FitnessVector(np.ones(n)), -math.log1p(-p) if p < 1.0 else 40.0)
+
+
+def model_kernel(params: ModelParams) -> KernelOperator:
+    return KernelOperator(gen_fitness(params), params.epsilon_n)
 
 
 class TestVarianceProfile:
@@ -103,48 +110,35 @@ class TestNormUpperBound:
 
 
 class TestBulkEdge:
-    def test_zero_kernel_gives_zero_edge(self):
-        assert np.array_equal(edge_samples(zero_P(8), 3, 0), np.zeros(3))
+    def test_saturated_kernel_gives_zero_edge(self):
+        # every p rounds to 1, so every pair is drawn and A - P is exactly 0
+        assert np.array_equal(edge_samples(constant_kernel(8, 1.0), 3, 0), np.zeros(3))
 
     def test_mean_under_crude_bound(self):
         params = ModelParams(n=512, alpha=0.5, seed=0)
-        mean, stderr = measure_bulk_edge(model_P(params), 6, params.seed)
+        mean, stderr = measure_bulk_edge(model_kernel(params), 6, params.seed)
         _, crude = norm_upper_bound(variance_profile(zero_P(4)), 512)
         assert 0.0 < mean <= crude
         assert stderr > 0.0
 
     def test_single_realization_has_zero_stderr(self):
         params = ModelParams(n=128, alpha=0.5, seed=0)
-        mean, stderr = measure_bulk_edge(model_P(params), 1, params.seed)
+        mean, stderr = measure_bulk_edge(model_kernel(params), 1, params.seed)
         assert mean > 0.0
         assert stderr == 0.0
 
     def test_reproducible(self):
         params = ModelParams(n=128, alpha=0.3, seed=5)
-        P = model_P(params)
-        assert measure_bulk_edge(P, 3, params.seed) == measure_bulk_edge(P, 3, params.seed)
+        K = model_kernel(params)
+        assert measure_bulk_edge(K, 3, params.seed) == measure_bulk_edge(K, 3, params.seed)
 
     def test_rejects_no_realizations(self):
         with pytest.raises(ValueError):
-            edge_samples(zero_P(4), 0, 0)
-
-    def test_one_adjacency_alive_at_a_time(self):
-        # drawing realization r + 1 while r's A is still held costs a third
-        # n x n array; P is built before tracing starts
-        n = 512
-        P = model_P(ModelParams(n=n, alpha=0.5))
-        tracemalloc.start()
-        try:
-            edge_samples(P, 2, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * n * n * 8
-
+            edge_samples(constant_kernel(4, 0.2), 0, 0)
 
     def test_operator_path_holds_no_dense_array(self):
-        # with the kernel operator each A is sparse and H is never stored, so
-        # the peak stays far below the one n x n array the dense path starts at
+        # each A is sparse and H is never stored, so the peak stays far
+        # below one n x n array
         n = 2048
         params = ModelParams(n=n, alpha=0.5)
         fv = gen_fitness(params)
@@ -160,17 +154,22 @@ class TestBulkEdge:
     def test_operator_and_dense_kernel_give_the_same_edges(self, alpha):
         params = ModelParams(n=1000, alpha=alpha, seed=2)
         fv = gen_fitness(params)
-        dense = edge_samples(expected_matrix(fv, params.epsilon_n), 3, params.seed)
-        matrix_free = edge_samples(KernelOperator(fv, params.epsilon_n), 3, params.seed)
-        assert np.all(np.abs(matrix_free - dense) <= 1e-13 * dense)
+        K = KernelOperator(fv, params.epsilon_n)
+        P = expected_matrix(fv, params.epsilon_n)
+        # realization r draws with seed + r; the reference stores H densely
+        dense = [spectral_norm(noise_matrix(sample_adjacency(K, params.seed + r), P)) for r in range(3)]
+        matrix_free = edge_samples(K, 3, params.seed)
+        assert np.all(np.abs(matrix_free - dense) <= 1e-13 * np.array(dense))
 
 
 @pytest.fixture(scope="module")
 def instance():
     params = ModelParams(n=1024, alpha=0.5, seed=3)
-    P = expected_matrix(gen_fitness(params), params.epsilon_n)
+    fv = gen_fitness(params)
+    P = expected_matrix(fv, params.epsilon_n)
+    K = KernelOperator(fv, params.epsilon_n)
     vp = variance_profile(P)
-    noises = [noise_matrix(sample_adjacency(P, s), P) for s in range(5)]
+    noises = [noise_matrix(sample_adjacency(K, s), P) for s in range(5)]
     return vp, noises
 
 
@@ -210,7 +209,8 @@ class TestLowerBound:
 
 class TestCavitySolve:
     def test_free_resolvent_exact(self):
-        sol = cavity_solve(zero_P(32), np.array([0.3]), eta=0.7)
+        # p = 5e-324, the least there is, vanishes beside z
+        sol = cavity_solve(constant_kernel(32, math.ulp(0.0)), np.array([0.3]), eta=0.7)
         # numpy and CPython complex division differ in the last ulp
         free = -1.0 / complex(0.3, 0.7)
         assert np.max(np.abs(sol.g_per_node - free)) < 1e-15
@@ -223,7 +223,7 @@ class TestCavitySolve:
         # equal weights make the kernel constant, so the fixed point is the
         # scalar root of c g^2 + z g + 1 = 0 with c = p (n-1)/n
         p, n = 0.3, 64
-        sol = cavity_solve(constant_P(n, p), np.array([zr]), eta=eta, tol=1e-12)
+        sol = cavity_solve(constant_kernel(n, p), np.array([zr]), eta=eta, tol=1e-12)
         c = p * (n - 1) / n
         z = complex(zr, eta)
         disc = cmath.sqrt(z * z - 4 * c)
@@ -234,7 +234,7 @@ class TestCavitySolve:
     def test_bulk_window_density(self):
         params = ModelParams(n=512, alpha=0.5, seed=1)
         sol, history = cavity_solve(
-            model_P(params), np.linspace(-0.75, 0.75, 41), eta=0.05, track_deltas=True
+            model_kernel(params), np.linspace(-0.75, 0.75, 41), eta=0.05, track_deltas=True
         )
         assert sol.converged.all()
         assert (sol.S_n.imag > 0.0).all()
@@ -249,26 +249,27 @@ class TestCavitySolve:
 
     def test_default_eta_heuristic(self):
         grid = np.linspace(-1.0, 1.0, 5)
-        sol = cavity_solve(zero_P(64), grid)
+        sol = cavity_solve(constant_kernel(64, 0.2), grid)
         assert np.allclose(sol.z_grid.imag, 2.5 / math.sqrt(64) * 2.0)
 
     def test_validation(self):
-        P = zero_P(8)
+        K = constant_kernel(8, 0.2)
         grid = np.array([0.0])
         with pytest.raises(ValueError):
-            cavity_solve(P, grid, eta=0.1, damping=0.0)
+            cavity_solve(K, grid, eta=0.1, damping=0.0)
         with pytest.raises(ValueError):
-            cavity_solve(P, grid, eta=-0.1)
-        for kind in ("adjacency_A", "noise_H"):
-            with pytest.raises(ValueError):
-                cavity_solve(SymmetricMatrix(entries=np.zeros((8, 8)), kind=kind), grid, eta=0.1)
+            cavity_solve(K, grid, eta=-0.1)
         with pytest.raises(ValueError):
-            cavity_solve(P, np.empty(0), eta=0.1)
+            cavity_solve(K, np.empty(0), eta=0.1)
+        # no step falls below tol <= 0, so every point would run max_iter sweeps
+        for tol in (0.0, -1e-9):
+            with pytest.raises(ValueError, match="tol"):
+                cavity_solve(K, grid, eta=0.1, tol=tol)
 
     def test_herglotz_across_alpha(self):
         for alpha in (0.2, 0.8):
             params = ModelParams(n=256, alpha=alpha)
-            sol = cavity_solve(model_P(params), np.linspace(-0.6, 0.6, 7), eta=0.1)
+            sol = cavity_solve(model_kernel(params), np.linspace(-0.6, 0.6, 7), eta=0.1)
             assert sol.converged.all()
             assert (sol.S_n.imag > 0.0).all()
 
@@ -285,8 +286,8 @@ class TestCavitySolve:
     @pytest.mark.parametrize(
         "solve",
         [
-            pytest.param(lambda grid: cavity_solve(model_P(ModelParams(n=512, alpha=0.2)), grid, eta=0.05), id="0.2"),
-            pytest.param(lambda grid: cavity_solve(model_P(ModelParams(n=512, alpha=0.8)), grid, eta=0.05), id="0.8"),
+            pytest.param(lambda grid: cavity_solve(model_kernel(ModelParams(n=512, alpha=0.2)), grid, eta=0.05), id="0.2"),
+            pytest.param(lambda grid: cavity_solve(model_kernel(ModelParams(n=512, alpha=0.8)), grid, eta=0.05), id="0.8"),
             # the Poisson-process solver runs the same loop
             pytest.param(lambda grid: ppp_fixed_point(ppp_sample(0.5, 5000, 3), grid, eta=0.05), id="ppp"),
         ],
@@ -306,7 +307,11 @@ class TestCavitySolve:
         params = ModelParams(n=2048, alpha=alpha)
         fv = gen_fitness(params)
         grid = np.linspace(-0.75, 0.75, 15)
-        dense = cavity_solve(expected_matrix(fv, params.epsilon_n), grid, eta=0.05)
+        # the reference runs the same loop on the dense product, scaled as cavity_solve scales it
+        P = expected_matrix(fv, params.epsilon_n).entries
+        dense, _ = bulk._stieltjes_fixed_point(
+            lambda v: P @ v * (1.0 / params.n), params.n, grid, 0.05, 0.5, 1e-9, 5000
+        )
         matrix_free = cavity_solve(KernelOperator(fv, params.epsilon_n), grid, eta=0.05)
         assert matrix_free.converged.all()
         assert np.array_equal(matrix_free.iterations, dense.iterations)
@@ -379,6 +384,8 @@ class TestPPPFixedPoint:
             ppp_fixed_point(atoms, [0.0], 0.0)
         with pytest.raises(ValueError):
             ppp_fixed_point(atoms, [0.0], 0.5, damping=1.5)
+        with pytest.raises(ValueError, match="tol"):
+            ppp_fixed_point(atoms, [0.0], 0.5, tol=0.0)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_fixed_point_of_the_dense_kernel_with_its_diagonal(self, alpha):
@@ -397,10 +404,10 @@ class TestCrossMethod:
         # both transforms are near the free resolvent at these z, so the
         # band mostly certifies that scaling and sign conventions line up
         params = ModelParams(n=2048, alpha=0.5)
-        P = model_P(params)
+        K = model_kernel(params)
         atoms = ppp_sample(0.5, 10_000, 0)
         for eta in (0.5, 1.0, 2.0):
-            sol = cavity_solve(P, np.array([0.0]), eta=eta)
+            sol = cavity_solve(K, np.array([0.0]), eta=eta)
             fp = ppp_fixed_point(atoms, np.array([0.0]), eta)
             assert sol.converged.all() and fp.converged.all()
             rel = abs(sol.S_n[0] - fp.S_n[0]) / abs(sol.S_n[0])

@@ -535,6 +535,39 @@ class TestConfigAndEnvironment:
             assert_one_line_error(err)
             assert f"must be finite, got {text}" in err
 
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("eta", "0", "eta must be > 0, got 0.0"),
+            ("eta", "-0.1", "eta must be > 0, got -0.1"),
+            ("damping", "0", "damping must lie in (0,1], got 0.0"),
+            ("damping", "1.5", "damping must lie in (0,1], got 1.5"),
+            ("tol", "0", "tol must be > 0, got 0.0"),
+            ("tol", "-1e-09", "tol must be > 0, got -1e-09"),
+        ],
+        ids=["eta_zero", "eta_negative", "damping_zero", "damping_above_one", "tol_zero", "tol_negative"],
+    )
+    def test_solver_option_out_of_range_is_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, key, text, message
+    ):
+        # the converters check what the cavity solver would reject, so the
+        # edge sweep never starts; tol <= 0 would otherwise run every sweep
+        import msmlab.bulk
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the options were checked")
+
+        monkeypatch.setattr(msmlab.bulk, "measure_bulk_edge", refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: float(text)}))
+        argv = ["bulk", "--n", "64", "--realizations", "1", "--density", "--out", str(tmp_path / "f")]
+        for given in (["--" + key + "=" + text], ["--config", str(path)]):
+            assert main(argv + given) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert_one_line_error(err)
+            assert message in err
+        assert not list(tmp_path.glob("f*"))
+
     def test_threads_flag_caps_blas_pool(self, monkeypatch):
         import os
 
@@ -569,12 +602,16 @@ class TestConfigAndEnvironment:
             (["--threads", "0"], {}, "msmlab: error: argument --threads: must be >= 1, got 0"),
             (["--threads", "-3"], {}, "msmlab: error: argument --threads: must be >= 1, got -3"),
             ([], {"MSMLAB_THREADS": "0"}, "msmlab: error: environment variable MSMLAB_THREADS: must be >= 1, got 0"),
+            ([], {"MSMLAB_THREADS": "x"}, "msmlab: error: environment variable MSMLAB_THREADS: invalid int value: 'x'"),
+            (["--n", "x"], {}, "msmlab: error: argument --n: invalid int value: 'x'"),
+            (["--alpha", "abc"], {}, "msmlab: error: argument --alpha: invalid float value: 'abc'"),
         ],
-        ids=["flag_zero", "flag_negative", "env_zero"],
+        ids=["flag_zero", "flag_negative", "env_zero", "env_text", "n_text", "alpha_text"],
     )
     def test_thread_count_below_one_is_usage_error(self, monkeypatch, capsys, argv, environ, last_line):
         # a rejected flag and a rejected environment variable print the
-        # same one-line error
+        # same one-line error; text that is no number reads as it does for
+        # a plain int or float option, never naming the converter
         import os
 
         monkeypatch.setattr(os, "environ", environ)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import msmlab.numeric as numeric
 from msmlab.model import (
     WEIGHT_MODES,
+    FitnessVector,
     KernelOperator,
     ModelParams,
     SymmetricMatrix,
@@ -22,6 +23,7 @@ from msmlab.numeric import (
     ComparisonReport,
     EigenDecomposition,
     compare,
+    compare_with_vectors,
     effective_rank,
     eig_sym,
     noise_norm,
@@ -126,8 +128,7 @@ class TestDecompositionInvariants:
 
     def test_adjacency_reconstruction(self):
         params = ModelParams(n=256, alpha=0.3, seed=9)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
-        A = sample_adjacency(P, params.seed)
+        A = sample_adjacency(KernelOperator(gen_fitness(params), params.epsilon_n), params.seed)
         d = eig_sym(A)
         assert np.all(reconstruction_residuals(d, A) <= residual_tolerances(d, A))
 
@@ -165,8 +166,7 @@ class TestOutliersAndRank:
 
     def test_outlier_count_band_adjacency(self):
         params = ModelParams(n=1024, alpha=0.5, seed=3)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
-        A = sample_adjacency(P, params.seed)
+        A = sample_adjacency(KernelOperator(gen_fitness(params), params.epsilon_n), params.seed)
         d = eig_sym(A, vectors=False)
         cnt = len(outliers(d, math.sqrt(params.n) / 2))
         assert 0.2 <= cnt / math.log(params.n) <= 5.0
@@ -190,10 +190,10 @@ class TestOutliersAndRank:
 
     @pytest.mark.slow
     def test_outlier_count_band_paper_scale(self, det_instance_n1e4):
-        _, _, P = det_instance_n1e4
-        A = sample_adjacency(P, 1)
+        params, fv, _ = det_instance_n1e4
+        A = sample_adjacency(KernelOperator(fv, params.epsilon_n), 1)
         d = eig_sym(A, vectors=False)
-        n = P.n
+        n = params.n
         cnt = len(outliers(d, math.sqrt(n) / 2))
         assert 0.2 <= cnt / math.log(n) <= 5.0
         assert abs(d.eigenvalues.sum()) <= 1e-6 * n
@@ -221,8 +221,14 @@ class TestSpectralNorm:
             spectral_norm(m)
 
 
-def constant_P(n: int, p: float) -> SymmetricMatrix:
-    return SymmetricMatrix(entries=p * (np.ones((n, n)) - np.eye(n)), kind="expected_P")
+def constant_kernel(n: int, p: float) -> tuple[KernelOperator, SymmetricMatrix]:
+    """Equal weights, so every p_ij is p to rounding; p = 1 saturates (eps = 40).
+
+    Returns the operator and the dense matrix it stands for.
+    """
+    fv = FitnessVector(np.ones(n))
+    eps = -math.log1p(-p) if p < 1.0 else 40.0
+    return KernelOperator(fv, eps), expected_matrix(fv, eps)
 
 
 class TestNoiseNorm:
@@ -234,29 +240,27 @@ class TestNoiseNorm:
         P = expected_matrix(fv, params.epsilon_n)
         K = KernelOperator(fv, params.epsilon_n)
         for seed in (0, 1):
-            A = sample_adjacency(P, seed)
+            A = sample_adjacency(K, seed)
             want = spectral_norm(noise_matrix(A, P))
-            for got in (noise_norm(A, P), noise_norm(sample_sparse_adjacency(K, seed), K)):
+            for got in (noise_norm(A, K), noise_norm(sample_sparse_adjacency(K, seed), K)):
                 assert abs(got - want) <= 1e-13 * want
 
     def test_tiny_and_vanishing_noise_are_exact(self):
-        # n <= 2 is decomposed densely; a constant 0 or 1 kernel draws A = P
-        for P in (constant_P(2, 0.3), constant_P(8, 0.0), constant_P(8, 1.0)):
+        # n <= 2 is decomposed densely; a saturated kernel draws A = P
+        for K, P in (constant_kernel(2, 0.3), constant_kernel(8, 1.0)):
             for seed in (0, 1):
-                A = sample_adjacency(P, seed)
+                A = sample_adjacency(K, seed)
                 want = spectral_norm(noise_matrix(A, P))
-                assert noise_norm(A, P) == want
-                assert noise_norm(sample_sparse_adjacency(P, seed), P) == want
+                assert noise_norm(A, K) == want
+                assert noise_norm(sample_sparse_adjacency(K, seed), K) == want
 
     def test_validation(self):
-        P = constant_P(8, 0.2)
-        A = sample_adjacency(P, 0)
+        K, P = constant_kernel(8, 0.2)
+        A = sample_adjacency(K, 0)
         with pytest.raises(ValueError):
-            noise_norm(A, A)
+            noise_norm(P, K)
         with pytest.raises(ValueError):
-            noise_norm(P, P)
-        with pytest.raises(ValueError):
-            noise_norm(A, constant_P(9, 0.2))
+            noise_norm(A, constant_kernel(9, 0.2)[0])
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +304,17 @@ class TestCompare:
         assert report_2048.rows[report_2048.k_break - 1].cosine_sim_P_vs_A < 0.9
         assert report_2048.k_break <= 20
 
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    def test_bulk_edge_matches_dense_noise_norm(self, mode):
+        # compare takes ||A - P|| on the kernel operator; the reference
+        # redraws A from the same seed and stores H densely
+        params = ModelParams(n=1024, alpha=0.5, seed=3, weight_mode=mode)
+        report, _ = compare_with_vectors(params, k_max=2)
+        fv = gen_fitness(params)
+        A = sample_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
+        want = spectral_norm(noise_matrix(A, expected_matrix(fv, params.epsilon_n)))
+        assert abs(report.bulk_edge_measured - want) <= 1e-13 * want
+
     def test_bulk_edge_under_envelope(self, report_2048):
         n = report_2048.params.n
         assert report_2048.bulk_edge_measured <= math.sqrt(n) / 2 + 0.25 * math.sqrt(math.log(n))
@@ -307,8 +322,9 @@ class TestCompare:
 
     def test_weyl_and_trace_invariants(self):
         params = ModelParams(n=1024, alpha=0.5, seed=3)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
-        A = sample_adjacency(P, params.seed)
+        fv = gen_fitness(params)
+        P = expected_matrix(fv, params.epsilon_n)
+        A = sample_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
         H = noise_matrix(A, P)
         vals_P = np.sort(eig_sym(P, vectors=False).eigenvalues)[::-1]
         vals_A = np.sort(eig_sym(A, vectors=False).eigenvalues)[::-1]
