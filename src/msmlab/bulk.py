@@ -55,6 +55,8 @@ __all__ = [
 
 # Anderson history length of the Stieltjes solvers; 0 gives the plain damped map
 _ANDERSON_DEPTH = 5
+# sweeps after which the Stieltjes solvers flag a grid point as not converged
+_MAX_SWEEPS = 5000
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,8 @@ class StieltjesSolution:
     density is the Plemelj boundary value (1/pi) Im S_n, which is
     non-negative wherever the solve converged; converged and iterations
     are per grid point, and non-converged points keep their last iterate
-    rather than raising.
+    rather than raising. steps holds each sweep's damped step size per
+    grid point, 0 for points already converged.
     """
 
     z_grid: np.ndarray  # complex, Im z = eta > 0
@@ -109,6 +112,7 @@ class StieltjesSolution:
     density: np.ndarray  # grid, (1/pi) Im S_n
     iterations: np.ndarray  # grid, ints
     converged: np.ndarray  # grid, bools
+    steps: np.ndarray  # sweeps x grid
 
 
 @dataclass(frozen=True)
@@ -271,14 +275,12 @@ def _stieltjes_fixed_point(
     eta: float,
     damping: float,
     tol: float,
-    max_iter: int,
-) -> tuple[StieltjesSolution, list[np.ndarray]]:
+) -> StieltjesSolution:
     """Anderson-mixed fixed point of g = -1 / (z + Phi(g)) on a z-grid.
 
     The loop of cavity_solve and ppp_fixed_point, mixed and stopped as
     cavity_solve describes. g is n x grid; product maps the real (re, im)
-    view of a block of its columns to that view of Phi. The list holds the
-    damped step size per sweep, 0 for points already converged.
+    view of a block of its columns to that view of Phi.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0,1], got {damping}")
@@ -298,8 +300,8 @@ def _stieltjes_fixed_point(
     iterations = np.zeros(nz, dtype=int)
     converged = np.zeros(nz, dtype=bool)
     active = np.ones(nz, dtype=bool)
-    history: list[np.ndarray] = []
-    for it in range(1, max_iter + 1):
+    steps: list[np.ndarray] = []
+    for it in range(1, _MAX_SWEEPS + 1):
         idx = np.flatnonzero(active)
         g_act = np.ascontiguousarray(g[:, idx])
         # Phi is real-linear in g: one real product on the interleaved (re, im) columns
@@ -322,8 +324,8 @@ def _stieltjes_fixed_point(
         g[:, idx] = g_act + damping * r - mixed.T
         delta = damping * size
         iterations[idx] = it
-        history.append(np.zeros(nz))
-        history[-1][idx] = delta
+        steps.append(np.zeros(nz))
+        steps[-1][idx] = delta
         done = delta < tol
         converged[idx[done]] = True
         active[idx[done]] = False
@@ -331,15 +333,15 @@ def _stieltjes_fixed_point(
             break
 
     S = g.mean(axis=0)
-    sol = StieltjesSolution(
+    return StieltjesSolution(
         z_grid=z,
         g_per_node=g,
         S_n=S,
         density=np.imag(S) / math.pi,
         iterations=iterations,
         converged=converged,
+        steps=np.array(steps),
     )
-    return sol, history
 
 
 def cavity_solve(
@@ -348,9 +350,7 @@ def cavity_solve(
     eta: float | None = None,
     damping: float = 0.5,
     tol: float = 1e-9,
-    max_iter: int = 5000,
-    track_deltas: bool = False,
-) -> StieltjesSolution | tuple[StieltjesSolution, list[np.ndarray]]:
+) -> StieltjesSolution:
     """Anderson-mixed fixed point of the kernel self-consistency on a z-grid.
 
     kernel is the KernelOperator of P, whose entries
@@ -376,8 +376,8 @@ def cavity_solve(
     is the plain damped map. A grid point whose residual max_i |r_i|
     grows drops its history and takes the damped step. A point stops
     once damping * max_i |r_i| falls below tol > 0, the size of a damped
-    step; non-converged points are flagged, never raised. With
-    track_deltas=True also returns that step size per sweep.
+    step, which the solution keeps per sweep; a point still running after
+    5000 sweeps is flagged, never raised.
     """
     n = kernel.n
     if eta is None:
@@ -385,10 +385,7 @@ def cavity_solve(
         span = float(lam.max() - lam.min()) if lam.size else 0.0
         eta = 2.5 / math.sqrt(n) * (span if span > 0.0 else 1.0)
     # times 1/n: the rounding of numpy's complex division by n
-    sol, history = _stieltjes_fixed_point(
-        lambda v: kernel.matmat(v) * (1.0 / n), n, z_grid, eta, damping, tol, max_iter
-    )
-    return (sol, history) if track_deltas else sol
+    return _stieltjes_fixed_point(lambda v: kernel.matmat(v) * (1.0 / n), n, z_grid, eta, damping, tol)
 
 
 def density_mass(sol: StieltjesSolution) -> float:
@@ -418,7 +415,6 @@ def ppp_fixed_point(
     eta: float,
     damping: float = 0.5,
     tol: float = 1e-9,
-    max_iter: int = 5000,
 ) -> StieltjesSolution:
     """Fixed point of the atom self-consistency on a z-grid.
 
@@ -435,12 +431,11 @@ def ppp_fixed_point(
         free = np.array([-1.0 / complex(v) for v in z])  # to the bit of Python's -1 / z
         sweeps = np.zeros(z.size, dtype=int)
         empty = np.empty((0, z.size), dtype=complex)
-        return StieltjesSolution(z, empty, free, free.imag / math.pi, sweeps, sweeps == 0)
+        return StieltjesSolution(
+            z, empty, free, free.imag / math.pi, sweeps, sweeps == 0, np.zeros((0, z.size))
+        )
     y = atoms.y
     # the last atom is the smallest, so these weights are >= 1
     kernel = KernelOperator(FitnessVector(y / y[-1]), y[-1] ** 2)
     diag = -np.expm1(-(y * y))[:, None]
-    sol, _ = _stieltjes_fixed_point(
-        lambda v: kernel.matmat(v) + diag * v, atoms.K, z_grid, eta, damping, tol, max_iter
-    )
-    return sol
+    return _stieltjes_fixed_point(lambda v: kernel.matmat(v) + diag * v, atoms.K, z_grid, eta, damping, tol)

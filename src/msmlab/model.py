@@ -12,6 +12,9 @@ form. expected_matrix builds the dense array only for what needs one: the
 eigensolves, the noise matrix and coarse-graining. Both evaluate each
 entry through one formula, so they agree to the bit where they overlap.
 
+A has one form, the sparse 0/1 CSR array of sample_sparse_adjacency;
+callers that need a dense A, such as an eigensolve, take its toarray().
+
 Randomness uses the counter-based Philox generator with one child stream
 per (purpose, row) pair, so adjacency rows can be sampled in any order, or
 in parallel, without changing the result. Stream purposes:
@@ -47,13 +50,12 @@ __all__ = [
     "gen_fitness",
     "expected_matrix",
     "sample_sparse_adjacency",
-    "sample_adjacency",
     "noise_matrix",
     "coarse_grain",
 ]
 
 WEIGHT_MODES = ("iid_pareto", "deterministic")
-MATRIX_KINDS = ("expected_P", "adjacency_A", "noise_H")
+MATRIX_KINDS = ("expected_P", "noise_H")
 
 STREAM_FITNESS = 0
 STREAM_ADJACENCY = 1
@@ -124,10 +126,10 @@ class SymmetricMatrix:
     The constructor is the checked boundary for matrices made outside this
     module: it rejects a non-square array, asymmetry to the bit, a nonzero
     diagonal and entries outside the kind's range, all O(n^2) passes.
-    expected_matrix, sample_adjacency and coarse_grain build arrays whose
-    invariants hold by how they are computed, so they wrap them through
-    _built, which only makes the array read-only. noise_matrix keeps the
-    checks, because its (-1, 1) range holds only when A was drawn from P.
+    expected_matrix and coarse_grain build arrays whose invariants hold by
+    how they are computed, so they wrap them through _built, which only
+    makes the array read-only. noise_matrix keeps the checks, because its
+    (-1, 1) range holds only when A was drawn from P.
     """
 
     entries: np.ndarray
@@ -150,8 +152,6 @@ class SymmetricMatrix:
         # eps_n x_i x_j exceeds ~37, so the closed interval is checked.
         if self.kind == "expected_P" and not (0.0 <= lo and hi <= 1.0):
             raise ValueError(f"expected_P entries outside [0,1]: [{lo},{hi}]")
-        if self.kind == "adjacency_A" and not np.isin(m, (0.0, 1.0)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
         if self.kind == "noise_H" and not (-1.0 < lo and hi < 1.0):
             raise ValueError(f"noise entries outside (-1,1): [{lo},{hi}]")
 
@@ -183,8 +183,15 @@ def gen_fitness(params: ModelParams) -> FitnessVector:
 
 
 def _kernel(epsilon_n: float, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
-    """p = 1 - exp(-eps_n x_i x_j), in the one rounding every P form shares."""
-    return -np.expm1((-epsilon_n) * (xi * xj))
+    """p = 1 - exp(-eps_n x_i x_j), in the one rounding every P form shares.
+
+    Evaluated in place in the product's array, so a dense P holds no n x n
+    temporary beside its result.
+    """
+    t = xi * xj
+    t *= -epsilon_n
+    np.expm1(t, out=t)
+    return np.negative(t, out=t)
 
 
 def expected_matrix(x: FitnessVector, epsilon_n: float) -> SymmetricMatrix:
@@ -318,22 +325,17 @@ def sample_sparse_adjacency(kernel: KernelOperator, seed: int) -> scipy.sparse.c
     return scipy.sparse.csr_array((np.ones(2 * upper.size), both), shape=(n, n))
 
 
-def sample_adjacency(kernel: KernelOperator, seed: int) -> SymmetricMatrix:
-    """sample_sparse_adjacency scattered into a dense 0/1 matrix.
+def noise_matrix(A: scipy.sparse.sparray, P: SymmetricMatrix) -> SymmetricMatrix:
+    """H = A - P, the zero-mean noise part of the adjacency, stored densely.
 
-    Only the result is n x n: each sampled edge is written into both
-    triangles of one zeroed array.
+    A is a sparse draw from P, as sample_sparse_adjacency returns; the
+    checked constructor verifies the result.
     """
-    return SymmetricMatrix._built(sample_sparse_adjacency(kernel, seed).toarray(), "adjacency_A")
-
-
-def noise_matrix(A: SymmetricMatrix, P: SymmetricMatrix) -> SymmetricMatrix:
-    """H = A - P, the zero-mean noise part of the adjacency."""
-    if A.kind != "adjacency_A" or P.kind != "expected_P":
-        raise ValueError(f"need (adjacency_A, expected_P), got ({A.kind}, {P.kind})")
-    if A.n != P.n:
-        raise ValueError(f"dimension mismatch: {A.n} vs {P.n}")
-    return SymmetricMatrix(entries=A.entries - P.entries, kind="noise_H")
+    if P.kind != "expected_P":
+        raise ValueError(f"need an expected_P matrix, got {P.kind}")
+    if A.shape != P.entries.shape:
+        raise ValueError(f"dimension mismatch: {A.shape} vs {P.entries.shape}")
+    return SymmetricMatrix(entries=A.toarray() - P.entries, kind="noise_H")
 
 
 def coarse_grain(

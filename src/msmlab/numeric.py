@@ -4,8 +4,9 @@ Everything here works on exact dense symmetric eigendecompositions; no
 sparse shortcuts are taken for the spectra themselves. The one iterative
 piece is the spectral norm, a Lanczos extremal-eigenvalue solve that only
 feeds the reported bulk edge and never the eigenvalue tables. For the
-noise part H = A - P it runs on the operator v -> A v - P v, with P the
-matrix-free KernelOperator, so H is never stored.
+noise part H = A - P it runs on the operator v -> A v - P v, with A the
+sparse draw and P the matrix-free KernelOperator, so H is never stored.
+The comparison builds dense P and A only for their eigendecompositions.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -27,7 +28,7 @@ from .model import (
     SymmetricMatrix,
     expected_matrix,
     gen_fitness,
-    sample_adjacency,
+    sample_sparse_adjacency,
 )
 from .spectrum import NoRootError, SpectralPrediction, solve_omega_k
 
@@ -52,7 +53,6 @@ __all__ = [
 class EigenDecomposition:
     """Full symmetric eigendecomposition, magnitude-ordered."""
 
-    source_kind: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None  # column i pairs with eigenvalues[i]
 
@@ -126,14 +126,14 @@ class CompareArtifacts:
     eigenvalues_A: np.ndarray
 
 
-def _as_entries(matrix: np.ndarray | SymmetricMatrix) -> tuple[np.ndarray, str]:
-    """The entries and kind of a matrix; a plain array is checked here.
+def _as_entries(matrix: np.ndarray | SymmetricMatrix) -> np.ndarray:
+    """The entries of a matrix; a plain array is checked here.
 
     A SymmetricMatrix passes unchecked: its constructor's range checks
     already exclude non-finite entries, and the builders cannot make them.
     """
     if isinstance(matrix, SymmetricMatrix):
-        return matrix.entries, matrix.kind
+        return matrix.entries
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
@@ -141,7 +141,7 @@ def _as_entries(matrix: np.ndarray | SymmetricMatrix) -> tuple[np.ndarray, str]:
         raise ValueError("matrix entries must all be finite")
     if not np.array_equal(m, m.T):
         raise ValueError("matrix must be symmetric")
-    return m, "custom"
+    return m
 
 
 def eig_sym(matrix: np.ndarray | SymmetricMatrix, vectors: bool = True) -> EigenDecomposition:
@@ -152,7 +152,7 @@ def eig_sym(matrix: np.ndarray | SymmetricMatrix, vectors: bool = True) -> Eigen
     are rejected up front rather than letting the factorization produce
     silent garbage.
     """
-    m, kind = _as_entries(matrix)
+    m = _as_entries(matrix)
     if vectors:
         vals, vecs = np.linalg.eigh(m)
     else:
@@ -161,7 +161,7 @@ def eig_sym(matrix: np.ndarray | SymmetricMatrix, vectors: bool = True) -> Eigen
     vals = vals[order]
     if vecs is not None:
         vecs = vecs[:, order]
-    return EigenDecomposition(source_kind=kind, eigenvalues=vals, eigenvectors=vecs)
+    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def reconstruction_residuals(
@@ -174,7 +174,7 @@ def reconstruction_residuals(
     """
     if decomp.eigenvectors is None:
         raise ValueError("decomposition carries no eigenvectors")
-    m, _ = _as_entries(matrix)
+    m = _as_entries(matrix)
     r = m @ decomp.eigenvectors - decomp.eigenvectors * decomp.eigenvalues
     return np.linalg.norm(r, axis=0)
 
@@ -183,7 +183,7 @@ def residual_tolerances(
     decomp: EigenDecomposition, matrix: np.ndarray | SymmetricMatrix
 ) -> np.ndarray:
     """The per-pair bound matching reconstruction_residuals."""
-    m, _ = _as_entries(matrix)
+    m = _as_entries(matrix)
     scale = np.linalg.norm(m, "fro") / math.sqrt(decomp.n)
     return 1e-8 * (scale + np.abs(decomp.eigenvalues))
 
@@ -235,22 +235,17 @@ def _top_magnitude(op: np.ndarray | scipy.sparse.linalg.LinearOperator) -> float
 
 def spectral_norm(matrix: np.ndarray | SymmetricMatrix) -> float:
     """Largest |eigenvalue| of a dense symmetric matrix via a Lanczos solve."""
-    m, _ = _as_entries(matrix)
+    m = _as_entries(matrix)
     return _top_magnitude(m)
 
 
-def noise_norm(A: SymmetricMatrix | scipy.sparse.sparray, kernel: KernelOperator) -> float:
+def noise_norm(A: scipy.sparse.sparray, kernel: KernelOperator) -> float:
     """||H|| = ||A - P|| from the Lanczos solve on v -> A v - P v.
 
-    A is the adjacency drawn from kernel, the KernelOperator of P: an
-    adjacency_A matrix or a scipy sparse array such as
-    sample_sparse_adjacency returns. H is never stored; the result matches
+    A is the sparse adjacency that sample_sparse_adjacency drew from
+    kernel, the KernelOperator of P. H is never stored; the result matches
     spectral_norm(noise_matrix(A, P)) to rounding.
     """
-    if isinstance(A, SymmetricMatrix):
-        if A.kind != "adjacency_A":
-            raise ValueError(f"need an adjacency_A matrix, got {A.kind}")
-        A = A.entries
     n = kernel.n
     if A.shape != (n, n):
         raise ValueError(f"dimension mismatch: {A.shape} vs {n}")
@@ -303,9 +298,9 @@ def compare_with_vectors(
 ) -> tuple[ComparisonReport, CompareArtifacts]:
     """Three-way ladder comparison: analytic roots vs eig(P) vs eig(A).
 
-    Builds the expected kernel for params, samples one adjacency with the
-    params seed from its KernelOperator, takes ||A - P|| on that operator,
-    decomposes P and A densely, and matches analytic rank k to
+    Samples one sparse adjacency with the params seed from the
+    KernelOperator of the expected kernel, takes ||A - P|| on the two,
+    then decomposes dense P and A in turn, and matches analytic rank k to
     the k-th eigenvalue by descending magnitude with a sign veto (the
     predicted sign must agree for the match to stand while same-signed
     candidates remain). A missing root bracket at some k truncates the
@@ -318,12 +313,11 @@ def compare_with_vectors(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     k_max = min(k_max, params.n)
     fv = gen_fitness(params)
-    P = expected_matrix(fv, params.epsilon_n)
     K = KernelOperator(fv, params.epsilon_n)
-    A = sample_adjacency(K, params.seed)
+    A = sample_sparse_adjacency(K, params.seed)
     bulk_edge = noise_norm(A, K)
-    decomp_P = eig_sym(P)
-    decomp_A = eig_sym(A)
+    decomp_P = eig_sym(expected_matrix(fv, params.epsilon_n))
+    decomp_A = eig_sym(A.toarray())
 
     preds: list[tuple[SpectralPrediction, EigenvectorPrediction] | None] = []
     truncated_at: int | None = None

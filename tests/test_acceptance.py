@@ -24,7 +24,7 @@ from msmlab.model import (
     expected_matrix,
     gen_fitness,
     noise_matrix,
-    sample_adjacency,
+    sample_sparse_adjacency,
 )
 from msmlab.numeric import compare, spectral_norm
 from msmlab.special import gamma_line, log_gamma_complex, digamma_line_derivative, pareto_laplace
@@ -173,7 +173,7 @@ def test_criterion_09_cavity_density_sanity():
     herglotz = bool((sol.S_n.imag[sol.converged] > 0).all())
     mass = density_mass(sol)
 
-    H = noise_matrix(sample_adjacency(K, params.seed), expected_matrix(fv, params.epsilon_n))
+    H = noise_matrix(sample_sparse_adjacency(K, params.seed), expected_matrix(fv, params.epsilon_n))
     ev = np.linalg.eigvalsh(H.entries) / math.sqrt(params.n)
     edges = np.array([-0.75, -0.25, 0.25, 0.75])
     hist_frac = np.histogram(ev, bins=edges)[0] / ev.size

@@ -28,7 +28,7 @@ from msmlab.model import (
     expected_matrix,
     gen_fitness,
     noise_matrix,
-    sample_adjacency,
+    sample_sparse_adjacency,
 )
 from msmlab.numeric import spectral_norm
 
@@ -80,9 +80,9 @@ class TestVarianceProfile:
         assert vp.sigma**2 <= vp.d_max + 1e-9
 
     def test_rejects_wrong_kind(self):
-        A = SymmetricMatrix(entries=np.zeros((3, 3)), kind="adjacency_A")
+        H = SymmetricMatrix(entries=np.zeros((3, 3)), kind="noise_H")
         with pytest.raises(ValueError):
-            variance_profile(A)
+            variance_profile(H)
 
 
 class TestNormUpperBound:
@@ -157,7 +157,7 @@ class TestBulkEdge:
         K = KernelOperator(fv, params.epsilon_n)
         P = expected_matrix(fv, params.epsilon_n)
         # realization r draws with seed + r; the reference stores H densely
-        dense = [spectral_norm(noise_matrix(sample_adjacency(K, params.seed + r), P)) for r in range(3)]
+        dense = [spectral_norm(noise_matrix(sample_sparse_adjacency(K, params.seed + r), P)) for r in range(3)]
         matrix_free = edge_samples(K, 3, params.seed)
         assert np.all(np.abs(matrix_free - dense) <= 1e-13 * np.array(dense))
 
@@ -169,7 +169,7 @@ def instance():
     P = expected_matrix(fv, params.epsilon_n)
     K = KernelOperator(fv, params.epsilon_n)
     vp = variance_profile(P)
-    noises = [noise_matrix(sample_adjacency(K, s), P) for s in range(5)]
+    noises = [noise_matrix(sample_sparse_adjacency(K, s), P) for s in range(5)]
     return vp, noises
 
 
@@ -233,16 +233,15 @@ class TestCavitySolve:
 
     def test_bulk_window_density(self):
         params = ModelParams(n=512, alpha=0.5, seed=1)
-        sol, history = cavity_solve(
-            model_kernel(params), np.linspace(-0.75, 0.75, 41), eta=0.05, track_deltas=True
-        )
+        sol = cavity_solve(model_kernel(params), np.linspace(-0.75, 0.75, 41), eta=0.05)
         assert sol.converged.all()
+        assert sol.steps.shape == (sol.iterations.max(), 41)
         assert (sol.S_n.imag > 0.0).all()
         assert (sol.density >= -1e-9).all()
         assert 0.9 <= density_mass(sol) <= 1.1
         # contraction diagnostic: step sizes shrink monotonically after
         # burn-in; violations warn rather than fail
-        worst = np.array([h.max() for h in history])
+        worst = sol.steps.max(axis=1)
         violations = int(np.sum(np.diff(worst[10:]) > 1e-12))
         if violations:
             warnings.warn(f"{violations} non-monotone delta steps after burn-in")
@@ -261,7 +260,7 @@ class TestCavitySolve:
             cavity_solve(K, grid, eta=-0.1)
         with pytest.raises(ValueError):
             cavity_solve(K, np.empty(0), eta=0.1)
-        # no step falls below tol <= 0, so every point would run max_iter sweeps
+        # no step falls below tol <= 0, so every point would run all its sweeps
         for tol in (0.0, -1e-9):
             with pytest.raises(ValueError, match="tol"):
                 cavity_solve(K, grid, eta=0.1, tol=tol)
@@ -309,9 +308,7 @@ class TestCavitySolve:
         grid = np.linspace(-0.75, 0.75, 15)
         # the reference runs the same loop on the dense product, scaled as cavity_solve scales it
         P = expected_matrix(fv, params.epsilon_n).entries
-        dense, _ = bulk._stieltjes_fixed_point(
-            lambda v: P @ v * (1.0 / params.n), params.n, grid, 0.05, 0.5, 1e-9, 5000
-        )
+        dense = bulk._stieltjes_fixed_point(lambda v: P @ v * (1.0 / params.n), params.n, grid, 0.05, 0.5, 1e-9)
         matrix_free = cavity_solve(KernelOperator(fv, params.epsilon_n), grid, eta=0.05)
         assert matrix_free.converged.all()
         assert np.array_equal(matrix_free.iterations, dense.iterations)

@@ -18,7 +18,6 @@ from msmlab.model import (
     expected_matrix,
     gen_fitness,
     noise_matrix,
-    sample_adjacency,
     sample_sparse_adjacency,
     stream_rng,
 )
@@ -110,6 +109,20 @@ class TestExpectedMatrix:
         with pytest.raises(ValueError):
             expected_matrix(det_fitness(10, 0.5), 0.0)
 
+    def test_peak_memory_is_the_result(self):
+        # the kernel is evaluated in place in the product's array, so no
+        # n x n temporary sits beside the result
+        n = 1024
+        fv = det_fitness(n, 0.5)
+        eps = ModelParams(n=n, alpha=0.5).epsilon_n
+        tracemalloc.start()
+        try:
+            expected_matrix(fv, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
+
 
 def constant_P(n: int, p: float) -> SymmetricMatrix:
     m = np.full((n, n), p)
@@ -159,32 +172,31 @@ class TestKernelOperator:
 class TestSampleAdjacency:
     def test_zero_kernel_gives_empty_graph(self):
         # p = 5e-324, the least there is, lies below every uniform but 0
-        A = sample_adjacency(constant_kernel(12, math.ulp(0.0)), seed=0)
-        assert not A.entries.any()
+        A = sample_sparse_adjacency(constant_kernel(12, math.ulp(0.0)), seed=0)
+        assert not A.toarray().any()
 
     def test_saturated_kernel_gives_complete_graph(self):
-        A = sample_adjacency(constant_kernel(12, 1.0), seed=0)
+        A = sample_sparse_adjacency(constant_kernel(12, 1.0), seed=0)
         want = np.ones((12, 12)) - np.eye(12)
-        assert np.array_equal(A.entries, want)
+        assert np.array_equal(A.toarray(), want)
 
     def test_structure_and_reproducibility(self):
         K = KernelOperator(det_fitness(40, 0.5), ModelParams(n=40, alpha=0.5).epsilon_n)
-        A = sample_adjacency(K, seed=11)
-        assert A.kind == "adjacency_A"
-        assert np.array_equal(A.entries, A.entries.T)
-        assert np.all(np.diagonal(A.entries) == 0.0)
-        assert np.isin(A.entries, (0.0, 1.0)).all()
-        assert np.array_equal(A.entries, sample_adjacency(K, seed=11).entries)
-        assert not np.array_equal(A.entries, sample_adjacency(K, seed=12).entries)
+        A = sample_sparse_adjacency(K, seed=11).toarray()
+        assert np.array_equal(A, A.T)
+        assert np.all(np.diagonal(A) == 0.0)
+        assert np.isin(A, (0.0, 1.0)).all()
+        assert np.array_equal(A, sample_sparse_adjacency(K, seed=11).toarray())
+        assert not np.array_equal(A, sample_sparse_adjacency(K, seed=12).toarray())
 
     def test_row_streams_are_order_independent(self):
         # Row i is a pure function of (seed, i); recompute one row alone.
         fv = det_fitness(30, 0.6)
-        A = sample_adjacency(KernelOperator(fv, 1e-3), seed=5)
+        A = sample_sparse_adjacency(KernelOperator(fv, 1e-3), seed=5).toarray()
         i = 7
         u = stream_rng(5, STREAM_ADJACENCY, i).random(30 - 1 - i)
         want = (u < expected_matrix(fv, 1e-3).entries[i, i + 1 :]).astype(float)
-        assert np.array_equal(A.entries[i, i + 1 :], want)
+        assert np.array_equal(A[i, i + 1 :], want)
 
     def test_entry_means_match_P(self):
         # spread weights give pair probabilities from 0.18 to 0.96
@@ -194,7 +206,7 @@ class TestSampleAdjacency:
         R = 3000
         acc = np.zeros((10, 10))
         for s in range(R):
-            acc += sample_adjacency(K, seed=s).entries
+            acc += sample_sparse_adjacency(K, seed=s).toarray()
         mean = acc / R
         iu = np.triu_indices(10, 1)
         sigma = np.sqrt(m[iu] * (1 - m[iu]) / R)
@@ -216,38 +228,23 @@ class TestSampleAdjacency:
                 u = stream_rng(seed, STREAM_ADJACENCY, i).random(n - 1 - i)
                 want[i, i + 1 :] = (u < P.entries[i, i + 1 :]).astype(float)
             want += want.T
-            assert np.array_equal(sample_adjacency(K, seed).entries, want)
             assert np.array_equal(sample_sparse_adjacency(K, seed).toarray(), want)
-
-    def test_peak_memory_is_the_result(self):
-        # mirroring in place with a += a.T copies the whole array first and
-        # doubles the peak; the edges are scattered into one zeroed array
-        n = 1024
-        K = KernelOperator(det_fitness(n, 0.5), ModelParams(n=n, alpha=0.5).epsilon_n)
-        sample_adjacency(K, seed=1)  # the first call imports scipy.sparse
-        tracemalloc.start()
-        try:
-            sample_adjacency(K, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 8 * n * n
 
 
 class TestNoiseMatrix:
     def test_difference_and_kind(self):
         fv, eps = det_fitness(25, 0.5), ModelParams(n=25, alpha=0.5).epsilon_n
         P = expected_matrix(fv, eps)
-        A = sample_adjacency(KernelOperator(fv, eps), seed=2)
+        A = sample_sparse_adjacency(KernelOperator(fv, eps), seed=2)
         H = noise_matrix(A, P)
         assert H.kind == "noise_H"
-        assert np.array_equal(H.entries, A.entries - P.entries)
+        assert np.array_equal(H.entries, A.toarray() - P.entries)
         assert np.all(np.diagonal(H.entries) == 0.0)
 
     def test_saturated_kernel_gives_zero_noise(self):
         # every p rounds to 1, so every pair is drawn and A = P to the bit
         K = constant_kernel(8, 1.0)
-        H = noise_matrix(sample_adjacency(K, seed=1), constant_P(8, 1.0))
+        H = noise_matrix(sample_sparse_adjacency(K, seed=1), constant_P(8, 1.0))
         assert not H.entries.any()
 
     def test_mean_zero_and_variance(self):
@@ -255,7 +252,7 @@ class TestNoiseMatrix:
         K = constant_kernel(6, p)
         P = constant_P(6, p)
         R = 3000
-        samples = np.array([noise_matrix(sample_adjacency(K, seed=s), P).entries[0, 1] for s in range(R)])
+        samples = np.array([noise_matrix(sample_sparse_adjacency(K, seed=s), P).entries[0, 1] for s in range(R)])
         se_mean = math.sqrt(p * (1 - p) / R)
         assert abs(samples.mean()) < 5 * se_mean
         var = samples.var()
@@ -263,9 +260,9 @@ class TestNoiseMatrix:
         assert abs(var - p * (1 - p)) < 5 * se_var
 
     def test_validation(self):
-        A = sample_adjacency(constant_kernel(8, 0.2), seed=0)
+        A = sample_sparse_adjacency(constant_kernel(8, 0.2), seed=0)
         with pytest.raises(ValueError):
-            noise_matrix(A, A)
+            noise_matrix(A, noise_matrix(A, constant_P(8, 0.2)))
         P9 = constant_P(9, 0.2)
         with pytest.raises(ValueError):
             noise_matrix(A, P9)
@@ -408,8 +405,7 @@ class TestBuildersValidByConstruction:
     def test_outputs_pass_the_checked_constructor(self, alpha, mode, n):
         params = ModelParams(n=n, alpha=alpha, seed=3, weight_mode=mode)
         fv = gen_fitness(params)
-        K = KernelOperator(fv, params.epsilon_n)
-        built = [expected_matrix(fv, params.epsilon_n), sample_adjacency(K, seed=3)]
+        built = [expected_matrix(fv, params.epsilon_n)]
         if n == 1000:
             for partition in ("contiguous", "random"):
                 built.append(coarse_grain(fv, params.epsilon_n, 10, partition, seed=3)[1])
@@ -427,7 +423,7 @@ class TestBuildersValidByConstruction:
         eps = ModelParams(n=20, alpha=0.5).epsilon_n
         monkeypatch.setattr(SymmetricMatrix, "__post_init__", refuse)
         P = expected_matrix(fv, eps)
-        A = sample_adjacency(KernelOperator(fv, eps), seed=1)
+        A = sample_sparse_adjacency(KernelOperator(fv, eps), seed=1)
         coarse_grain(fv, eps, 5)
         with pytest.raises(CheckRan):
             noise_matrix(A, P)

@@ -16,7 +16,6 @@ from msmlab.model import (
     expected_matrix,
     gen_fitness,
     noise_matrix,
-    sample_adjacency,
     sample_sparse_adjacency,
 )
 from msmlab.numeric import (
@@ -39,7 +38,6 @@ class TestEigSym:
     def test_zero_matrix(self):
         d = eig_sym(np.zeros((5, 5)))
         assert np.array_equal(d.eigenvalues, np.zeros(5))
-        assert d.source_kind == "custom"
         assert d.n == 5
 
     def test_complete_graph_constant_p(self):
@@ -77,11 +75,11 @@ class TestEigSym:
         with pytest.raises(ValueError):
             eig_sym(np.zeros((3, 4)))
 
-    def test_symmetric_matrix_input_keeps_kind(self):
+    def test_symmetric_matrix_input_matches_its_entries(self):
         params = ModelParams(n=32, alpha=0.5)
         P = expected_matrix(gen_fitness(params), params.epsilon_n)
         d = eig_sym(P)
-        assert d.source_kind == "expected_P"
+        assert np.array_equal(d.eigenvalues, eig_sym(P.entries).eigenvalues)
 
     def test_vectors_false_matches_values(self):
         rng = np.random.default_rng(4)
@@ -106,10 +104,9 @@ class TestEigSym:
 
     def test_decomposition_rejects_misordered(self):
         with pytest.raises(ValueError):
-            EigenDecomposition(source_kind="custom", eigenvalues=np.array([1.0, 2.0]), eigenvectors=None)
+            EigenDecomposition(eigenvalues=np.array([1.0, 2.0]), eigenvectors=None)
         with pytest.raises(ValueError):
             EigenDecomposition(
-                source_kind="custom",
                 eigenvalues=np.array([2.0, 1.0]),
                 eigenvectors=np.zeros((3, 2)),
             )
@@ -128,7 +125,7 @@ class TestDecompositionInvariants:
 
     def test_adjacency_reconstruction(self):
         params = ModelParams(n=256, alpha=0.3, seed=9)
-        A = sample_adjacency(KernelOperator(gen_fitness(params), params.epsilon_n), params.seed)
+        A = sample_sparse_adjacency(KernelOperator(gen_fitness(params), params.epsilon_n), params.seed).toarray()
         d = eig_sym(A)
         assert np.all(reconstruction_residuals(d, A) <= residual_tolerances(d, A))
 
@@ -166,7 +163,7 @@ class TestOutliersAndRank:
 
     def test_outlier_count_band_adjacency(self):
         params = ModelParams(n=1024, alpha=0.5, seed=3)
-        A = sample_adjacency(KernelOperator(gen_fitness(params), params.epsilon_n), params.seed)
+        A = sample_sparse_adjacency(KernelOperator(gen_fitness(params), params.epsilon_n), params.seed).toarray()
         d = eig_sym(A, vectors=False)
         cnt = len(outliers(d, math.sqrt(params.n) / 2))
         assert 0.2 <= cnt / math.log(params.n) <= 5.0
@@ -180,7 +177,6 @@ class TestOutliersAndRank:
             ranks.append(effective_rank(eig_sym(P, vectors=False)))
         order = np.lexsort((-eigvals_P_n1e4, -np.abs(eigvals_P_n1e4)))
         d = EigenDecomposition(
-            source_kind="expected_P",
             eigenvalues=eigvals_P_n1e4[order],
             eigenvectors=None,
         )
@@ -191,7 +187,7 @@ class TestOutliersAndRank:
     @pytest.mark.slow
     def test_outlier_count_band_paper_scale(self, det_instance_n1e4):
         params, fv, _ = det_instance_n1e4
-        A = sample_adjacency(KernelOperator(fv, params.epsilon_n), 1)
+        A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), 1).toarray()
         d = eig_sym(A, vectors=False)
         n = params.n
         cnt = len(outliers(d, math.sqrt(n) / 2))
@@ -240,25 +236,19 @@ class TestNoiseNorm:
         P = expected_matrix(fv, params.epsilon_n)
         K = KernelOperator(fv, params.epsilon_n)
         for seed in (0, 1):
-            A = sample_adjacency(K, seed)
+            A = sample_sparse_adjacency(K, seed)
             want = spectral_norm(noise_matrix(A, P))
-            for got in (noise_norm(A, K), noise_norm(sample_sparse_adjacency(K, seed), K)):
-                assert abs(got - want) <= 1e-13 * want
+            assert abs(noise_norm(A, K) - want) <= 1e-13 * want
 
     def test_tiny_and_vanishing_noise_are_exact(self):
         # n <= 2 is decomposed densely; a saturated kernel draws A = P
         for K, P in (constant_kernel(2, 0.3), constant_kernel(8, 1.0)):
             for seed in (0, 1):
-                A = sample_adjacency(K, seed)
-                want = spectral_norm(noise_matrix(A, P))
-                assert noise_norm(A, K) == want
-                assert noise_norm(sample_sparse_adjacency(K, seed), K) == want
+                A = sample_sparse_adjacency(K, seed)
+                assert noise_norm(A, K) == spectral_norm(noise_matrix(A, P))
 
     def test_validation(self):
-        K, P = constant_kernel(8, 0.2)
-        A = sample_adjacency(K, 0)
-        with pytest.raises(ValueError):
-            noise_norm(P, K)
+        A = sample_sparse_adjacency(constant_kernel(8, 0.2)[0], 0)
         with pytest.raises(ValueError):
             noise_norm(A, constant_kernel(9, 0.2)[0])
 
@@ -311,9 +301,19 @@ class TestCompare:
         params = ModelParams(n=1024, alpha=0.5, seed=3, weight_mode=mode)
         report, _ = compare_with_vectors(params, k_max=2)
         fv = gen_fitness(params)
-        A = sample_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
+        A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
         want = spectral_norm(noise_matrix(A, expected_matrix(fv, params.epsilon_n)))
         assert abs(report.bulk_edge_measured - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_bulk_edge_is_the_sparse_draw_norm(self, alpha, mode):
+        # compare takes ||H|| on the sparse draw itself, the same solve
+        # edge_samples runs, so the two agree to the bit
+        params = ModelParams(n=1024, alpha=alpha, seed=3, weight_mode=mode)
+        K = KernelOperator(gen_fitness(params), params.epsilon_n)
+        want = noise_norm(sample_sparse_adjacency(K, params.seed), K)
+        assert compare_with_vectors(params, 8)[0].bulk_edge_measured == want
 
     def test_bulk_edge_under_envelope(self, report_2048):
         n = report_2048.params.n
@@ -324,10 +324,10 @@ class TestCompare:
         params = ModelParams(n=1024, alpha=0.5, seed=3)
         fv = gen_fitness(params)
         P = expected_matrix(fv, params.epsilon_n)
-        A = sample_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
+        A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
         H = noise_matrix(A, P)
         vals_P = np.sort(eig_sym(P, vectors=False).eigenvalues)[::-1]
-        vals_A = np.sort(eig_sym(A, vectors=False).eigenvalues)[::-1]
+        vals_A = np.sort(eig_sym(A.toarray(), vectors=False).eigenvalues)[::-1]
         norm_H = spectral_norm(H)
         assert np.max(np.abs(vals_A - vals_P)) <= norm_H + 1e-8
         assert abs(vals_P.sum()) <= 1e-6 * params.n
