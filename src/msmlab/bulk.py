@@ -1,12 +1,12 @@
 """Noise-part norm bounds, measured bulk edges, and Stieltjes solvers.
 
-The noise part is H = A - P. Its entry variances v_ij = p_ij(1 - p_ij)
-drive every bound here: sigma is the largest row deviation, sigma_star the
+The noise part is H = A - P. Its entry variances p_ij(1 - p_ij) drive
+every bound here: sigma is the largest row deviation, sigma_star the
 largest single-entry deviation, and the measured edge is ||H|| averaged
 over independently sampled realizations.
 
-The measured edge and the cavity solver take the kernel P as a
-model.KernelOperator and hold no n x n array: each realization's A is a
+Everything here takes P as a model.KernelOperator and holds no n x n
+array: the profile is two operator products, each realization's A is a
 sparse draw, ||H|| is a Lanczos solve on v -> A v - P v, and the cavity
 sweep multiplies by P through its near/far split.
 
@@ -26,16 +26,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.integrate
+import scipy.sparse
 
 from .model import (
     STREAM_PPP,
     FitnessVector,
     KernelOperator,
-    SymmetricMatrix,
+    _kernel,
     sample_sparse_adjacency,
     stream_rng,
 )
-from .numeric import noise_norm, spectral_norm
+from .numeric import noise_norm
 
 __all__ = [
     "VarianceProfile",
@@ -61,17 +62,14 @@ _MAX_SWEEPS = 5000
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Bernoulli variance structure of the noise part."""
+    """Bernoulli variance structure of the noise part, v_ij = p_ij (1 - p_ij)."""
 
-    v: np.ndarray  # v_ij = p_ij (1 - p_ij)
     sigma: float  # max_i sqrt(sum_{j != i} v_ij)
     sigma_star: float  # max_{i != j} sqrt(v_ij)
     d_max: float  # largest expected degree
+    sigma_row: int  # the row attaining sigma
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
         # p(1-p) <= 1/4 and v <= p entrywise, so these hold in exact
         # arithmetic; a violation means the profile was not built from
         # a probability matrix
@@ -154,18 +152,31 @@ class PPPAtoms:
         return a / (1.0 - a) * float(self.K) ** (-(1.0 - a) / a)
 
 
-def variance_profile(P: SymmetricMatrix) -> VarianceProfile:
-    """Entry variances and the derived row/entry maxima."""
-    if P.kind != "expected_P":
-        raise ValueError(f"need an expected_P matrix, got {P.kind}")
-    p = P.entries
-    v = p * (1.0 - p)
-    row = v.sum(axis=1)  # diagonal is zero, so this is sum over j != i
+def variance_profile(x: FitnessVector, epsilon_n: float) -> VarianceProfile:
+    """Row and entry maxima of the variances v_ij = p_ij (1 - p_ij), matrix-free.
+
+    With t = eps x_i x_j, p(1 - p) = e^(-t) - e^(-2t) = p(2 eps) - p(eps), so
+    the row sums of v are K_{2 eps} 1 - K_eps 1 for the KernelOperators of
+    the two scales, built one after the other; K_eps 1 holds the expected
+    degrees. p(1 - p) peaks at t = ln 2 and falls monotonically away from
+    it, so row i's largest entry sits at a weight bracketing
+    ln 2 / (eps x_i) in the sorted x: the two on each side, in case one of
+    them is i itself, evaluated as expected_matrix evaluates them.
+    """
+    ones = np.ones((x.n, 1))
+    degrees = KernelOperator(x, epsilon_n).matmat(ones)[:, 0]
+    row = KernelOperator(x, 2.0 * epsilon_n).matmat(ones)[:, 0] - degrees
+    i_star = int(row.argmax())
+    xs = x.x
+    # the first j with x_j <= ln 2 / (eps x_i); x descends, so -x ascends
+    cols = np.searchsorted(-xs, -math.log(2.0) / (epsilon_n * xs))[:, None] + np.arange(-2, 2)
+    pair = (cols >= 0) & (cols < x.n) & (cols != np.arange(x.n)[:, None])
+    p = _kernel(epsilon_n, xs[np.nonzero(pair)[0]], xs[cols[pair]])
     return VarianceProfile(
-        v=v,
-        sigma=float(np.sqrt(row.max())),
-        sigma_star=float(np.sqrt(v.max())),
-        d_max=float(p.sum(axis=1).max()),
+        sigma=float(np.sqrt(row[i_star])),
+        sigma_star=float(np.sqrt((p * (1.0 - p)).max(initial=0.0))),
+        d_max=float(degrees.max()),
+        sigma_row=i_star,
     )
 
 
@@ -212,13 +223,16 @@ def measure_bulk_edge(kernel: KernelOperator, realizations: int, seed: int) -> t
 
 def norm_lower_bound_check(
     vp: VarianceProfile,
-    noises: Sequence[SymmetricMatrix],
+    kernel: KernelOperator,
+    draws: Sequence[scipy.sparse.sparray],
     delta: float = 0.5,
     c: float = 0.01,
 ) -> LowerBoundReport:
     """Check ||H|| >= sqrt(1 - delta) sigma across realizations.
 
-    The empirical pass fraction must beat the conservative floor
+    draws are sparse adjacencies drawn from kernel, the KernelOperator of
+    the P that vp profiles; each ||A - P|| comes from noise_norm. The
+    empirical pass fraction must beat the conservative floor
     1 - exp(-c delta^2 sigma^2). As a second, entrywise witness, the
     squared column norm at the row attaining sigma is a sum of n-1
     independent variables bounded by 1 with mean sigma^2, so it must sit
@@ -226,22 +240,21 @@ def norm_lower_bound_check(
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0,1], got {delta}")
-    if not noises:
-        raise ValueError("need at least one noise realization")
-    n = vp.v.shape[0]
-    i_star = int(vp.v.sum(axis=1).argmax())
+    if not draws:
+        raise ValueError("need at least one adjacency draw")
+    n = kernel.n
+    e = np.zeros((n, 1))
+    e[vp.sigma_row] = 1.0
     sigma2 = vp.sigma**2
     threshold = math.sqrt(1.0 - delta) * vp.sigma
     hits = 0
     max_dev = 0.0
-    for H in noises:
-        if H.kind != "noise_H":
-            raise ValueError(f"need noise_H matrices, got {H.kind}")
-        if spectral_norm(H) >= threshold:
+    for A in draws:
+        if noise_norm(A, kernel) >= threshold:
             hits += 1
-        col = H.entries[:, i_star]
+        col = (A @ e - kernel.matmat(e))[:, 0]  # H e_i* = A[:, i*] - P e_i*
         max_dev = max(max_dev, abs(float(col @ col) - sigma2))
-    fraction = hits / len(noises)
+    fraction = hits / len(draws)
     floor = 1.0 - math.exp(-c * delta**2 * sigma2)
     width = math.sqrt((n - 1) * math.log(2.0 / 0.05) / 2.0)
     return LowerBoundReport(
@@ -251,7 +264,7 @@ def norm_lower_bound_check(
         fraction=fraction,
         floor=floor,
         passed=fraction > floor,
-        witness_index=i_star,
+        witness_index=vp.sigma_row,
         witness_max_dev=max_dev,
         witness_width=width,
         witness_ok=max_dev <= 3.0 * width,

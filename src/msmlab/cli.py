@@ -56,6 +56,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed_value(text: str) -> int:
+    value = _number(int, text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = _number(float, text)
     if not math.isfinite(value):
@@ -320,7 +327,7 @@ class _Command:
 # every command takes these, from a flag or from a config file
 _COMMON = (("out", Path, None, "output path prefix"), ("threads", _positive_int, None, "cap the BLAS worker pool"))
 # rows several commands share
-_SEED = ("seed", int, 0)
+_SEED = ("seed", _seed_value, 0)
 _ALPHA = ("alpha", _alpha_value, 0.5)
 _K_MAX = ("k_max", _positive_int, 8)
 _PAPER_SCALE = ("paper_scale", bool, False)

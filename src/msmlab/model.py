@@ -1,4 +1,4 @@
-"""Model instances: fitness weights, expected kernel P, adjacency A, noise H.
+"""Model instances: fitness weights, expected kernel P, adjacency A.
 
 Nodes carry Pareto(alpha) fitness weights x >= 1 and connect independently
 with probability p_ij = 1 - exp(-eps_n x_i x_j), eps_n = n^(-1/alpha), with
@@ -9,8 +9,8 @@ index 1 is the largest hub.
 KernelOperator applies P and reads its rows without an n x n array; the
 adjacency sampler, and the norms and solvers elsewhere, take P in that
 form. expected_matrix builds the dense array only for what needs one: the
-eigensolves, the noise matrix and coarse-graining. Both evaluate each
-entry through one formula, so they agree to the bit where they overlap.
+eigensolves and coarse-graining. Both evaluate each entry through one
+formula, so they agree to the bit where they overlap.
 
 A has one form, the sparse 0/1 CSR array of sample_sparse_adjacency;
 callers that need a dense A, such as an eigensolve, take its toarray().
@@ -37,7 +37,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "WEIGHT_MODES",
-    "MATRIX_KINDS",
     "STREAM_FITNESS",
     "STREAM_ADJACENCY",
     "STREAM_PARTITION",
@@ -50,12 +49,10 @@ __all__ = [
     "gen_fitness",
     "expected_matrix",
     "sample_sparse_adjacency",
-    "noise_matrix",
     "coarse_grain",
 ]
 
 WEIGHT_MODES = ("iid_pareto", "deterministic")
-MATRIX_KINDS = ("expected_P", "noise_H")
 
 STREAM_FITNESS = 0
 STREAM_ADJACENCY = 1
@@ -121,26 +118,22 @@ class FitnessVector:
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """A symmetric n x n matrix with zero diagonal, tagged by its role.
+    """A dense kernel matrix: symmetric, zero diagonal, entries in [0, 1].
 
     The constructor is the checked boundary for matrices made outside this
     module: it rejects a non-square array, asymmetry to the bit, a nonzero
-    diagonal and entries outside the kind's range, all O(n^2) passes.
-    expected_matrix and coarse_grain build arrays whose invariants hold by
-    how they are computed, so they wrap them through _built, which only
-    makes the array read-only. noise_matrix keeps the checks, because its
-    (-1, 1) range holds only when A was drawn from P.
+    diagonal and entries outside [0, 1], all O(n^2) passes. expected_matrix
+    and coarse_grain build arrays whose invariants hold by how they are
+    computed, so they wrap them through _built, which only makes the array
+    read-only.
     """
 
     entries: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        if self.kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {self.kind!r}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"need a square matrix, got shape {m.shape}")
         if not np.array_equal(m, m.T):
@@ -148,24 +141,21 @@ class SymmetricMatrix:
         if np.any(np.diagonal(m) != 0.0):
             raise ValueError("diagonal must be exactly zero")
         lo, hi = float(m.min()), float(m.max())
-        # expected_P may round to exactly 1.0 at double precision once
+        # P may round to exactly 1.0 at double precision once
         # eps_n x_i x_j exceeds ~37, so the closed interval is checked.
-        if self.kind == "expected_P" and not (0.0 <= lo and hi <= 1.0):
-            raise ValueError(f"expected_P entries outside [0,1]: [{lo},{hi}]")
-        if self.kind == "noise_H" and not (-1.0 < lo and hi < 1.0):
-            raise ValueError(f"noise entries outside (-1,1): [{lo},{hi}]")
+        if not (0.0 <= lo and hi <= 1.0):
+            raise ValueError(f"kernel entries outside [0,1]: [{lo},{hi}]")
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     @classmethod
-    def _built(cls, entries: np.ndarray, kind: str) -> SymmetricMatrix:
+    def _built(cls, entries: np.ndarray) -> SymmetricMatrix:
         """Wrap a float array that a builder here made valid by construction."""
         entries.setflags(write=False)
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "entries", entries)
-        object.__setattr__(matrix, "kind", kind)
         return matrix
 
 
@@ -202,7 +192,7 @@ def expected_matrix(x: FitnessVector, epsilon_n: float) -> SymmetricMatrix:
     np.fill_diagonal(p, 0.0)
     # each entry is a function of the commutative product x_i x_j, the
     # diagonal is zeroed, and -expm1 of a non-positive argument lies in [0, 1]
-    return SymmetricMatrix._built(p, "expected_P")
+    return SymmetricMatrix._built(p)
 
 
 class KernelOperator:
@@ -325,19 +315,6 @@ def sample_sparse_adjacency(kernel: KernelOperator, seed: int) -> scipy.sparse.c
     return scipy.sparse.csr_array((np.ones(2 * upper.size), both), shape=(n, n))
 
 
-def noise_matrix(A: scipy.sparse.sparray, P: SymmetricMatrix) -> SymmetricMatrix:
-    """H = A - P, the zero-mean noise part of the adjacency, stored densely.
-
-    A is a sparse draw from P, as sample_sparse_adjacency returns; the
-    checked constructor verifies the result.
-    """
-    if P.kind != "expected_P":
-        raise ValueError(f"need an expected_P matrix, got {P.kind}")
-    if A.shape != P.entries.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {P.entries.shape}")
-    return SymmetricMatrix(entries=A.toarray() - P.entries, kind="noise_H")
-
-
 def coarse_grain(
     x: FitnessVector,
     epsilon_n: float,
@@ -356,7 +333,7 @@ def coarse_grain(
     the model is closed under homogeneous aggregation. The product is
     evaluated here as written (in log space), not through the closed form,
     so the invariance stays a checkable statement. The diagonal of the
-    induced matrix is zero like every other matrix kind.
+    induced matrix is zero, as in expected_matrix.
 
     partition is "contiguous" (blocks of the descending sort order) or
     "random" (seeded uniform shuffle into equal blocks).
@@ -387,4 +364,4 @@ def coarse_grain(
     coarse = coarse[rank][:, rank]
     coarse = 0.5 * (coarse + coarse.T)  # re-mirror after fancy indexing
     # re-mirrored, zero diagonal, and -expm1 of a log-sum <= 0 lies in [0, 1]
-    return FitnessVector(x=big_x), SymmetricMatrix._built(coarse, "expected_P")
+    return FitnessVector(x=big_x), SymmetricMatrix._built(coarse)

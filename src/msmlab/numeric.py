@@ -243,8 +243,7 @@ def noise_norm(A: scipy.sparse.sparray, kernel: KernelOperator) -> float:
     """||H|| = ||A - P|| from the Lanczos solve on v -> A v - P v.
 
     A is the sparse adjacency that sample_sparse_adjacency drew from
-    kernel, the KernelOperator of P. H is never stored; the result matches
-    spectral_norm(noise_matrix(A, P)) to rounding.
+    kernel, the KernelOperator of P. H is never stored.
     """
     n = kernel.n
     if A.shape != (n, n):

@@ -21,20 +21,25 @@ from msmlab.bulk import (
     variance_profile,
 )
 from msmlab.model import (
+    WEIGHT_MODES,
     FitnessVector,
     KernelOperator,
     ModelParams,
     SymmetricMatrix,
     expected_matrix,
     gen_fitness,
-    noise_matrix,
     sample_sparse_adjacency,
 )
 from msmlab.numeric import spectral_norm
 
 
-def zero_P(n: int) -> SymmetricMatrix:
-    return SymmetricMatrix(entries=np.zeros((n, n)), kind="expected_P")
+def saturated_profile(n: int) -> bulk.VarianceProfile:
+    """Every p rounds to 1 (eps = 40), so every variance is exactly 0."""
+    return variance_profile(FitnessVector(np.ones(n)), 40.0)
+
+
+def model_profile(params: ModelParams) -> bulk.VarianceProfile:
+    return variance_profile(gen_fitness(params), params.epsilon_n)
 
 
 def model_P(params: ModelParams) -> SymmetricMatrix:
@@ -51,62 +56,87 @@ def model_kernel(params: ModelParams) -> KernelOperator:
 
 
 class TestVarianceProfile:
-    def test_zero_kernel(self):
-        vp = variance_profile(zero_P(4))
+    def test_saturated_kernel(self):
+        vp = saturated_profile(4)
         assert vp.sigma == 0.0
         assert vp.sigma_star == 0.0
-        assert vp.d_max == 0.0
+        assert vp.d_max == 3.0
 
     def test_maximal_bernoulli_variance(self):
         # p = 1/2 everywhere maximizes p(1-p), pinning both maxima
         n = 6
-        P = SymmetricMatrix(entries=0.5 * (np.ones((n, n)) - np.eye(n)), kind="expected_P")
-        vp = variance_profile(P)
+        vp = variance_profile(FitnessVector(np.ones(n)), math.log(2.0))
         assert vp.sigma_star == 0.5
         assert vp.sigma == pytest.approx(math.sqrt(n - 1) / 2, abs=1e-15)
 
     def test_sigma_under_crude_level_paper_scale_kernel(self):
-        params = ModelParams(n=4096, alpha=0.5)
-        vp = variance_profile(expected_matrix(gen_fitness(params), params.epsilon_n))
+        vp = model_profile(ModelParams(n=4096, alpha=0.5))
         assert vp.sigma <= math.sqrt(4096) / 2
         # hubs saturate a pair probability through p = 1/2 exactly
         assert vp.sigma_star == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_structural_invariants(self, alpha):
-        params = ModelParams(n=256, alpha=alpha)
-        vp = variance_profile(expected_matrix(gen_fitness(params), params.epsilon_n))
+        vp = model_profile(ModelParams(n=256, alpha=alpha))
         assert vp.sigma_star <= 0.5 + 1e-12
         assert vp.sigma**2 <= vp.d_max + 1e-9
 
-    def test_rejects_wrong_kind(self):
-        H = SymmetricMatrix(entries=np.zeros((3, 3)), kind="noise_H")
-        with pytest.raises(ValueError):
-            variance_profile(H)
+    @pytest.mark.parametrize("n", [257, 1000, 2048])
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_matches_the_dense_variances(self, alpha, mode, n):
+        # reference: v = p (1 - p) entrywise on the dense P; measured
+        # <= 1.3e-14 relative on sigma and <= 2.1e-15 on d_max
+        params = ModelParams(n=n, alpha=alpha, seed=3, weight_mode=mode)
+        fv = gen_fitness(params)
+        p = expected_matrix(fv, params.epsilon_n).entries
+        v = p * (1.0 - p)
+        rows = v.sum(axis=1)
+        vp = variance_profile(fv, params.epsilon_n)
+        assert vp.sigma == pytest.approx(math.sqrt(rows.max()), rel=1e-13, abs=0.0)
+        assert vp.d_max == pytest.approx(p.sum(axis=1).max(), rel=1e-13, abs=0.0)
+        assert vp.sigma_star == math.sqrt(v.max())
+        assert vp.sigma_row == int(rows.argmax())
+
+    def test_holds_no_dense_array(self):
+        # two operator products and four neighbours per row, then Lanczos
+        # on the sparse draws; measured 0.060 and 0.012 of one n x n array
+        n = 4096
+        params = ModelParams(n=n, alpha=0.5)
+        fv = gen_fitness(params)
+        K = KernelOperator(fv, params.epsilon_n)
+        draws = [sample_sparse_adjacency(K, s) for s in range(2)]
+        tracemalloc.start()
+        try:
+            vp = variance_profile(fv, params.epsilon_n)
+            norm_lower_bound_check(vp, K, draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * n * n * 8
 
 
 class TestNormUpperBound:
     def test_crude_value_paper_scale(self):
-        _, crude = norm_upper_bound(variance_profile(zero_P(4)), 10**4)
+        _, crude = norm_upper_bound(saturated_profile(4), 10**4)
         assert crude == pytest.approx(50.0 + 0.25 * math.sqrt(math.log(10**4)), abs=1e-12)
         assert crude == pytest.approx(50.76, abs=0.005)
 
     def test_zero_profile_collapses_expectation_bound(self):
-        eb, crude = norm_upper_bound(variance_profile(zero_P(4)), 64)
+        eb, crude = norm_upper_bound(saturated_profile(4), 64)
         assert eb == 0.0
         assert crude == math.sqrt(64) / 2 + math.sqrt(math.log(64)) / 4
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("n", [256, 1024])
     def test_expectation_under_crude_for_generated_profiles(self, alpha, n):
-        params = ModelParams(n=n, alpha=alpha)
-        vp = variance_profile(expected_matrix(gen_fitness(params), params.epsilon_n))
+        vp = model_profile(ModelParams(n=n, alpha=alpha))
         eb, crude = norm_upper_bound(vp, n)
         assert eb <= crude
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
-            norm_upper_bound(variance_profile(zero_P(3)), 1)
+            norm_upper_bound(saturated_profile(3), 1)
 
 
 class TestBulkEdge:
@@ -117,7 +147,7 @@ class TestBulkEdge:
     def test_mean_under_crude_bound(self):
         params = ModelParams(n=512, alpha=0.5, seed=0)
         mean, stderr = measure_bulk_edge(model_kernel(params), 6, params.seed)
-        _, crude = norm_upper_bound(variance_profile(zero_P(4)), 512)
+        _, crude = norm_upper_bound(saturated_profile(4), 512)
         assert 0.0 < mean <= crude
         assert stderr > 0.0
 
@@ -157,7 +187,7 @@ class TestBulkEdge:
         K = KernelOperator(fv, params.epsilon_n)
         P = expected_matrix(fv, params.epsilon_n)
         # realization r draws with seed + r; the reference stores H densely
-        dense = [spectral_norm(noise_matrix(sample_sparse_adjacency(K, params.seed + r), P)) for r in range(3)]
+        dense = [spectral_norm(sample_sparse_adjacency(K, params.seed + r).toarray() - P.entries) for r in range(3)]
         matrix_free = edge_samples(K, 3, params.seed)
         assert np.all(np.abs(matrix_free - dense) <= 1e-13 * np.array(dense))
 
@@ -166,45 +196,65 @@ class TestBulkEdge:
 def instance():
     params = ModelParams(n=1024, alpha=0.5, seed=3)
     fv = gen_fitness(params)
-    P = expected_matrix(fv, params.epsilon_n)
     K = KernelOperator(fv, params.epsilon_n)
-    vp = variance_profile(P)
-    noises = [noise_matrix(sample_sparse_adjacency(K, s), P) for s in range(5)]
-    return vp, noises
+    vp = variance_profile(fv, params.epsilon_n)
+    draws = [sample_sparse_adjacency(K, s) for s in range(5)]
+    return vp, K, draws
 
 
 class TestLowerBound:
     def test_full_fraction_at_half_delta(self, instance):
-        vp, noises = instance
-        rep = norm_lower_bound_check(vp, noises, delta=0.5)
+        vp, K, draws = instance
+        rep = norm_lower_bound_check(vp, K, draws, delta=0.5)
         assert rep.fraction == 1.0
         assert rep.passed
         assert rep.threshold == pytest.approx(math.sqrt(0.5) * vp.sigma)
         assert 0.0 < rep.floor < 1.0
 
     def test_delta_one_trivial(self, instance):
-        vp, noises = instance
-        rep = norm_lower_bound_check(vp, noises, delta=1.0)
+        vp, K, draws = instance
+        rep = norm_lower_bound_check(vp, K, draws, delta=1.0)
         assert rep.threshold == 0.0
         assert rep.fraction == 1.0
 
     def test_column_norm_witness(self, instance):
-        vp, noises = instance
-        rep = norm_lower_bound_check(vp, noises)
+        vp, K, draws = instance
+        rep = norm_lower_bound_check(vp, K, draws)
         assert rep.witness_width == pytest.approx(
             math.sqrt(1023 * math.log(2 / 0.05) / 2), abs=1e-12
         )
         assert rep.witness_max_dev <= 3 * rep.witness_width
         assert rep.witness_ok
 
+    def test_matches_the_dense_noise(self, instance):
+        # reference: sigma, its row and each H = A - P from the dense P;
+        # measured 6.2e-16 relative on threshold, 1.1e-15 on floor and
+        # 1.8e-14 on witness_max_dev
+        vp, K, draws = instance
+        params = ModelParams(n=1024, alpha=0.5, seed=3)
+        p = expected_matrix(gen_fitness(params), params.epsilon_n).entries
+        rows = (p * (1.0 - p)).sum(axis=1)
+        i_star = int(rows.argmax())
+        sigma2 = float(rows.max())
+        threshold = math.sqrt(0.5 * sigma2)
+        noises = [A.toarray() - p for A in draws]
+        fraction = sum(spectral_norm(H) >= threshold for H in noises) / len(noises)
+        max_dev = max(abs(float(H[:, i_star] @ H[:, i_star]) - sigma2) for H in noises)
+        floor = 1.0 - math.exp(-0.01 * 0.25 * sigma2)
+        rep = norm_lower_bound_check(vp, K, draws)
+        assert (rep.fraction, rep.passed, rep.witness_index) == (fraction, fraction > floor, i_star)
+        assert rep.threshold == pytest.approx(threshold, rel=1e-12, abs=0.0)
+        assert rep.floor == pytest.approx(floor, rel=1e-12, abs=0.0)
+        assert rep.witness_max_dev == pytest.approx(max_dev, rel=1e-12, abs=0.0)
+
     def test_validation(self, instance):
-        vp, noises = instance
+        vp, K, draws = instance
         with pytest.raises(ValueError):
-            norm_lower_bound_check(vp, noises, delta=0.0)
+            norm_lower_bound_check(vp, K, draws, delta=0.0)
         with pytest.raises(ValueError):
-            norm_lower_bound_check(vp, [])
+            norm_lower_bound_check(vp, K, [])
         with pytest.raises(ValueError):
-            norm_lower_bound_check(vp, [zero_P(4)])
+            norm_lower_bound_check(vp, K, [sample_sparse_adjacency(constant_kernel(4, 0.2), 0)])
 
 
 class TestCavitySolve:

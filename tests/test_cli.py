@@ -535,6 +535,35 @@ class TestConfigAndEnvironment:
             assert_one_line_error(err)
             assert f"must be finite, got {text}" in err
 
+    @pytest.mark.parametrize("command", ["compare", "bulk", "coarsegrain"])
+    @pytest.mark.parametrize(
+        "text, value, message",
+        [
+            ("x", "x", "invalid int value: 'x'"),
+            ("-3", -3, "seed must be >= 0, got -3"),
+        ],
+        ids=["not_int", "negative"],
+    )
+    def test_seed_is_checked_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, text, value, message
+    ):
+        # a negative seed would reach numpy's SeedSequence, whose error names no option
+        import msmlab.model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built weights before the seed was checked")
+
+        monkeypatch.setattr(msmlab.model, "gen_fitness", refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": value}))
+        argv = [command, "--n", "64", "--out", str(tmp_path / "f")]
+        for given in (["--seed", text], ["--config", str(path)]):
+            assert main(argv + given) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert_one_line_error(err)
+            assert message in err
+        assert not list(tmp_path.glob("f*"))
+
     @pytest.mark.parametrize(
         "key, text, message",
         [

@@ -17,7 +17,6 @@ from msmlab.model import (
     coarse_grain,
     expected_matrix,
     gen_fitness,
-    noise_matrix,
     sample_sparse_adjacency,
     stream_rng,
 )
@@ -100,7 +99,6 @@ class TestExpectedMatrix:
 
     def test_structure(self):
         P = expected_matrix(det_fitness(50, 0.4), ModelParams(n=50, alpha=0.4).epsilon_n)
-        assert P.kind == "expected_P"
         assert np.array_equal(P.entries, P.entries.T)
         assert np.all(np.diagonal(P.entries) == 0.0)
         assert P.entries.min() >= 0.0 and P.entries.max() <= 1.0
@@ -122,12 +120,6 @@ class TestExpectedMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * n * n
-
-
-def constant_P(n: int, p: float) -> SymmetricMatrix:
-    m = np.full((n, n), p)
-    np.fill_diagonal(m, 0.0)
-    return SymmetricMatrix(entries=m, kind="expected_P")
 
 
 def constant_kernel(n: int, p: float) -> KernelOperator:
@@ -232,40 +224,23 @@ class TestSampleAdjacency:
 
 
 class TestNoiseMatrix:
-    def test_difference_and_kind(self):
-        fv, eps = det_fitness(25, 0.5), ModelParams(n=25, alpha=0.5).epsilon_n
-        P = expected_matrix(fv, eps)
-        A = sample_sparse_adjacency(KernelOperator(fv, eps), seed=2)
-        H = noise_matrix(A, P)
-        assert H.kind == "noise_H"
-        assert np.array_equal(H.entries, A.toarray() - P.entries)
-        assert np.all(np.diagonal(H.entries) == 0.0)
+    """The noise A - P of the sampler's draws."""
 
     def test_saturated_kernel_gives_zero_noise(self):
         # every p rounds to 1, so every pair is drawn and A = P to the bit
-        K = constant_kernel(8, 1.0)
-        H = noise_matrix(sample_sparse_adjacency(K, seed=1), constant_P(8, 1.0))
-        assert not H.entries.any()
+        A = sample_sparse_adjacency(constant_kernel(8, 1.0), seed=1)
+        assert not (A.toarray() - expected_matrix(FitnessVector(np.ones(8)), 40.0).entries).any()
 
     def test_mean_zero_and_variance(self):
         p = 0.3
         K = constant_kernel(6, p)
-        P = constant_P(6, p)
         R = 3000
-        samples = np.array([noise_matrix(sample_sparse_adjacency(K, seed=s), P).entries[0, 1] for s in range(R)])
+        samples = np.array([sample_sparse_adjacency(K, seed=s)[0, 1] for s in range(R)]) - p
         se_mean = math.sqrt(p * (1 - p) / R)
         assert abs(samples.mean()) < 5 * se_mean
         var = samples.var()
         se_var = np.std(samples**2) / math.sqrt(R)
         assert abs(var - p * (1 - p)) < 5 * se_var
-
-    def test_validation(self):
-        A = sample_sparse_adjacency(constant_kernel(8, 0.2), seed=0)
-        with pytest.raises(ValueError):
-            noise_matrix(A, noise_matrix(A, constant_P(8, 0.2)))
-        P9 = constant_P(9, 0.2)
-        with pytest.raises(ValueError):
-            noise_matrix(A, P9)
 
 
 class TestCoarseGrain:
@@ -341,11 +316,12 @@ class TestCoarseGrain:
 
 
 class TestExpectedDegrees:
-    def test_zero_kernel(self):
-        assert not constant_P(9, 0.0).entries.sum(axis=1).any()
+    def test_saturated_kernel(self):
+        d = constant_kernel(9, 1.0).matmat(np.ones((9, 1)))
+        assert np.array_equal(d, np.full((9, 1), 8.0))
 
     def test_constant_kernel(self):
-        d = constant_P(9, 0.25).entries.sum(axis=1)
+        d = constant_kernel(9, 0.25).matmat(np.ones((9, 1)))
         assert np.allclose(d, 8 * 0.25, rtol=1e-15)
 
     def test_degree_ccdf_tail_slope(self, det_instance_n1e4):
@@ -379,21 +355,23 @@ class TestSymmetricMatrixValidation:
         m = np.zeros((3, 3))
         m[0, 1] = 0.5
         with pytest.raises(ValueError):
-            SymmetricMatrix(entries=m, kind="expected_P")
+            SymmetricMatrix(entries=m)
 
     def test_rejects_nonzero_diagonal(self):
         m = np.eye(3) * 0.5
         with pytest.raises(ValueError):
-            SymmetricMatrix(entries=m, kind="expected_P")
+            SymmetricMatrix(entries=m)
 
     def test_rejects_out_of_range(self):
         m = np.full((3, 3), 1.5)
         np.fill_diagonal(m, 0.0)
         with pytest.raises(ValueError):
-            SymmetricMatrix(entries=m, kind="expected_P")
+            SymmetricMatrix(entries=m)
 
     def test_entries_read_only(self):
-        P = constant_P(5, 0.3)
+        m = np.full((5, 5), 0.3)
+        np.fill_diagonal(m, 0.0)
+        P = SymmetricMatrix(entries=m)
         with pytest.raises(ValueError):
             P.entries[0, 1] = 0.9
 
@@ -410,9 +388,9 @@ class TestBuildersValidByConstruction:
             for partition in ("contiguous", "random"):
                 built.append(coarse_grain(fv, params.epsilon_n, 10, partition, seed=3)[1])
         for M in built:
-            SymmetricMatrix(entries=M.entries, kind=M.kind)
+            SymmetricMatrix(entries=M.entries)
 
-    def test_builders_skip_the_checks_and_noise_keeps_them(self, monkeypatch):
+    def test_builders_skip_the_checks(self, monkeypatch):
         class CheckRan(Exception):
             pass
 
@@ -422,8 +400,5 @@ class TestBuildersValidByConstruction:
         fv = det_fitness(20, 0.5)
         eps = ModelParams(n=20, alpha=0.5).epsilon_n
         monkeypatch.setattr(SymmetricMatrix, "__post_init__", refuse)
-        P = expected_matrix(fv, eps)
-        A = sample_sparse_adjacency(KernelOperator(fv, eps), seed=1)
+        expected_matrix(fv, eps)
         coarse_grain(fv, eps, 5)
-        with pytest.raises(CheckRan):
-            noise_matrix(A, P)

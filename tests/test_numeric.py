@@ -15,7 +15,6 @@ from msmlab.model import (
     SymmetricMatrix,
     expected_matrix,
     gen_fitness,
-    noise_matrix,
     sample_sparse_adjacency,
 )
 from msmlab.numeric import (
@@ -237,7 +236,7 @@ class TestNoiseNorm:
         K = KernelOperator(fv, params.epsilon_n)
         for seed in (0, 1):
             A = sample_sparse_adjacency(K, seed)
-            want = spectral_norm(noise_matrix(A, P))
+            want = spectral_norm(A.toarray() - P.entries)
             assert abs(noise_norm(A, K) - want) <= 1e-13 * want
 
     def test_tiny_and_vanishing_noise_are_exact(self):
@@ -245,7 +244,7 @@ class TestNoiseNorm:
         for K, P in (constant_kernel(2, 0.3), constant_kernel(8, 1.0)):
             for seed in (0, 1):
                 A = sample_sparse_adjacency(K, seed)
-                assert noise_norm(A, K) == spectral_norm(noise_matrix(A, P))
+                assert noise_norm(A, K) == spectral_norm(A.toarray() - P.entries)
 
     def test_validation(self):
         A = sample_sparse_adjacency(constant_kernel(8, 0.2)[0], 0)
@@ -302,7 +301,7 @@ class TestCompare:
         report, _ = compare_with_vectors(params, k_max=2)
         fv = gen_fitness(params)
         A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
-        want = spectral_norm(noise_matrix(A, expected_matrix(fv, params.epsilon_n)))
+        want = spectral_norm(A.toarray() - expected_matrix(fv, params.epsilon_n).entries)
         assert abs(report.bulk_edge_measured - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("mode", WEIGHT_MODES)
@@ -325,7 +324,7 @@ class TestCompare:
         fv = gen_fitness(params)
         P = expected_matrix(fv, params.epsilon_n)
         A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
-        H = noise_matrix(A, P)
+        H = A.toarray() - P.entries
         vals_P = np.sort(eig_sym(P, vectors=False).eigenvalues)[::-1]
         vals_A = np.sort(eig_sym(A.toarray(), vectors=False).eigenvalues)[::-1]
         norm_H = spectral_norm(H)
