@@ -1,12 +1,14 @@
-"""Dense reference spectra and the prediction-vs-numerics comparison harness.
+"""Reference spectra and the prediction-vs-numerics comparison harness.
 
-Everything here works on exact dense symmetric eigendecompositions; no
-sparse shortcuts are taken for the spectra themselves. The one iterative
-piece is the spectral norm, a Lanczos extremal-eigenvalue solve that only
-feeds the reported bulk edge and never the eigenvalue tables. For the
-noise part H = A - P it runs on the operator v -> A v - P v, with A the
-sparse draw and P the matrix-free KernelOperator, so H is never stored.
-The comparison builds dense P and A only for their eigendecompositions.
+Two eigensolvers serve the module. eig_sym is the exact dense symmetric
+decomposition, used where a whole spectrum is needed, as in the
+comparison's tables and histograms. eig_top is the one path for the top
+of a spectrum: ARPACK's implicitly restarted Lanczos for the k largest
+|eigenvalues| of a dense or sparse array, the matrix-free
+KernelOperator, or any symmetric LinearOperator. The noise norm
+||A - P|| is its k = 1 case on the operator v -> A v - P v, with A the
+sparse draw and P the KernelOperator, so H is never stored. The
+comparison builds dense P and A only for their eigendecompositions.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg
@@ -42,6 +45,7 @@ __all__ = [
     "reconstruction_residuals",
     "outliers",
     "effective_rank",
+    "eig_top",
     "spectral_norm",
     "noise_norm",
     "compare",
@@ -51,7 +55,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full symmetric eigendecomposition, magnitude-ordered."""
+    """Symmetric eigenpairs, magnitude-ordered: the whole spectrum, or the
+    top k of an n x n matrix with their (n, k) eigenvector block."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None  # column i pairs with eigenvalues[i]
@@ -64,7 +69,7 @@ class EigenDecomposition:
             vecs = np.asarray(self.eigenvectors, dtype=float)
             vecs.setflags(write=False)
             object.__setattr__(self, "eigenvectors", vecs)
-            if vecs.shape != (vals.size, vals.size):
+            if vecs.ndim != 2 or vecs.shape[1] != vals.size or vecs.shape[0] < vals.size:
                 raise ValueError(
                     f"eigenvector block {vecs.shape} does not match {vals.size} eigenvalues"
                 )
@@ -74,7 +79,10 @@ class EigenDecomposition:
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.size
+        """The matrix dimension: the vector block's row count, if any."""
+        if self.eigenvectors is None:
+            return self.eigenvalues.size
+        return self.eigenvectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -154,14 +162,16 @@ def eig_sym(matrix: np.ndarray | SymmetricMatrix, vectors: bool = True) -> Eigen
     """
     m = _as_entries(matrix)
     if vectors:
-        vals, vecs = np.linalg.eigh(m)
-    else:
-        vals, vecs = np.linalg.eigvalsh(m), None
+        return _by_magnitude(*np.linalg.eigh(m))
+    return _by_magnitude(np.linalg.eigvalsh(m), None)
+
+
+def _by_magnitude(vals: np.ndarray, vecs: np.ndarray | None) -> EigenDecomposition:
+    """The pairs in descending |lambda|, ties by descending signed value."""
     order = np.lexsort((-vals, -np.abs(vals)))
-    vals = vals[order]
-    if vecs is not None:
-        vecs = vecs[:, order]
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return EigenDecomposition(
+        eigenvalues=vals[order], eigenvectors=None if vecs is None else vecs[:, order]
+    )
 
 
 def reconstruction_residuals(
@@ -192,12 +202,20 @@ def outliers(decomp: EigenDecomposition, edge: float) -> list[tuple[int, float]]
     """Eigenvalues strictly outside the bulk edge, as (rank, value) pairs.
 
     Because the decomposition is magnitude-ordered, the outliers are a
-    prefix of the eigenvalue list and rank k counts from 1 at the top.
+    prefix of the eigenvalue list and rank k counts from 1 at the top. A
+    top-k decomposition with every |lambda| past the edge cannot tell
+    where the outliers stop, so it raises rather than count k.
     """
     if not edge >= 0.0:
         raise ValueError(f"edge must be >= 0, got {edge}")
+    vals = decomp.eigenvalues
+    if vals.size < decomp.n and not np.any(np.abs(vals) <= edge):
+        raise ValueError(
+            f"all {vals.size} of {decomp.n} eigenvalues lie outside edge {edge}; "
+            "the outlier count may go on past them"
+        )
     out: list[tuple[int, float]] = []
-    for i, lam in enumerate(decomp.eigenvalues):
+    for i, lam in enumerate(vals):
         if abs(lam) <= edge:
             break
         out.append((i + 1, float(lam)))
@@ -205,42 +223,66 @@ def outliers(decomp: EigenDecomposition, edge: float) -> list[tuple[int, float]]
 
 
 def effective_rank(decomp: EigenDecomposition, c: float = 0.5) -> int:
-    """Number of eigenvalues with |lambda| > c * sqrt(n)."""
+    """Number of eigenvalues with |lambda| > c * sqrt(n), raising as outliers does."""
     if not c > 0.0:
         raise ValueError(f"c must be > 0, got {c}")
     return len(outliers(decomp, c * math.sqrt(decomp.n)))
 
 
-def _top_magnitude(op: np.ndarray | scipy.sparse.linalg.LinearOperator) -> float:
-    """Largest |eigenvalue| of a symmetric matrix or operator via a Lanczos solve.
+def _block_operator(
+    n: int, matmat: Callable[[np.ndarray], np.ndarray]
+) -> scipy.sparse.linalg.LinearOperator:
+    """A symmetric n x n LinearOperator from its product with an (n, k) block."""
+    return scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda v: matmat(v.reshape(n, 1)), matmat=matmat, dtype=float
+    )
 
-    A fixed starting vector v0 keeps the result deterministic. For n <= 2
-    the operator is applied to the identity and decomposed densely. The
-    zero matrix, where Lanczos cannot start, is recognized by sending an
-    integer probe to exactly zero: with 0/1 entries, as in a noise part
-    A - P drawn from a P of only 0s and 1s, every partial sum is an exact
-    integer, so the probe vanishes in any summation order. Any other matrix
-    sends it to zero only by a chance cancellation.
+
+def eig_top(
+    op: np.ndarray
+    | SymmetricMatrix
+    | scipy.sparse.sparray
+    | KernelOperator
+    | scipy.sparse.linalg.LinearOperator,
+    k: int,
+) -> EigenDecomposition:
+    """The k largest-|lambda| eigenpairs of a symmetric operator, magnitude-ordered.
+
+    ARPACK's implicitly restarted Lanczos (eigsh, which="LM") runs from a
+    fixed starting vector v0, so the result is deterministic; a solve that
+    does not converge raises ArpackNoConvergence. For k >= n - 1, where
+    ARPACK cannot run, the operator is applied to the identity and
+    decomposed densely. The zero operator, where Lanczos cannot start, is
+    recognized by sending an integer probe to exactly zero: with 0/1
+    entries, as in a noise part A - P drawn from a P of only 0s and 1s,
+    every partial sum is an exact integer, so the probe vanishes in any
+    summation order. Any other matrix sends it to zero only by a chance
+    cancellation. A dense array is checked as eig_sym checks it.
     """
+    if isinstance(op, KernelOperator):
+        op = _block_operator(op.n, op.matmat)
+    elif isinstance(op, (np.ndarray, SymmetricMatrix)):
+        op = _as_entries(op)
     n = op.shape[0]
-    if n <= 2:
-        return float(np.max(np.abs(np.linalg.eigvalsh(op @ np.eye(n)))))
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    if k >= n - 1:
+        top = _by_magnitude(*np.linalg.eigh(op @ np.eye(n)))
+        return EigenDecomposition(top.eigenvalues[:k], top.eigenvectors[:, :k])
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
     if not (op @ rng.integers(1, 2**30, n).astype(float)).any():
-        return 0.0
-    top = scipy.sparse.linalg.eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)
-    return float(abs(top[0]))
+        return EigenDecomposition(np.zeros(k), np.eye(n, k))
+    return _by_magnitude(*scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0))
 
 
 def spectral_norm(matrix: np.ndarray | SymmetricMatrix) -> float:
     """Largest |eigenvalue| of a dense symmetric matrix via a Lanczos solve."""
-    m = _as_entries(matrix)
-    return _top_magnitude(m)
+    return float(abs(eig_top(matrix, 1).eigenvalues[0]))
 
 
 def noise_norm(A: scipy.sparse.sparray, kernel: KernelOperator) -> float:
-    """||H|| = ||A - P|| from the Lanczos solve on v -> A v - P v.
+    """||H|| = ||A - P|| from eig_top's k = 1 solve on v -> A v - P v.
 
     A is the sparse adjacency that sample_sparse_adjacency drew from
     kernel, the KernelOperator of P. H is never stored.
@@ -248,14 +290,8 @@ def noise_norm(A: scipy.sparse.sparray, kernel: KernelOperator) -> float:
     n = kernel.n
     if A.shape != (n, n):
         raise ValueError(f"dimension mismatch: {A.shape} vs {n}")
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return A @ v - kernel.matmat(v)
-
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda v: apply(v.reshape(n, 1)), matmat=apply, dtype=float
-    )
-    return _top_magnitude(op)
+    H = _block_operator(n, lambda v: A @ v - kernel.matmat(v))
+    return float(abs(eig_top(H, 1).eigenvalues[0]))
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:

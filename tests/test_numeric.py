@@ -24,6 +24,7 @@ from msmlab.numeric import (
     compare_with_vectors,
     effective_rank,
     eig_sym,
+    eig_top,
     noise_norm,
     outliers,
     reconstruction_residuals,
@@ -104,11 +105,13 @@ class TestEigSym:
     def test_decomposition_rejects_misordered(self):
         with pytest.raises(ValueError):
             EigenDecomposition(eigenvalues=np.array([1.0, 2.0]), eigenvectors=None)
-        with pytest.raises(ValueError):
-            EigenDecomposition(
-                eigenvalues=np.array([2.0, 1.0]),
-                eigenvectors=np.zeros((3, 2)),
-            )
+        for block in ((2, 3), (1, 2), (2,)):
+            with pytest.raises(ValueError):
+                EigenDecomposition(eigenvalues=np.array([2.0, 1.0]), eigenvectors=np.zeros(block))
+
+    def test_top_k_block_reads_n_from_its_rows(self):
+        d = EigenDecomposition(eigenvalues=np.array([2.0, 1.0]), eigenvectors=np.zeros((3, 2)))
+        assert d.n == 3
 
 
 class TestDecompositionInvariants:
@@ -192,6 +195,22 @@ class TestOutliersAndRank:
         cnt = len(outliers(d, math.sqrt(n) / 2))
         assert 0.2 <= cnt / math.log(n) <= 5.0
         assert abs(d.eigenvalues.sum()) <= 1e-6 * n
+
+
+class TestEigTopAgainstDense:
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_top8_of_P_on_the_operator(self, alpha, mode):
+        # Lanczos on the kernel operator against one dense solve of the same
+        # P; measured <= 1.2e-14 relative and 1 - |cos| <= 1.2e-15
+        params = ModelParams(n=4096, alpha=alpha, seed=1, weight_mode=mode)
+        fv = gen_fitness(params)
+        top = eig_top(KernelOperator(fv, params.epsilon_n), 8)
+        dense = eig_sym(expected_matrix(fv, params.epsilon_n))
+        want = dense.eigenvalues[:8]
+        assert np.max(np.abs(top.eigenvalues - want) / np.abs(want)) <= 1e-10
+        cos = np.abs(np.sum(top.eigenvectors[:, :3] * dense.eigenvectors[:, :3], axis=0))
+        assert np.all(cos >= 1.0 - 1e-10)
 
 
 class TestSpectralNorm:
