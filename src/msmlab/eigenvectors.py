@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import KernelOperator
 from .special import log_gamma_complex
 from .spectrum import solve_omega_k
 
@@ -153,11 +154,11 @@ def zero_crossing_log_positions(pred: EigenvectorPrediction) -> np.ndarray:
     return np.array(out)
 
 
-def operator_residual(P_entries: np.ndarray, pred: EigenvectorPrediction) -> float:
-    """Relative L2 residual of P v = lambda_k v for the predicted vector."""
+def operator_residual(kernel: KernelOperator, pred: EigenvectorPrediction) -> float:
+    """Relative L2 residual of P v = lambda_k v for the predicted vector, P as an operator."""
     lam = solve_omega_k(pred.k, pred.n, pred.alpha).lambda_k
-    v = pred.entries
-    return float(np.linalg.norm(P_entries @ v - lam * v) / (abs(lam) * np.linalg.norm(v)))
+    v = pred.entries[:, None]
+    return float(np.linalg.norm(kernel.matmat(v) - lam * v) / (abs(lam) * np.linalg.norm(v)))
 
 
 def envelope_slope(pred: EigenvectorPrediction) -> float:

@@ -1,14 +1,11 @@
 """Reference spectra and the prediction-vs-numerics comparison harness.
 
-Two eigensolvers serve the module. eig_sym is the exact dense symmetric
-decomposition, used where a whole spectrum is needed, as in the
-comparison's tables and histograms. eig_top is the one path for the top
-of a spectrum: ARPACK's implicitly restarted Lanczos for the k largest
-|eigenvalues| of a dense or sparse array, the matrix-free
-KernelOperator, or any symmetric LinearOperator. The noise norm
-||A - P|| is its k = 1 case on the operator v -> A v - P v, with A the
-sparse draw and P the KernelOperator, so H is never stored. The
-comparison builds dense P and A only for their eigendecompositions.
+eig_sym is the exact dense decomposition, for a whole spectrum. eig_top
+is the one path for the top of a spectrum: Lanczos for the k largest
+|eigenvalues| of an array or a matrix-free operator. ||A - P|| is its
+k = 1 case on v -> A v - P v, with A the sparse draw and P the
+KernelOperator, so H is never stored. The comparison builds dense P and
+A only for their eigendecompositions.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -46,7 +43,6 @@ __all__ = [
     "outliers",
     "effective_rank",
     "eig_top",
-    "spectral_norm",
     "noise_norm",
     "compare",
     "compare_with_vectors",
@@ -55,8 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Symmetric eigenpairs, magnitude-ordered: the whole spectrum, or the
-    top k of an n x n matrix with their (n, k) eigenvector block."""
+    """Symmetric eigenpairs, magnitude-ordered: all n, or the top k with an (n, k) block."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None  # column i pairs with eigenvalues[i]
@@ -70,19 +65,14 @@ class EigenDecomposition:
             vecs.setflags(write=False)
             object.__setattr__(self, "eigenvectors", vecs)
             if vecs.ndim != 2 or vecs.shape[1] != vals.size or vecs.shape[0] < vals.size:
-                raise ValueError(
-                    f"eigenvector block {vecs.shape} does not match {vals.size} eigenvalues"
-                )
+                raise ValueError(f"eigenvector block {vecs.shape} does not hold {vals.size} eigenvectors")
         a = np.abs(vals)
         if np.any(a[:-1] < a[1:]):
             raise ValueError("eigenvalues must be sorted by descending magnitude")
 
     @property
     def n(self) -> int:
-        """The matrix dimension: the vector block's row count, if any."""
-        if self.eigenvectors is None:
-            return self.eigenvalues.size
-        return self.eigenvectors.shape[0]
+        return self.eigenvalues.size if self.eigenvectors is None else self.eigenvectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -166,12 +156,10 @@ def eig_sym(matrix: np.ndarray | SymmetricMatrix, vectors: bool = True) -> Eigen
     return _by_magnitude(np.linalg.eigvalsh(m), None)
 
 
-def _by_magnitude(vals: np.ndarray, vecs: np.ndarray | None) -> EigenDecomposition:
-    """The pairs in descending |lambda|, ties by descending signed value."""
-    order = np.lexsort((-vals, -np.abs(vals)))
-    return EigenDecomposition(
-        eigenvalues=vals[order], eigenvectors=None if vecs is None else vecs[:, order]
-    )
+def _by_magnitude(vals: np.ndarray, vecs: np.ndarray | None, k: int | None = None) -> EigenDecomposition:
+    """The first k pairs by descending |lambda|, ties by descending signed value."""
+    order = np.lexsort((-vals, -np.abs(vals)))[:k]
+    return EigenDecomposition(vals[order], None if vecs is None else vecs[:, order])
 
 
 def reconstruction_residuals(
@@ -203,17 +191,13 @@ def outliers(decomp: EigenDecomposition, edge: float) -> list[tuple[int, float]]
 
     Because the decomposition is magnitude-ordered, the outliers are a
     prefix of the eigenvalue list and rank k counts from 1 at the top. A
-    top-k decomposition with every |lambda| past the edge cannot tell
-    where the outliers stop, so it raises rather than count k.
+    top-k decomposition with no |lambda| inside the edge raises instead.
     """
     if not edge >= 0.0:
         raise ValueError(f"edge must be >= 0, got {edge}")
     vals = decomp.eigenvalues
     if vals.size < decomp.n and not np.any(np.abs(vals) <= edge):
-        raise ValueError(
-            f"all {vals.size} of {decomp.n} eigenvalues lie outside edge {edge}; "
-            "the outlier count may go on past them"
-        )
+        raise ValueError(f"all {vals.size} of {decomp.n} eigenvalues lie outside edge {edge}")
     out: list[tuple[int, float]] = []
     for i, lam in enumerate(vals):
         if abs(lam) <= edge:
@@ -229,35 +213,24 @@ def effective_rank(decomp: EigenDecomposition, c: float = 0.5) -> int:
     return len(outliers(decomp, c * math.sqrt(decomp.n)))
 
 
-def _block_operator(
-    n: int, matmat: Callable[[np.ndarray], np.ndarray]
-) -> scipy.sparse.linalg.LinearOperator:
+def _block_operator(n: int, matmat: Callable) -> scipy.sparse.linalg.LinearOperator:
     """A symmetric n x n LinearOperator from its product with an (n, k) block."""
     return scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: matmat(v.reshape(n, 1)), matmat=matmat, dtype=float
     )
 
 
-def eig_top(
-    op: np.ndarray
-    | SymmetricMatrix
-    | scipy.sparse.sparray
-    | KernelOperator
-    | scipy.sparse.linalg.LinearOperator,
-    k: int,
-) -> EigenDecomposition:
+def eig_top(op, k: int) -> EigenDecomposition:
     """The k largest-|lambda| eigenpairs of a symmetric operator, magnitude-ordered.
 
-    ARPACK's implicitly restarted Lanczos (eigsh, which="LM") runs from a
-    fixed starting vector v0, so the result is deterministic; a solve that
-    does not converge raises ArpackNoConvergence. For k >= n - 1, where
-    ARPACK cannot run, the operator is applied to the identity and
-    decomposed densely. The zero operator, where Lanczos cannot start, is
-    recognized by sending an integer probe to exactly zero: with 0/1
-    entries, as in a noise part A - P drawn from a P of only 0s and 1s,
-    every partial sum is an exact integer, so the probe vanishes in any
-    summation order. Any other matrix sends it to zero only by a chance
-    cancellation. A dense array is checked as eig_sym checks it.
+    op is a dense array (checked as eig_sym checks it), a sparse array, a
+    KernelOperator or a LinearOperator. ARPACK's implicitly restarted
+    Lanczos (eigsh, which="LM") starts from a fixed v0, so the result is
+    deterministic; non-convergence raises ArpackNoConvergence. For
+    k >= n - 1, where ARPACK cannot run, op @ I is decomposed densely. The
+    zero operator, where Lanczos cannot start, sends an integer probe to
+    exactly zero, even as an A - P of 0/1 entries, whose partial sums are
+    exact integers; any other matrix does so only by chance cancellation.
     """
     if isinstance(op, KernelOperator):
         op = _block_operator(op.n, op.matmat)
@@ -267,18 +240,12 @@ def eig_top(
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k >= n - 1:
-        top = _by_magnitude(*np.linalg.eigh(op @ np.eye(n)))
-        return EigenDecomposition(top.eigenvalues[:k], top.eigenvectors[:, :k])
+        return _by_magnitude(*np.linalg.eigh(op @ np.eye(n)), k)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
     if not (op @ rng.integers(1, 2**30, n).astype(float)).any():
         return EigenDecomposition(np.zeros(k), np.eye(n, k))
     return _by_magnitude(*scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0))
-
-
-def spectral_norm(matrix: np.ndarray | SymmetricMatrix) -> float:
-    """Largest |eigenvalue| of a dense symmetric matrix via a Lanczos solve."""
-    return float(abs(eig_top(matrix, 1).eigenvalues[0]))
 
 
 def noise_norm(A: scipy.sparse.sparray, kernel: KernelOperator) -> float:
@@ -416,11 +383,7 @@ def compare_with_vectors(
             )
         )
 
-    k_break = None
-    for row in rows:
-        if row.cosine_sim_P_vs_A < 0.9:
-            k_break = row.k
-            break
+    k_break = next((row.k for row in rows if row.cosine_sim_P_vs_A < 0.9), None)
     report = ComparisonReport(
         params=params,
         k_max=k_max,

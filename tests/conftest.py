@@ -1,26 +1,17 @@
-"""Shared fixtures: the large deterministic instance is built once per session."""
-import numpy as np
+"""Shared fixtures: the paper-scale deterministic instance is built once per session.
+
+It holds P as the matrix-free KernelOperator only. Tests read the top of
+its spectrum with numeric.eig_top and its row sums with matmat, so no
+n x n array of the n = 10^4 instance is ever built.
+"""
 import pytest
 
-from msmlab.model import ModelParams, expected_matrix, gen_fitness
+from msmlab.model import KernelOperator, ModelParams, gen_fitness
 
 
 @pytest.fixture(scope="session")
 def det_instance_n1e4():
-    """(params, fitness, P) for the n = 10^4, alpha = 0.5 deterministic model."""
+    """(params, fitness, KernelOperator of P) for the n = 10^4, alpha = 0.5 deterministic model."""
     params = ModelParams(n=10**4, alpha=0.5)
     fv = gen_fitness(params)
-    P = expected_matrix(fv, params.epsilon_n)
-    return params, fv, P
-
-
-@pytest.fixture(scope="session")
-def eig_P_n1e4(det_instance_n1e4):
-    """Full eigendecomposition of the n = 10^4 expected matrix (~2.5 min)."""
-    _, _, P = det_instance_n1e4
-    return np.linalg.eigh(P.entries)
-
-
-@pytest.fixture(scope="session")
-def eigvals_P_n1e4(eig_P_n1e4):
-    return eig_P_n1e4[0]
+    return params, fv, KernelOperator(fv, params.epsilon_n)

@@ -25,7 +25,7 @@ from msmlab.model import (
     gen_fitness,
     sample_sparse_adjacency,
 )
-from msmlab.numeric import compare, spectral_norm
+from msmlab.numeric import compare, eig_top
 from msmlab.special import gamma_line, log_gamma_complex, digamma_line_derivative, pareto_laplace
 from msmlab.spectrum import k_star_estimate, lambda_1, omega_k_approx, solve_omega_k
 
@@ -48,8 +48,7 @@ def test_criterion_01_top_eigenvalue_scaling():
     errs = []
     for n in (512, 1024, 2048, 4096):
         params = ModelParams(n=n, alpha=0.5)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
-        top = spectral_norm(P)
+        top = eig_top(KernelOperator(gen_fitness(params), params.epsilon_n), 1).eigenvalues[0]
         pred = lambda_1(n, 0.5)
         errs.append(abs(top - pred) / pred)
     non_increasing = all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
@@ -58,11 +57,33 @@ def test_criterion_01_top_eigenvalue_scaling():
 
 
 @pytest.mark.slow
-def test_criterion_02_spiral_eigenvalue_ladder(eigvals_P_n1e4):
+def test_criterion_01_finite_size_law():
+    # criterion 1 at the paper's n, on the operator: err_k of the top six
+    # eigenvalues of P against the ladder. Reported, not held to 8 %: err_1
+    # must not increase with n and the signs must alternate. Measured err_1
+    # 0.1226 / 0.0901 / 0.0691, so err_1 ln n falls 1.13 / 1.04 / 0.96; the
+    # test takes about 12 s and 2.2 GB peak RSS on 2 cores
+    sizes = (10**4, 10**5, 10**6)
+    errs, alternate = [], True
+    for n in sizes:
+        params = ModelParams(n=n, alpha=0.5)
+        top = eig_top(KernelOperator(gen_fitness(params), params.epsilon_n), 6).eigenvalues
+        preds = [solve_omega_k(k, n, 0.5).lambda_k for k in range(1, 7)]
+        errs.append([abs(v - p) / abs(p) for v, p in zip(top, preds)])
+        alternate &= all(math.copysign(1.0, v) == (-1.0) ** (k + 1) for k, v in enumerate(top, start=1))
+    first = [e[0] for e in errs]
+    non_increasing = all(b <= a for a, b in zip(first, first[1:]))
+    detail = "; ".join(
+        f"n={n} err k=1..6: " + ", ".join(f"{e:.4f}" for e in row) for n, row in zip(sizes, errs)
+    )
+    check("criterion 1 law", non_increasing and alternate, f"alternate={alternate}; {detail}")
+
+
+@pytest.mark.slow
+def test_criterion_02_spiral_eigenvalue_ladder(det_instance_n1e4):
     # first six eigenvalues of P at n = 10^4 alternate in sign and land
     # within 15% of the root-solver ladder
-    order = np.lexsort((-eigvals_P_n1e4, -np.abs(eigvals_P_n1e4)))
-    top = eigvals_P_n1e4[order][:6]
+    top = eig_top(det_instance_n1e4[2], 6).eigenvalues
     preds = [solve_omega_k(k, 10_000, 0.5).lambda_k for k in range(1, 7)]
     alternate = all(
         math.copysign(1.0, v) == (1.0 if k % 2 == 1 else -1.0)

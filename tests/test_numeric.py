@@ -29,7 +29,6 @@ from msmlab.numeric import (
     outliers,
     reconstruction_residuals,
     residual_tolerances,
-    spectral_norm,
 )
 from msmlab.spectrum import NoRootError, lambda_1
 
@@ -171,33 +170,92 @@ class TestOutliersAndRank:
         assert 0.2 <= cnt / math.log(params.n) <= 5.0
 
     @pytest.mark.slow
-    def test_effective_rank_non_decreasing_to_paper_scale(self, eigvals_P_n1e4):
+    def test_effective_rank_non_decreasing_to_paper_scale(self, det_instance_n1e4):
         ranks = []
         for n in (1000, 4000):
             params = ModelParams(n=n, alpha=0.5)
-            P = expected_matrix(gen_fitness(params), params.epsilon_n)
-            ranks.append(effective_rank(eig_sym(P, vectors=False)))
-        order = np.lexsort((-eigvals_P_n1e4, -np.abs(eigvals_P_n1e4)))
-        d = EigenDecomposition(
-            eigenvalues=eigvals_P_n1e4[order],
-            eigenvectors=None,
-        )
-        ranks.append(effective_rank(d))
+            ranks.append(effective_rank(eig_top(KernelOperator(gen_fitness(params), params.epsilon_n), 8)))
+        ranks.append(effective_rank(eig_top(det_instance_n1e4[2], 8)))
         assert ranks[-1] == 5
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
     @pytest.mark.slow
+    def test_truncated_count_raises(self, det_instance_n1e4):
+        # at n = 10^4 the rank is 5: four pairs all lie past the edge, so
+        # the count cannot stop inside them; eight reach back into the bulk
+        K = det_instance_n1e4[2]
+        with pytest.raises(ValueError, match="outside edge"):
+            effective_rank(eig_top(K, 4))
+        assert effective_rank(eig_top(K, 8)) == 5
+
+    def test_truncated_count_of_a_block(self):
+        d = EigenDecomposition(eigenvalues=np.array([5.0, -4.0]), eigenvectors=np.eye(4)[:, :2])
+        with pytest.raises(ValueError, match="outside edge"):
+            outliers(d, 3.0)
+        assert outliers(d, 4.5) == [(1, 5.0)]
+        assert effective_rank(d, c=2.25) == 1  # edge 4.5
+
+    @pytest.mark.slow
     def test_outlier_count_band_paper_scale(self, det_instance_n1e4):
-        params, fv, _ = det_instance_n1e4
-        A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), 1).toarray()
-        d = eig_sym(A, vectors=False)
+        # the count on the sparse draw; the trace of A is checked densely at
+        # n = 1024 by test_weyl_and_trace_invariants
+        params, _, K = det_instance_n1e4
+        d = eig_top(sample_sparse_adjacency(K, 1), 12)
         n = params.n
         cnt = len(outliers(d, math.sqrt(n) / 2))
         assert 0.2 <= cnt / math.log(n) <= 5.0
-        assert abs(d.eigenvalues.sum()) <= 1e-6 * n
 
 
-class TestEigTopAgainstDense:
+class TestEigTop:
+    def test_matches_dense_eigenvalues(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((40, 40))
+        m = m + m.T
+        # eigenvalues -4 and 1 (four times): the top one is negative and
+        # comes off the Lanczos path, past the k >= n - 1 shortcut
+        hub = np.eye(5) - np.ones((5, 5))
+        for matrix, k in ((m, 6), (hub, 1)):
+            dense = eig_sym(matrix)
+            top = eig_top(matrix, k)
+            assert top.n == matrix.shape[0]
+            assert top.eigenvectors.shape == (top.n, k)
+            np.testing.assert_allclose(top.eigenvalues, dense.eigenvalues[:k], rtol=1e-9)
+            r = matrix @ top.eigenvectors - top.eigenvectors * top.eigenvalues
+            assert np.max(np.abs(r)) <= 1e-9 * abs(top.eigenvalues[0])
+        assert eig_top(hub, 1).eigenvalues[0] == pytest.approx(-4.0)
+
+    def test_tiny_matrix_path(self):
+        m = np.array([[0.0, -3.0], [-3.0, 0.0]])
+        assert eig_top(m, 1).eigenvalues == pytest.approx([3.0])
+        both = eig_top(m, 2)
+        assert both.eigenvalues == pytest.approx([3.0, -3.0])
+        assert np.allclose(m @ both.eigenvectors, both.eigenvectors * both.eigenvalues)
+
+    def test_sparse_and_operator_inputs(self):
+        params = ModelParams(n=300, alpha=0.5, seed=2)
+        fv = gen_fitness(params)
+        K = KernelOperator(fv, params.epsilon_n)
+        A = sample_sparse_adjacency(K, params.seed)
+        for op, dense in ((K, expected_matrix(fv, params.epsilon_n)), (A, A.toarray())):
+            want = eig_sym(dense, vectors=False).eigenvalues[:4]
+            np.testing.assert_allclose(eig_top(op, 4).eigenvalues, want, rtol=1e-10)
+
+    def test_zero_operator(self):
+        d = eig_top(np.zeros((6, 6)), 2)
+        assert np.array_equal(d.eigenvalues, np.zeros(2))
+        assert d.eigenvectors.shape == (6, 2)
+
+    def test_rejects_non_finite(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = m[1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            eig_top(m, 1)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_rejects_k_outside_1_to_n(self, k):
+        with pytest.raises(ValueError):
+            eig_top(np.eye(4), k)
+
     @pytest.mark.parametrize("mode", WEIGHT_MODES)
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_top8_of_P_on_the_operator(self, alpha, mode):
@@ -213,26 +271,9 @@ class TestEigTopAgainstDense:
         assert np.all(cos >= 1.0 - 1e-10)
 
 
-class TestSpectralNorm:
-    def test_matches_dense_eigenvalues(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((40, 40))
-        m = m + m.T
-        # eigenvalues -4 and 1 (four times): the norm comes from a negative
-        # eigenvalue on the Lanczos path, past the n <= 2 shortcut
-        hub = np.eye(5) - np.ones((5, 5))
-        for matrix in (m, hub):
-            dense = np.max(np.abs(np.linalg.eigvalsh(matrix)))
-            assert spectral_norm(matrix) == pytest.approx(dense, rel=1e-9)
-
-    def test_tiny_matrix_path(self):
-        assert spectral_norm(np.array([[0.0, -3.0], [-3.0, 0.0]])) == pytest.approx(3.0)
-
-    def test_rejects_non_finite(self):
-        m = np.zeros((4, 4))
-        m[0, 1] = m[1, 0] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            spectral_norm(m)
+def top_magnitude(H: np.ndarray) -> float:
+    """||H|| of a dense symmetric H on eig_top's path, the reference noise_norm meets."""
+    return abs(eig_top(H, 1).eigenvalues[0])
 
 
 def constant_kernel(n: int, p: float) -> tuple[KernelOperator, SymmetricMatrix]:
@@ -255,7 +296,7 @@ class TestNoiseNorm:
         K = KernelOperator(fv, params.epsilon_n)
         for seed in (0, 1):
             A = sample_sparse_adjacency(K, seed)
-            want = spectral_norm(A.toarray() - P.entries)
+            want = top_magnitude(A.toarray() - P.entries)
             assert abs(noise_norm(A, K) - want) <= 1e-13 * want
 
     def test_tiny_and_vanishing_noise_are_exact(self):
@@ -263,7 +304,7 @@ class TestNoiseNorm:
         for K, P in (constant_kernel(2, 0.3), constant_kernel(8, 1.0)):
             for seed in (0, 1):
                 A = sample_sparse_adjacency(K, seed)
-                assert noise_norm(A, K) == spectral_norm(A.toarray() - P.entries)
+                assert noise_norm(A, K) == top_magnitude(A.toarray() - P.entries)
 
     def test_validation(self):
         A = sample_sparse_adjacency(constant_kernel(8, 0.2)[0], 0)
@@ -320,7 +361,7 @@ class TestCompare:
         report, _ = compare_with_vectors(params, k_max=2)
         fv = gen_fitness(params)
         A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
-        want = spectral_norm(A.toarray() - expected_matrix(fv, params.epsilon_n).entries)
+        want = top_magnitude(A.toarray() - expected_matrix(fv, params.epsilon_n).entries)
         assert abs(report.bulk_edge_measured - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("mode", WEIGHT_MODES)
@@ -346,7 +387,7 @@ class TestCompare:
         H = A.toarray() - P.entries
         vals_P = np.sort(eig_sym(P, vectors=False).eigenvalues)[::-1]
         vals_A = np.sort(eig_sym(A.toarray(), vectors=False).eigenvalues)[::-1]
-        norm_H = spectral_norm(H)
+        norm_H = np.max(np.abs(np.linalg.eigvalsh(H)))
         assert np.max(np.abs(vals_A - vals_P)) <= norm_H + 1e-8
         assert abs(vals_P.sum()) <= 1e-6 * params.n
         assert abs(vals_A.sum()) <= 1e-6 * params.n
@@ -391,8 +432,7 @@ class TestTopEigenvalueGap:
         # finite-size correction decays like a power of 1/ln n, so no n
         # reachable here gets close to a few percent
         params = ModelParams(n=4096, alpha=0.5)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
-        top = eig_sym(P, vectors=False).eigenvalues[0]
+        top = eig_top(KernelOperator(gen_fitness(params), params.epsilon_n), 1).eigenvalues[0]
         pred = lambda_1(params.n, params.alpha)
         rel = abs(top - pred) / pred
         assert 0.13 <= rel <= 0.15
