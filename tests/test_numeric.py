@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msmlab.numeric as numeric
+from msmlab.eigenvectors import eigenvector_entries
 from msmlab.model import (
     WEIGHT_MODES,
     FitnessVector,
@@ -391,6 +392,57 @@ class TestCompare:
         assert np.max(np.abs(vals_A - vals_P)) <= norm_H + 1e-8
         assert abs(vals_P.sum()) <= 1e-6 * params.n
         assert abs(vals_A.sum()) <= 1e-6 * params.n
+
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_rows_match_dense_eigh_of_P_and_A(self, alpha, mode):
+        # every row rebuilt from one inline eigh of P and of A, in the
+        # documented order (|lambda| descending, ties by signed value) with
+        # the sign veto; deterministic weights at alpha = 0.8 veto P's rank
+        # 29 into k = 7, past k_max
+        n, k_max = 1024, 8
+        params = ModelParams(n=n, alpha=alpha, seed=3, weight_mode=mode)
+        report, artifacts = compare_with_vectors(params, k_max)
+        fv = gen_fitness(params)
+        P = expected_matrix(fv, params.epsilon_n).entries
+        A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed).toarray()
+        solved = []
+        for m in (P, A):
+            vals, vecs = np.linalg.eigh(m)
+            order = np.lexsort((-vals, -np.abs(vals)))
+            solved.append((vals[order], vecs[:, order], set()))
+
+        def match(vals, used, want):
+            free = [i for i in range(vals.size) if i not in used]
+            same = [i for i in free if want is None or math.copysign(1.0, vals[i]) == want]
+            i = (same or free)[0]
+            used.add(i)
+            return i
+
+        truncated = False
+        for row in report.rows:
+            want = entries = None
+            if not truncated:
+                try:
+                    want = math.copysign(1.0, numeric.solve_omega_k(row.k, n, alpha).lambda_k)
+                    entries = eigenvector_entries(row.k, n, alpha).entries
+                except NoRootError:
+                    truncated = True
+            (vals_p, vecs_p, used_p), (vals_a, vecs_a, used_a) = solved
+            i_p, i_a = match(vals_p, used_p, want), match(vals_a, used_a, want)
+            v_p, v_a = vecs_p[:, i_p], vecs_a[:, i_a]
+            assert row.lambda_P == vals_p[i_p]
+            assert row.lambda_A == vals_a[i_a]
+            assert abs(row.cosine_sim_P_vs_A - abs(v_p @ v_a)) <= 1e-12
+            if entries is None:
+                assert math.isnan(row.cosine_sim_pred_vs_P)
+            else:
+                cos = abs(entries @ v_p) / np.linalg.norm(entries)
+                assert abs(row.cosine_sim_pred_vs_P - cos) <= 1e-12
+        if (alpha, mode) == (0.8, "deterministic"):
+            assert max(solved[0][2]) >= k_max
+        assert np.array_equal(artifacts.eigenvalues_P, solved[0][0])
+        assert np.array_equal(artifacts.eigenvalues_A, solved[1][0])
 
     def test_sign_veto_fallback_recorded(self):
         # at n = 32 the expected kernel runs out of positive eigenvalues
