@@ -1,11 +1,11 @@
 """Reference spectra and the prediction-vs-numerics comparison harness.
 
-eig_sym is the exact dense decomposition, for a whole spectrum. eig_top
-is the one path for the top of a spectrum: Lanczos for the k largest
-|eigenvalues| of an array or a matrix-free operator. ||A - P|| is its
-k = 1 case on v -> A v - P v, with A the sparse draw and P the
-KernelOperator, so H is never stored. The comparison builds dense P and
-A only for their eigendecompositions.
+eig_top is the one eigensolver: Lanczos for the k largest |eigenvalues|
+of an array or a matrix-free operator, and a dense solve for k >= n - 1.
+||A - P|| is its k = 1 case on v -> A v - P v, with A the sparse draw and
+P the KernelOperator, so H is never stored. The comparison builds dense
+P, then dense A, only for their whole spectra, and keeps of each only
+the eigenvectors matched to the analytic ladder.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -38,13 +38,11 @@ __all__ = [
     "ComparisonReport",
     "MatchedVectors",
     "CompareArtifacts",
-    "eig_sym",
     "reconstruction_residuals",
     "outliers",
     "effective_rank",
     "eig_top",
     "noise_norm",
-    "compare",
     "compare_with_vectors",
 ]
 
@@ -54,25 +52,24 @@ class EigenDecomposition:
     """Symmetric eigenpairs, magnitude-ordered: all n, or the top k with an (n, k) block."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None  # column i pairs with eigenvalues[i]
+    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.eigenvalues, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
-        if self.eigenvectors is not None:
-            vecs = np.asarray(self.eigenvectors, dtype=float)
-            vecs.setflags(write=False)
-            object.__setattr__(self, "eigenvectors", vecs)
-            if vecs.ndim != 2 or vecs.shape[1] != vals.size or vecs.shape[0] < vals.size:
-                raise ValueError(f"eigenvector block {vecs.shape} does not hold {vals.size} eigenvectors")
+        vecs = np.asarray(self.eigenvectors, dtype=float)
+        vecs.setflags(write=False)
+        object.__setattr__(self, "eigenvectors", vecs)
+        if vecs.ndim != 2 or vecs.shape[1] != vals.size or vecs.shape[0] < vals.size:
+            raise ValueError(f"eigenvector block {vecs.shape} does not hold {vals.size} eigenvectors")
         a = np.abs(vals)
         if np.any(a[:-1] < a[1:]):
             raise ValueError("eigenvalues must be sorted by descending magnitude")
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.size if self.eigenvectors is None else self.eigenvectors.shape[0]
+        return self.eigenvectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -142,24 +139,10 @@ def _as_entries(matrix: np.ndarray | SymmetricMatrix) -> np.ndarray:
     return m
 
 
-def eig_sym(matrix: np.ndarray | SymmetricMatrix, vectors: bool = True) -> EigenDecomposition:
-    """Dense symmetric eigendecomposition in descending-magnitude order.
-
-    Ties in magnitude are broken by descending signed value, so a
-    degenerate pair (+c, -c) always lists +c first. Non-finite entries
-    are rejected up front rather than letting the factorization produce
-    silent garbage.
-    """
-    m = _as_entries(matrix)
-    if vectors:
-        return _by_magnitude(*np.linalg.eigh(m))
-    return _by_magnitude(np.linalg.eigvalsh(m), None)
-
-
-def _by_magnitude(vals: np.ndarray, vecs: np.ndarray | None, k: int | None = None) -> EigenDecomposition:
+def _by_magnitude(vals: np.ndarray, vecs: np.ndarray, k: int) -> EigenDecomposition:
     """The first k pairs by descending |lambda|, ties by descending signed value."""
     order = np.lexsort((-vals, -np.abs(vals)))[:k]
-    return EigenDecomposition(vals[order], None if vecs is None else vecs[:, order])
+    return EigenDecomposition(vals[order], vecs[:, order])
 
 
 def reconstruction_residuals(
@@ -170,8 +153,6 @@ def reconstruction_residuals(
     Each must stay below 1e-8 * (||M||_F / sqrt(n) + |lambda_i|) for the
     decomposition to count as faithful; callers assert that bound.
     """
-    if decomp.eigenvectors is None:
-        raise ValueError("decomposition carries no eigenvectors")
     m = _as_entries(matrix)
     r = m @ decomp.eigenvectors - decomp.eigenvectors * decomp.eigenvalues
     return np.linalg.norm(r, axis=0)
@@ -223,14 +204,17 @@ def _block_operator(n: int, matmat: Callable) -> scipy.sparse.linalg.LinearOpera
 def eig_top(op, k: int) -> EigenDecomposition:
     """The k largest-|lambda| eigenpairs of a symmetric operator, magnitude-ordered.
 
-    op is a dense array (checked as eig_sym checks it), a sparse array, a
-    KernelOperator or a LinearOperator. ARPACK's implicitly restarted
-    Lanczos (eigsh, which="LM") starts from a fixed v0, so the result is
-    deterministic; non-convergence raises ArpackNoConvergence. For
-    k >= n - 1, where ARPACK cannot run, op @ I is decomposed densely. The
-    zero operator, where Lanczos cannot start, sends an integer probe to
-    exactly zero, even as an A - P of 0/1 entries, whose partial sums are
-    exact integers; any other matrix does so only by chance cancellation.
+    op is a dense array, a sparse array, a KernelOperator or a
+    LinearOperator. A dense array must be square, finite and symmetric to
+    the bit; a SymmetricMatrix is taken as it is. ARPACK's implicitly
+    restarted Lanczos (eigsh, which="LM") starts from a fixed v0, so the
+    result is deterministic; non-convergence raises ArpackNoConvergence.
+    For k >= n - 1, where ARPACK cannot run, eigh decomposes a dense array
+    as it is and any other op as op @ I. Ties in magnitude list +c before
+    -c. The zero operator, where Lanczos cannot start, sends an integer
+    probe to exactly zero, even as an A - P of 0/1 entries, whose partial
+    sums are exact integers; any other matrix does so only by chance
+    cancellation.
     """
     if isinstance(op, KernelOperator):
         op = _block_operator(op.n, op.matmat)
@@ -240,12 +224,12 @@ def eig_top(op, k: int) -> EigenDecomposition:
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k >= n - 1:
-        return _by_magnitude(*np.linalg.eigh(op @ np.eye(n)), k)
+        return _by_magnitude(*np.linalg.eigh(op if isinstance(op, np.ndarray) else op @ np.eye(n)), k)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
     if not (op @ rng.integers(1, 2**30, n).astype(float)).any():
         return EigenDecomposition(np.zeros(k), np.eye(n, k))
-    return _by_magnitude(*scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0))
+    return _by_magnitude(*scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0), k)
 
 
 def noise_norm(A: scipy.sparse.sparray, kernel: KernelOperator) -> float:
@@ -295,6 +279,20 @@ def _match_rank(
     return fallback
 
 
+def _matched_pairs(
+    decomp: EigenDecomposition, wants: list[float | None]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A whole spectrum, and the pair matched to each wanted sign in turn.
+
+    Rank k takes the next unused magnitude rank under _match_rank's sign
+    veto. Returns all eigenvalues, the matched ones and a copy of their
+    (n, k_max) eigenvector block, so the caller need not keep the n x n one.
+    """
+    used: set[int] = set()
+    ranks = [_match_rank(decomp.eigenvalues, used, want) for want in wants]
+    return decomp.eigenvalues, decomp.eigenvalues[ranks], decomp.eigenvectors[:, ranks]
+
+
 def compare_with_vectors(
     params: ModelParams, k_max: int
 ) -> tuple[ComparisonReport, CompareArtifacts]:
@@ -302,14 +300,15 @@ def compare_with_vectors(
 
     Samples one sparse adjacency with the params seed from the
     KernelOperator of the expected kernel, takes ||A - P|| on the two,
-    then decomposes dense P and A in turn, and matches analytic rank k to
-    the k-th eigenvalue by descending magnitude with a sign veto (the
-    predicted sign must agree for the match to stand while same-signed
-    candidates remain). A missing root bracket at some k truncates the
-    prediction columns from that k on; the numerical columns keep going.
+    then decomposes dense P and matches it, and only then dense A. Rank k
+    is matched to the k-th eigenvalue by descending magnitude with a sign
+    veto (the predicted sign must agree for the match to stand while
+    same-signed candidates remain). A missing root bracket at some k
+    truncates the prediction columns from that k on; the numerical
+    columns keep going.
 
     Also returns the matched eigenvectors and full spectra for plotting
-    and histogramming; compare() drops those.
+    and histogramming.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -318,8 +317,6 @@ def compare_with_vectors(
     K = KernelOperator(fv, params.epsilon_n)
     A = sample_sparse_adjacency(K, params.seed)
     bulk_edge = noise_norm(A, K)
-    decomp_P = eig_sym(expected_matrix(fv, params.epsilon_n))
-    decomp_A = eig_sym(A.toarray())
 
     preds: list[tuple[SpectralPrediction, EigenvectorPrediction] | None] = []
     truncated_at: int | None = None
@@ -333,23 +330,16 @@ def compare_with_vectors(
         except NoRootError:
             truncated_at = k
             preds.append(None)
+    wants = [None if pred is None else math.copysign(1.0, pred[0].lambda_k) for pred in preds]
+    # each n x n block lives only inside its _matched_pairs call
+    vals_P, lams_P, vecs_P = _matched_pairs(eig_top(expected_matrix(fv, params.epsilon_n), params.n), wants)
+    vals_A, lams_A, vecs_A = _matched_pairs(eig_top(A.toarray(), params.n), wants)
 
     rows: list[ComparisonRow] = []
     matched: list[MatchedVectors] = []
-    used_P: set[int] = set()
-    used_A: set[int] = set()
-    for k in range(1, k_max + 1):
-        pred = preds[k - 1]
-        want = None
-        if pred is not None:
-            want = math.copysign(1.0, pred[0].lambda_k)
-        i_p = _match_rank(decomp_P.eigenvalues, used_P, want)
-        i_a = _match_rank(decomp_A.eigenvalues, used_A, want)
-        lam_p = float(decomp_P.eigenvalues[i_p])
-        lam_a = float(decomp_A.eigenvalues[i_a])
-        v_p = decomp_P.eigenvectors[:, i_p]
-        v_a = decomp_A.eigenvectors[:, i_a]
-        cos_pa = _cosine(v_p, v_a)
+    for i, (pred, want) in enumerate(zip(preds, wants)):
+        lam_p, lam_a = float(lams_P[i]), float(lams_A[i])
+        v_p, v_a = vecs_P[:, i], vecs_A[:, i]
         if pred is None:
             lam_k = rel_pred = cos_pred = math.nan
             sign_ok = None
@@ -363,20 +353,20 @@ def compare_with_vectors(
             )
         rows.append(
             ComparisonRow(
-                k=k,
+                k=i + 1,
                 lambda_pred=lam_k,
                 lambda_P=lam_p,
                 lambda_A=lam_a,
                 rel_err_pred_vs_P=rel_pred,
                 rel_err_P_vs_A=abs(lam_a - lam_p) / abs(lam_p),
                 cosine_sim_pred_vs_P=cos_pred,
-                cosine_sim_P_vs_A=cos_pa,
+                cosine_sim_P_vs_A=_cosine(v_p, v_a),
                 sign_ok=sign_ok,
             )
         )
         matched.append(
             MatchedVectors(
-                k=k,
+                k=i + 1,
                 predicted=None if pred is None else pred[1].entries,
                 numerical_P=v_p,
                 numerical_A=v_a,
@@ -392,14 +382,5 @@ def compare_with_vectors(
         k_break=k_break,
         pred_truncated_at=truncated_at,
     )
-    artifacts = CompareArtifacts(
-        vectors=tuple(matched),
-        eigenvalues_P=decomp_P.eigenvalues,
-        eigenvalues_A=decomp_A.eigenvalues,
-    )
+    artifacts = CompareArtifacts(vectors=tuple(matched), eigenvalues_P=vals_P, eigenvalues_A=vals_A)
     return report, artifacts
-
-
-def compare(params: ModelParams, k_max: int) -> ComparisonReport:
-    """compare_with_vectors without the bulky by-products."""
-    return compare_with_vectors(params, k_max)[0]

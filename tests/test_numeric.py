@@ -1,4 +1,4 @@
-"""Dense spectra, ordering, and the three-way comparison harness."""
+"""Spectra, their ordering, and the three-way comparison harness."""
 import math
 
 import numpy as np
@@ -21,10 +21,8 @@ from msmlab.model import (
 from msmlab.numeric import (
     ComparisonReport,
     EigenDecomposition,
-    compare,
     compare_with_vectors,
     effective_rank,
-    eig_sym,
     eig_top,
     noise_norm,
     outliers,
@@ -34,91 +32,11 @@ from msmlab.numeric import (
 from msmlab.spectrum import NoRootError, lambda_1
 
 
-class TestEigSym:
-    def test_zero_matrix(self):
-        d = eig_sym(np.zeros((5, 5)))
-        assert np.array_equal(d.eigenvalues, np.zeros(5))
-        assert d.n == 5
-
-    def test_complete_graph_constant_p(self):
-        # p(J - I) has eigenvalues (n-1)p once and -p with multiplicity n-1
-        n, p = 7, 0.3
-        m = p * (np.ones((n, n)) - np.eye(n))
-        d = eig_sym(m)
-        assert abs(d.eigenvalues[0] - (n - 1) * p) < 1e-12
-        assert np.max(np.abs(d.eigenvalues[1:] + p)) < 1e-12
-
-    def test_descending_magnitude_with_signed_tiebreak(self):
-        d = eig_sym(np.diag([3.0, -3.0, -2.0, 2.0, 0.0]))
-        assert np.allclose(d.eigenvalues, [3.0, -3.0, 2.0, -2.0, 0.0], atol=1e-12)
-
-    def test_eigenvectors_travel_with_eigenvalues(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((9, 9))
-        m = m + m.T
-        d = eig_sym(m)
-        r = m @ d.eigenvectors - d.eigenvectors * d.eigenvalues
-        assert np.max(np.abs(r)) < 1e-12 * max(1.0, np.abs(d.eigenvalues[0]))
-
-    def test_rejects_non_finite(self):
-        m = np.zeros((3, 3))
-        m[0, 1] = m[1, 0] = np.nan
-        with pytest.raises(ValueError):
-            eig_sym(m)
-        m[0, 1] = m[1, 0] = np.inf
-        with pytest.raises(ValueError):
-            eig_sym(m)
-
-    def test_rejects_asymmetric_and_non_square(self):
-        with pytest.raises(ValueError):
-            eig_sym(np.arange(9.0).reshape(3, 3))
-        with pytest.raises(ValueError):
-            eig_sym(np.zeros((3, 4)))
-
-    def test_symmetric_matrix_input_matches_its_entries(self):
-        params = ModelParams(n=32, alpha=0.5)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
-        d = eig_sym(P)
-        assert np.array_equal(d.eigenvalues, eig_sym(P.entries).eigenvalues)
-
-    def test_vectors_false_matches_values(self):
-        rng = np.random.default_rng(4)
-        m = rng.standard_normal((8, 8))
-        m = m + m.T
-        dv = eig_sym(m)
-        d0 = eig_sym(m, vectors=False)
-        assert d0.eigenvectors is None
-        assert np.allclose(d0.eigenvalues, dv.eigenvalues, atol=1e-12)
-        with pytest.raises(ValueError):
-            reconstruction_residuals(d0, m)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=8))
-    def test_ordering_property(self, seed, n):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((n, n))
-        m = m + m.T
-        d = eig_sym(m, vectors=False)
-        mags = np.abs(d.eigenvalues)
-        assert np.all(mags[:-1] >= mags[1:] - 1e-15)
-
-    def test_decomposition_rejects_misordered(self):
-        with pytest.raises(ValueError):
-            EigenDecomposition(eigenvalues=np.array([1.0, 2.0]), eigenvectors=None)
-        for block in ((2, 3), (1, 2), (2,)):
-            with pytest.raises(ValueError):
-                EigenDecomposition(eigenvalues=np.array([2.0, 1.0]), eigenvectors=np.zeros(block))
-
-    def test_top_k_block_reads_n_from_its_rows(self):
-        d = EigenDecomposition(eigenvalues=np.array([2.0, 1.0]), eigenvectors=np.zeros((3, 2)))
-        assert d.n == 3
-
-
 class TestDecompositionInvariants:
     def test_reconstruction_and_orthonormality(self):
         params = ModelParams(n=512, alpha=0.5, seed=7)
         P = expected_matrix(gen_fitness(params), params.epsilon_n)
-        d = eig_sym(P)
+        d = eig_top(P, params.n)
         res = reconstruction_residuals(d, P)
         tol = residual_tolerances(d, P)
         assert np.all(res <= tol)
@@ -128,26 +46,26 @@ class TestDecompositionInvariants:
     def test_adjacency_reconstruction(self):
         params = ModelParams(n=256, alpha=0.3, seed=9)
         A = sample_sparse_adjacency(KernelOperator(gen_fitness(params), params.epsilon_n), params.seed).toarray()
-        d = eig_sym(A)
+        d = eig_top(A, params.n)
         assert np.all(reconstruction_residuals(d, A) <= residual_tolerances(d, A))
 
 
 class TestOutliersAndRank:
     def test_outliers_prefix(self):
-        d = eig_sym(np.diag([5.0, -4.0, 3.0, 1.0]), vectors=False)
+        d = eig_top(np.diag([5.0, -4.0, 3.0, 1.0]), 4)
         assert outliers(d, 2.0) == [(1, 5.0), (2, -4.0), (3, 3.0)]
         assert outliers(d, 10.0) == []
         # strict inequality: an eigenvalue sitting exactly on the edge stays in
         assert len(outliers(d, 5.0)) == 0
 
     def test_outliers_rejects_negative_edge(self):
-        d = eig_sym(np.zeros((3, 3)), vectors=False)
+        d = eig_top(np.zeros((3, 3)), 3)
         with pytest.raises(ValueError):
             outliers(d, -1.0)
 
     def test_effective_rank_diag(self):
         # n = 4 so c*sqrt(n) = 1 at c = 0.5
-        d = eig_sym(np.diag([5.0, -4.0, 0.5, 0.1]), vectors=False)
+        d = eig_top(np.diag([5.0, -4.0, 0.5, 0.1]), 4)
         assert effective_rank(d) == 2
         assert effective_rank(d, c=2.6) == 0
         with pytest.raises(ValueError):
@@ -158,7 +76,7 @@ class TestOutliersAndRank:
         for n in (1024, 2048):
             params = ModelParams(n=n, alpha=0.5, seed=3)
             P = expected_matrix(gen_fitness(params), params.epsilon_n)
-            d = eig_sym(P, vectors=False)
+            d = eig_top(P, n)
             er = effective_rank(d)
             assert er / math.log(n) == pytest.approx(0.55, abs=0.35)
             assert er == 4
@@ -166,7 +84,7 @@ class TestOutliersAndRank:
     def test_outlier_count_band_adjacency(self):
         params = ModelParams(n=1024, alpha=0.5, seed=3)
         A = sample_sparse_adjacency(KernelOperator(gen_fitness(params), params.epsilon_n), params.seed).toarray()
-        d = eig_sym(A, vectors=False)
+        d = eig_top(A, params.n)
         cnt = len(outliers(d, math.sqrt(params.n) / 2))
         assert 0.2 <= cnt / math.log(params.n) <= 5.0
 
@@ -208,6 +126,75 @@ class TestOutliersAndRank:
 
 
 class TestEigTop:
+    # k = n: the whole spectrum, decomposed densely
+    def test_zero_matrix(self):
+        d = eig_top(np.zeros((5, 5)), 5)
+        assert np.array_equal(d.eigenvalues, np.zeros(5))
+        assert d.n == 5
+
+    def test_complete_graph_constant_p(self):
+        # p(J - I) has eigenvalues (n-1)p once and -p with multiplicity n-1
+        n, p = 7, 0.3
+        m = p * (np.ones((n, n)) - np.eye(n))
+        d = eig_top(m, n)
+        assert abs(d.eigenvalues[0] - (n - 1) * p) < 1e-12
+        assert np.max(np.abs(d.eigenvalues[1:] + p)) < 1e-12
+
+    def test_descending_magnitude_with_signed_tiebreak(self):
+        d = eig_top(np.diag([3.0, -3.0, -2.0, 2.0, 0.0]), 5)
+        assert np.allclose(d.eigenvalues, [3.0, -3.0, 2.0, -2.0, 0.0], atol=1e-12)
+
+    def test_eigenvectors_travel_with_eigenvalues(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((9, 9))
+        m = m + m.T
+        d = eig_top(m, 9)
+        r = m @ d.eigenvectors - d.eigenvectors * d.eigenvalues
+        assert np.max(np.abs(r)) < 1e-12 * max(1.0, np.abs(d.eigenvalues[0]))
+
+    def test_whole_spectrum_rejects_non_finite(self):
+        m = np.zeros((3, 3))
+        m[0, 1] = m[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            eig_top(m, 3)
+        m[0, 1] = m[1, 0] = np.inf
+        with pytest.raises(ValueError):
+            eig_top(m, 3)
+
+    def test_rejects_asymmetric_and_non_square(self):
+        with pytest.raises(ValueError):
+            eig_top(np.arange(9.0).reshape(3, 3), 3)
+        with pytest.raises(ValueError):
+            eig_top(np.zeros((3, 4)), 3)
+
+    def test_symmetric_matrix_input_matches_its_entries(self):
+        params = ModelParams(n=32, alpha=0.5)
+        P = expected_matrix(gen_fitness(params), params.epsilon_n)
+        d = eig_top(P, 32)
+        assert np.array_equal(d.eigenvalues, eig_top(P.entries, 32).eigenvalues)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=8))
+    def test_ordering_property(self, seed, n):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n))
+        m = m + m.T
+        d = eig_top(m, n)
+        mags = np.abs(d.eigenvalues)
+        assert np.all(mags[:-1] >= mags[1:] - 1e-15)
+
+    def test_decomposition_rejects_misordered(self):
+        with pytest.raises(ValueError):
+            EigenDecomposition(eigenvalues=np.array([1.0, 2.0]), eigenvectors=np.eye(2))
+        for block in ((2, 3), (1, 2), (2,)):
+            with pytest.raises(ValueError):
+                EigenDecomposition(eigenvalues=np.array([2.0, 1.0]), eigenvectors=np.zeros(block))
+
+    def test_top_k_block_reads_n_from_its_rows(self):
+        d = EigenDecomposition(eigenvalues=np.array([2.0, 1.0]), eigenvectors=np.zeros((3, 2)))
+        assert d.n == 3
+
+    # k < n - 1: Lanczos
     def test_matches_dense_eigenvalues(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((40, 40))
@@ -216,7 +203,7 @@ class TestEigTop:
         # comes off the Lanczos path, past the k >= n - 1 shortcut
         hub = np.eye(5) - np.ones((5, 5))
         for matrix, k in ((m, 6), (hub, 1)):
-            dense = eig_sym(matrix)
+            dense = eig_top(matrix, matrix.shape[0])
             top = eig_top(matrix, k)
             assert top.n == matrix.shape[0]
             assert top.eigenvectors.shape == (top.n, k)
@@ -238,7 +225,7 @@ class TestEigTop:
         K = KernelOperator(fv, params.epsilon_n)
         A = sample_sparse_adjacency(K, params.seed)
         for op, dense in ((K, expected_matrix(fv, params.epsilon_n)), (A, A.toarray())):
-            want = eig_sym(dense, vectors=False).eigenvalues[:4]
+            want = eig_top(dense, params.n).eigenvalues[:4]
             np.testing.assert_allclose(eig_top(op, 4).eigenvalues, want, rtol=1e-10)
 
     def test_zero_operator(self):
@@ -265,7 +252,7 @@ class TestEigTop:
         params = ModelParams(n=4096, alpha=alpha, seed=1, weight_mode=mode)
         fv = gen_fitness(params)
         top = eig_top(KernelOperator(fv, params.epsilon_n), 8)
-        dense = eig_sym(expected_matrix(fv, params.epsilon_n))
+        dense = eig_top(expected_matrix(fv, params.epsilon_n), params.n)
         want = dense.eigenvalues[:8]
         assert np.max(np.abs(top.eigenvalues - want) / np.abs(want)) <= 1e-10
         cos = np.abs(np.sum(top.eigenvectors[:, :3] * dense.eigenvectors[:, :3], axis=0))
@@ -315,7 +302,7 @@ class TestNoiseNorm:
 
 @pytest.fixture(scope="module")
 def report_2048() -> ComparisonReport:
-    return compare(ModelParams(n=2048, alpha=0.5, seed=1), k_max=10)
+    return compare_with_vectors(ModelParams(n=2048, alpha=0.5, seed=1), k_max=10)[0]
 
 
 class TestCompare:
@@ -386,8 +373,8 @@ class TestCompare:
         P = expected_matrix(fv, params.epsilon_n)
         A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
         H = A.toarray() - P.entries
-        vals_P = np.sort(eig_sym(P, vectors=False).eigenvalues)[::-1]
-        vals_A = np.sort(eig_sym(A.toarray(), vectors=False).eigenvalues)[::-1]
+        vals_P = np.linalg.eigvalsh(P.entries)[::-1]
+        vals_A = np.linalg.eigvalsh(A.toarray())[::-1]
         norm_H = np.max(np.abs(np.linalg.eigvalsh(H)))
         assert np.max(np.abs(vals_A - vals_P)) <= norm_H + 1e-8
         assert abs(vals_P.sum()) <= 1e-6 * params.n
@@ -447,7 +434,7 @@ class TestCompare:
     def test_sign_veto_fallback_recorded(self):
         # at n = 32 the expected kernel runs out of positive eigenvalues
         # before k = 7, so the veto falls back to plain rank order there
-        rep = compare(ModelParams(n=32, alpha=0.5, seed=2), k_max=8)
+        rep = compare_with_vectors(ModelParams(n=32, alpha=0.5, seed=2), k_max=8)[0]
         assert rep.rows[6].sign_ok is False
         assert all(r.sign_ok is True for r in rep.rows[:6])
 
@@ -460,7 +447,7 @@ class TestCompare:
             return real(k, n, alpha)
 
         monkeypatch.setattr(numeric, "solve_omega_k", stub)
-        rep = compare(ModelParams(n=64, alpha=0.5, seed=5), k_max=5)
+        rep = compare_with_vectors(ModelParams(n=64, alpha=0.5, seed=5), k_max=5)[0]
         assert rep.pred_truncated_at == 3
         for r in rep.rows[:2]:
             assert math.isfinite(r.lambda_pred)
@@ -475,7 +462,7 @@ class TestCompare:
 
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
-            compare(ModelParams(n=64, alpha=0.5), k_max=0)
+            compare_with_vectors(ModelParams(n=64, alpha=0.5), k_max=0)
 
 
 class TestTopEigenvalueGap:
