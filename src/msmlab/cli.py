@@ -33,8 +33,10 @@ EXIT_NON_CONVERGENCE = 3
 EXIT_TRUNCATED = 4
 
 # largest n allowed without the --paper-scale acknowledgment; beyond it
-# compare's dense decompositions take minutes, and bulk's adjacency
-# sampling, which tests all n(n-1)/2 pairs, grows quadratically
+# compare's dense decompositions take minutes (n = 10^4: 245 s and 3.9 GB
+# peak RSS at 2 BLAS threads on 2 cores, one n x n solve held at a time),
+# and bulk's adjacency sampling, which tests all n(n-1)/2 pairs, grows
+# quadratically
 CI_SCALE_LIMIT = 4096
 
 # largest |closed form - aggregated kernel| that coarsegrain accepts
@@ -114,6 +116,12 @@ def _usage(message: str) -> int:
     return EXIT_USAGE
 
 
+def _out_file(cfg: dict[str, Any], suffix: str) -> Path:
+    """The --out prefix with suffix appended to its last component, dots and all."""
+    base = Path(cfg["out"])
+    return base.parent / (base.name + suffix)
+
+
 def cmd_predict(cfg: dict[str, Any]) -> int:
     from .output import csv_lines, json_document
     from .spectrum import NoRootError, omega_k_approx, solve_omega_k
@@ -138,7 +146,7 @@ def cmd_predict(cfg: dict[str, Any]) -> int:
     if cfg["out"] is None:
         print(text, end="")
     else:
-        Path(cfg["out"]).with_suffix("." + cfg["format"]).write_text(text, newline="")
+        _out_file(cfg, "." + cfg["format"]).write_text(text, newline="")
     return EXIT_TRUNCATED if truncated else EXIT_OK
 
 
@@ -158,12 +166,11 @@ def cmd_compare(cfg: dict[str, Any]) -> int:
     )
     report, artifacts = compare_with_vectors(params, cfg["k_max"])
 
-    base = Path(cfg["out"])
     header = tuple(f.name for f in dataclasses.fields(ComparisonRow))
     rows = [dataclasses.astuple(r) for r in report.rows]
-    write_csv(base.parent / (base.name + "_report.csv"), header, rows)
+    write_csv(_out_file(cfg, "_report.csv"), header, rows)
     write_json(
-        base.parent / (base.name + "_report.json"),
+        _out_file(cfg, "_report.json"),
         cfg,
         rows=[dict(zip(header, row)) for row in rows],
         bulk_edge_measured=report.bulk_edge_measured,
@@ -186,7 +193,7 @@ def cmd_compare(cfg: dict[str, Any]) -> int:
         for j in range(params.n):
             vec_rows.append((m.k, j + 1, None if m.predicted is None else pred[j], v_p[j], v_a[j]))
     write_csv(
-        base.parent / (base.name + "_eigenvectors.csv"),
+        _out_file(cfg, "_eigenvectors.csv"),
         ("k", "j", "predicted", "numerical_P", "numerical_A"),
         vec_rows,
     )
@@ -200,7 +207,7 @@ def cmd_compare(cfg: dict[str, Any]) -> int:
         for b in range(cfg["bins"]):
             hist_rows.append((edges[b], edges[b + 1], int(counts[b]), kind))
     write_csv(
-        base.parent / (base.name + "_hist.csv"),
+        _out_file(cfg, "_hist.csv"),
         ("bin_left", "bin_right", "count", "source_kind"),
         hist_rows,
     )
@@ -211,13 +218,12 @@ def cmd_spiral(cfg: dict[str, Any]) -> int:
     from .output import write_csv
     from .spectrum import lambda_k_from_omega, spiral, spiral_crossings
 
-    base = Path(cfg["out"])
     locus_rows = []
     for branch in ("plus", "minus"):
         locus = spiral(cfg["alpha"], cfg["n"], cfg["omega_max"], cfg["steps"], branch=branch)
         for omega, re, im in locus.samples:
             locus_rows.append((omega, re, im, branch))
-    write_csv(base.parent / (base.name + "_spiral.csv"), ("omega", "re", "im", "branch"), locus_rows)
+    write_csv(_out_file(cfg, "_spiral.csv"), ("omega", "re", "im", "branch"), locus_rows)
 
     crossings = spiral_crossings(cfg["alpha"], cfg["n"], cfg["omega_max"], cfg["steps"])
     cross_rows = []
@@ -225,7 +231,7 @@ def cmd_spiral(cfg: dict[str, Any]) -> int:
         k = i + 2  # the k = 1 crossing sits at omega = 0, outside the scan
         cross_rows.append((k, omega, lambda_k_from_omega(k, omega, cfg["n"], cfg["alpha"])))
     write_csv(
-        base.parent / (base.name + "_spiral_crossings.csv"),
+        _out_file(cfg, "_spiral_crossings.csv"),
         ("k", "omega", "lambda"),
         cross_rows,
     )
@@ -239,7 +245,6 @@ def cmd_bulk(cfg: dict[str, Any]) -> int:
     from .model import KernelOperator, ModelParams, gen_fitness
     from .output import write_csv, write_json
 
-    base = Path(cfg["out"])
     sweep_rows = []
     convergence: list[dict[str, Any]] = []
     all_converged = True
@@ -253,9 +258,8 @@ def cmd_bulk(cfg: dict[str, Any]) -> int:
             if cfg["density"]:
                 grid = np.linspace(-cfg["grid_span"], cfg["grid_span"], cfg["grid_points"])
                 sol = cavity_solve(P, grid, eta=cfg["eta"], damping=cfg["damping"], tol=cfg["tol"])
-                name = f"_density_n{n}_a{alpha}.csv"
                 write_csv(
-                    base.parent / (base.name + name),
+                    _out_file(cfg, f"_density_n{n}_a{alpha}.csv"),
                     ("lambda", "rho_H"),
                     zip(sol.z_grid.real, sol.density),
                 )
@@ -272,12 +276,12 @@ def cmd_bulk(cfg: dict[str, Any]) -> int:
                     }
                 )
     write_csv(
-        base.parent / (base.name + "_edge_sweep.csv"),
+        _out_file(cfg, "_edge_sweep.csv"),
         ("n", "alpha", "mean_edge", "stderr", "crude_bound"),
         sweep_rows,
     )
     if cfg["density"]:
-        write_json(base.parent / (base.name + "_convergence.json"), cfg, grids=convergence)
+        write_json(_out_file(cfg, "_convergence.json"), cfg, grids=convergence)
         if not all_converged:
             return EXIT_NON_CONVERGENCE
     return EXIT_OK
@@ -305,7 +309,7 @@ def cmd_coarsegrain(cfg: dict[str, Any]) -> int:
     if cfg["out"] is None:
         print(text, end="")
     else:
-        Path(cfg["out"]).with_suffix(".json").write_text(text)
+        _out_file(cfg, ".json").write_text(text)
     return EXIT_OK if passed else EXIT_NON_CONVERGENCE
 
 

@@ -96,6 +96,16 @@ class TestPredict:
         assert main(argv + [str(tmp_path / "b")]) == EXIT_OK
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_dotted_out_prefix_is_kept_whole(self, tmp_path):
+        # the suffix is appended, so runs at alpha 0.5 and 0.2 write two files
+        for alpha in ("0.5", "0.2"):
+            argv = ["predict", "--alpha", alpha, "--n", "500", "--k-max", "2"]
+            assert main(argv + ["--out", str(tmp_path / f"pred_a{alpha}")]) == EXIT_OK
+            assert main(argv + ["--format", "json", "--out", str(tmp_path / f"pred_a{alpha}")]) == EXIT_OK
+        assert main(["predict", "--n", "500", "--k-max", "2", "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+        names = ["pred_a0.2.csv", "pred_a0.2.json", "pred_a0.5.csv", "pred_a0.5.json", "x.csv.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
 
 @pytest.fixture
 def lanczos_fails(monkeypatch):
@@ -441,6 +451,14 @@ class TestCoarseGrain:
         assert rc == EXIT_OK
         doc = json.loads((tmp_path / "cg.json").read_text())
         assert doc["report"]["passed"] is True
+
+    def test_dotted_out_prefix_is_kept_whole(self, tmp_path):
+        for alpha in ("0.5", "0.2"):
+            argv = ["coarsegrain", "--alpha", alpha, "--n", "40", "--b", "4"]
+            assert main(argv + ["--out", str(tmp_path / f"cg_a{alpha}")]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cg_a0.2.json", "cg_a0.5.json"]
+        doc = json.loads((tmp_path / "cg_a0.5.json").read_text())
+        assert doc["config"]["alpha"] == 0.5
 
 
 class TestConfigAndEnvironment:
