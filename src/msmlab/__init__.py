@@ -8,27 +8,6 @@ matrices, closed-form predictions for the outlier eigenvalues and their
 eigenvectors, dense numerical spectra, bulk norm bounds, and two Stieltjes
 transform solvers (finite-n cavity and Poisson-process limit) plus a CLI.
 """
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
-from .special import (
-    GammaLineEvaluation,
-    PoleError,
-    digamma_line_derivative,
-    gamma_line,
-    incomplete_gamma_upper,
-    log_gamma_complex,
-    pareto_laplace,
-)
-
-__all__ = [
-    "__version__",
-    "GammaLineEvaluation",
-    "PoleError",
-    "digamma_line_derivative",
-    "gamma_line",
-    "incomplete_gamma_upper",
-    "log_gamma_complex",
-    "pareto_laplace",
-]
+__all__ = ["__version__"]

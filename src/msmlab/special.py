@@ -10,18 +10,14 @@ scipy's principal branch of log Gamma once a zero imaginary part is read
 as +0; the tests pin the value -pi exactly, for omega = 0.0 and -0.0.
 Working in log space keeps |Gamma| representable for the whole omega
 range we use. The line functions take a scalar omega or an array of them.
-
-numpy and scipy are imported inside the functions: the package imports
-this module, and the CLI must apply --threads before numpy loads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
+from scipy.special import digamma, exp1, gammaincc, loggamma
 
 __all__ = [
     "PoleError",
@@ -39,9 +35,6 @@ class PoleError(ValueError):
 
 
 def _log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
-    import numpy as np
-    from scipy.special import loggamma
-
     # scipy reads Im z = -0.0 as the limit from below (arg +pi on the
     # negative real axis); adding 0j turns -0.0 into +0.0, the limit from
     # above, which is the branch used here.
@@ -91,8 +84,6 @@ def _check_alpha(alpha: float) -> None:
 
 def _line(alpha: float, omega: float | np.ndarray) -> np.ndarray:
     """z = -alpha/2 + i*omega, after checking alpha and omega >= 0."""
-    import numpy as np
-
     _check_alpha(alpha)
     omega = np.asarray(omega, dtype=float)
     if (omega < 0.0).any():
@@ -110,8 +101,6 @@ def gamma_line(alpha: float, omega: float | np.ndarray) -> GammaLineEvaluation:
 
 def digamma_line_derivative(alpha: float, omega: float | np.ndarray) -> float | np.ndarray:
     """d/domega of arg Gamma(-alpha/2 + i*omega), i.e. Re psi(-alpha/2 + i*omega)."""
-    from scipy.special import digamma
-
     return digamma(_line(alpha, omega)).real
 
 
@@ -124,8 +113,6 @@ def incomplete_gamma_upper(z: complex | float, s: float) -> complex:
     z may be given as a complex number with zero imaginary part; a complex
     order is rejected, since Q is only available for real order.
     """
-    from scipy.special import exp1, gammaincc
-
     z = complex(z)
     if z.imag != 0.0:
         raise ValueError(f"z must be real, got {z}")
