@@ -29,7 +29,7 @@ from msmlab.numeric import (
     reconstruction_residuals,
     residual_tolerances,
 )
-from msmlab.spectrum import NoRootError, lambda_1
+from msmlab.spectrum import NoRootError, lambda_1, solve_omega_k
 
 
 class TestDecompositionInvariants:
@@ -411,7 +411,7 @@ class TestCompare:
             want = entries = None
             if not truncated:
                 try:
-                    want = math.copysign(1.0, numeric.solve_omega_k(row.k, n, alpha).lambda_k)
+                    want = math.copysign(1.0, solve_omega_k(row.k, n, alpha).lambda_k)
                     entries = eigenvector_entries(row.k, n, alpha).entries
                 except NoRootError:
                     truncated = True
