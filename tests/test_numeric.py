@@ -383,10 +383,10 @@ class TestCompare:
     @pytest.mark.parametrize("mode", WEIGHT_MODES)
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_rows_match_dense_eigh_of_P_and_A(self, alpha, mode):
-        # every row rebuilt from one inline eigh of P and of A, in the
-        # documented order (|lambda| descending, ties by signed value) with
-        # the sign veto; deterministic weights at alpha = 0.8 veto P's rank
-        # 29 into k = 7, past k_max
+        # every row and its vectors rebuilt from one inline eigh of P and
+        # of A, in the documented order (|lambda| descending, ties by signed
+        # value) with the sign veto; deterministic weights at alpha = 0.8
+        # veto P's rank 29 into k = 7, past k_max
         n, k_max = 1024, 8
         params = ModelParams(n=n, alpha=alpha, seed=3, weight_mode=mode)
         report, artifacts = compare_with_vectors(params, k_max)
@@ -418,12 +418,17 @@ class TestCompare:
             (vals_p, vecs_p, used_p), (vals_a, vecs_a, used_a) = solved
             i_p, i_a = match(vals_p, used_p, want), match(vals_a, used_a, want)
             v_p, v_a = vecs_p[:, i_p], vecs_a[:, i_a]
+            matched = artifacts.vectors[row.k - 1]
             assert row.lambda_P == vals_p[i_p]
             assert row.lambda_A == vals_a[i_a]
+            assert np.array_equal(matched.numerical_P, v_p)
+            assert np.array_equal(matched.numerical_A, v_a)
             assert abs(row.cosine_sim_P_vs_A - abs(v_p @ v_a)) <= 1e-12
             if entries is None:
+                assert matched.predicted is None
                 assert math.isnan(row.cosine_sim_pred_vs_P)
             else:
+                assert np.array_equal(matched.predicted, entries)
                 cos = abs(entries @ v_p) / np.linalg.norm(entries)
                 assert abs(row.cosine_sim_pred_vs_P - cos) <= 1e-12
         if (alpha, mode) == (0.8, "deterministic"):
