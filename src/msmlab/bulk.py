@@ -58,6 +58,8 @@ __all__ = [
 _ANDERSON_DEPTH = 5
 # sweeps after which the Stieltjes solvers flag a grid point as not converged
 _MAX_SWEEPS = 5000
+# c in norm_lower_bound_check's floor 1 - exp(-c delta^2 sigma^2)
+_LOWER_BOUND_C = 0.01
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,8 @@ class PPPAtoms:
         object.__setattr__(self, "y", y)
         if g.size != y.size:
             raise ValueError(f"gamma_cumsum and y differ in length: {g.size} vs {y.size}")
+        if y.size == 0:
+            raise ValueError("need at least one atom")
         if not np.all(np.diff(g) > 0.0):
             raise ValueError("Gamma partial sums must be strictly increasing")
         if not np.all(np.diff(y) < 0.0):
@@ -146,8 +150,6 @@ class PPPAtoms:
         E[Gamma_k^(-1/alpha)] ~ k^(-1/alpha), and the integral tail bound
         gives alpha/(1-alpha) * K^(-(1-alpha)/alpha).
         """
-        if self.K == 0:
-            return math.inf
         a = self.alpha
         return a / (1.0 - a) * float(self.K) ** (-(1.0 - a) / a)
 
@@ -226,17 +228,17 @@ def norm_lower_bound_check(
     kernel: KernelOperator,
     draws: Sequence[scipy.sparse.sparray],
     delta: float = 0.5,
-    c: float = 0.01,
 ) -> LowerBoundReport:
     """Check ||H|| >= sqrt(1 - delta) sigma across realizations.
 
     draws are sparse adjacencies drawn from kernel, the KernelOperator of
     the P that vp profiles; each ||A - P|| comes from noise_norm. The
     empirical pass fraction must beat the conservative floor
-    1 - exp(-c delta^2 sigma^2). As a second, entrywise witness, the
-    squared column norm at the row attaining sigma is a sum of n-1
-    independent variables bounded by 1 with mean sigma^2, so it must sit
-    within three 95% Hoeffding widths of sigma^2 in every realization.
+    1 - exp(-c delta^2 sigma^2), with c = 0.01. As a second, entrywise
+    witness, the squared column norm at the row attaining sigma is a sum
+    of n-1 independent variables bounded by 1 with mean sigma^2, so it
+    must sit within three 95% Hoeffding widths of sigma^2 in every
+    realization.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0,1], got {delta}")
@@ -255,7 +257,7 @@ def norm_lower_bound_check(
         col = (A @ e - kernel.matmat(e))[:, 0]  # H e_i* = A[:, i*] - P e_i*
         max_dev = max(max_dev, abs(float(col @ col) - sigma2))
     fraction = hits / len(draws)
-    floor = 1.0 - math.exp(-c * delta**2 * sigma2)
+    floor = 1.0 - math.exp(-_LOWER_BOUND_C * delta**2 * sigma2)
     width = math.sqrt((n - 1) * math.log(2.0 / 0.05) / 2.0)
     return LowerBoundReport(
         delta=delta,
@@ -360,7 +362,7 @@ def _stieltjes_fixed_point(
 def cavity_solve(
     kernel: KernelOperator,
     z_grid: np.ndarray,
-    eta: float | None = None,
+    eta: float,
     damping: float = 0.5,
     tol: float = 1e-9,
 ) -> StieltjesSolution:
@@ -370,8 +372,7 @@ def cavity_solve(
     p_ij = 1 - exp(-eps x_i x_j) weight the equation; it matches the dense
     product to about 1e-14 and holds no n x n array. z_grid holds real
     spectral positions lambda (on the M/sqrt(n) scale); each is lifted to
-    lambda + i eta. eta defaults to 2.5/sqrt(n) times the grid span, small
-    enough to resolve the bulk while keeping the iteration a contraction.
+    lambda + i eta, with eta > 0.
 
     The map is
 
@@ -393,10 +394,6 @@ def cavity_solve(
     5000 sweeps is flagged, never raised.
     """
     n = kernel.n
-    if eta is None:
-        lam = np.asarray(z_grid, dtype=float)
-        span = float(lam.max() - lam.min()) if lam.size else 0.0
-        eta = 2.5 / math.sqrt(n) * (span if span > 0.0 else 1.0)
     # times 1/n: the rounding of numpy's complex division by n
     return _stieltjes_fixed_point(lambda v: kernel.matmat(v) * (1.0 / n), n, z_grid, eta, damping, tol)
 
@@ -437,16 +434,8 @@ def ppp_fixed_point(
     on the atoms without its 1/n, so cavity_solve's loop runs it on the
     KernelOperator with sqrt(eps) x = y, plus the l = k term it leaves out.
     z_grid and eta are as in cavity_solve; S_n is the plain mean of g over
-    the atoms, or the free resolvent -1/z when there are none.
+    the atoms.
     """
-    if atoms.K == 0:  # no atoms leave Phi = 0, so S is the free resolvent
-        z = _lift(z_grid, eta)
-        free = np.array([-1.0 / complex(v) for v in z])  # to the bit of Python's -1 / z
-        sweeps = np.zeros(z.size, dtype=int)
-        empty = np.empty((0, z.size), dtype=complex)
-        return StieltjesSolution(
-            z, empty, free, free.imag / math.pi, sweeps, sweeps == 0, np.zeros((0, z.size))
-        )
     y = atoms.y
     # the last atom is the smallest, so these weights are >= 1
     kernel = KernelOperator(FitnessVector(y / y[-1]), y[-1] ** 2)

@@ -124,18 +124,15 @@ def _out_file(cfg: dict[str, Any], suffix: str) -> Path:
 
 def cmd_predict(cfg: dict[str, Any]) -> int:
     from .output import csv_lines, json_document
-    from .spectrum import NoRootError, omega_k_approx, solve_omega_k
+    from .spectrum import ladder, omega_k_approx
 
-    rows = []
-    truncated = False
-    for k in range(1, cfg["k_max"] + 1):
-        try:
-            pred = solve_omega_k(k, cfg["n"], cfg["alpha"])
-        except NoRootError:
-            truncated = True
-            break
-        approx = math.nan if k < 2 else omega_k_approx(k, cfg["n"], cfg["alpha"])
-        rows.append((k, pred.omega_k, approx, pred.lambda_k, pred.method, pred.residual))
+    n, alpha = cfg["n"], cfg["alpha"]
+    preds = ladder(cfg["k_max"], n, alpha)
+    truncated = len(preds) < cfg["k_max"]
+    rows = [
+        (p.k, p.omega_k, omega_k_approx(p.k, n, alpha) if p.k > 1 else math.nan, p.lambda_k, p.method, p.residual)
+        for p in preds
+    ]
 
     header = ("k", "omega_k", "omega_k_approx", "lambda_k", "method", "residual")
     if cfg["format"] == "json":
@@ -155,7 +152,7 @@ def cmd_compare(cfg: dict[str, Any]) -> int:
 
     from .eigenvectors import l1_normalize
     from .model import ModelParams
-    from .numeric import ComparisonRow, compare_with_vectors
+    from .numeric import ComparisonRow, compare
     from .output import write_csv, write_json
 
     params = ModelParams(
@@ -164,7 +161,7 @@ def cmd_compare(cfg: dict[str, Any]) -> int:
         seed=cfg["seed"],
         weight_mode="deterministic" if cfg["deterministic"] else "iid_pareto",
     )
-    report, artifacts = compare_with_vectors(params, cfg["k_max"])
+    report = compare(params, cfg["k_max"])
 
     header = tuple(f.name for f in dataclasses.fields(ComparisonRow))
     rows = [dataclasses.astuple(r) for r in report.rows]
@@ -181,28 +178,28 @@ def cmd_compare(cfg: dict[str, Any]) -> int:
     # eigenvector table: all three columns l1-normalized, numerical signs
     # aligned to the prediction where one exists
     vec_rows = []
-    for m in artifacts.vectors:
-        v_p = l1_normalize(m.numerical_P)
-        v_a = l1_normalize(m.numerical_A)
-        if m.predicted is not None:
-            pred = l1_normalize(m.predicted)
+    for i, row in enumerate(report.rows):
+        v_p = l1_normalize(report.vectors_P[i])
+        v_a = l1_normalize(report.vectors_A[i])
+        pred = [None] * params.n
+        if i < len(report.vectors_pred):
+            pred = l1_normalize(report.vectors_pred[i])
             if float(pred @ v_p) < 0.0:
                 v_p = -v_p
             if float(pred @ v_a) < 0.0:
                 v_a = -v_a
-        for j in range(params.n):
-            vec_rows.append((m.k, j + 1, None if m.predicted is None else pred[j], v_p[j], v_a[j]))
+        vec_rows.extend((row.k, j + 1, pred[j], v_p[j], v_a[j]) for j in range(params.n))
     write_csv(
         _out_file(cfg, "_eigenvectors.csv"),
         ("k", "j", "predicted", "numerical_P", "numerical_A"),
         vec_rows,
     )
 
-    lo = min(artifacts.eigenvalues_P.min(), artifacts.eigenvalues_A.min())
-    hi = max(artifacts.eigenvalues_P.max(), artifacts.eigenvalues_A.max())
+    lo = min(report.eigenvalues_P.min(), report.eigenvalues_A.min())
+    hi = max(report.eigenvalues_P.max(), report.eigenvalues_A.max())
     edges = np.linspace(lo, hi, cfg["bins"] + 1)
     hist_rows = []
-    for kind, vals in (("expected_P", artifacts.eigenvalues_P), ("adjacency_A", artifacts.eigenvalues_A)):
+    for kind, vals in (("expected_P", report.eigenvalues_P), ("adjacency_A", report.eigenvalues_A)):
         counts, _ = np.histogram(vals, bins=edges)
         for b in range(cfg["bins"]):
             hist_rows.append((edges[b], edges[b + 1], int(counts[b]), kind))

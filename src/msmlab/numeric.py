@@ -3,9 +3,11 @@
 eig_top is the one eigensolver: Lanczos for the k largest |eigenvalues|
 of an array or a matrix-free operator, and a dense solve for k >= n - 1.
 ||A - P|| is its k = 1 case on v -> A v - P v, with A the sparse draw and
-P the KernelOperator, so H is never stored. The comparison builds dense
-P, then dense A, only for their whole spectra, and keeps of each only
-the eigenvectors matched to the analytic ladder.
+P the KernelOperator, so H is never stored. compare builds dense P,
+then dense A, only for their whole spectra, keeps of each only the
+eigenvectors matched to spectrum.ladder's predictions, and returns one
+ComparisonReport: its rows, the predicted and matched vectors as
+row-per-rank blocks, and both spectra.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse.linalg
 
-from .eigenvectors import EigenvectorPrediction, eigenvector_entries
+from .eigenvectors import eigenvector_entries
 from .model import (
     KernelOperator,
     ModelParams,
@@ -30,20 +32,18 @@ from .model import (
     gen_fitness,
     sample_sparse_adjacency,
 )
-from .spectrum import NoRootError, SpectralPrediction, solve_omega_k
+from .spectrum import ladder
 
 __all__ = [
     "EigenDecomposition",
     "ComparisonRow",
     "ComparisonReport",
-    "MatchedVectors",
-    "CompareArtifacts",
     "reconstruction_residuals",
     "outliers",
     "effective_rank",
     "eig_top",
     "noise_norm",
-    "compare_with_vectors",
+    "compare",
 ]
 
 
@@ -94,30 +94,23 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """The ladder's rows, and the vectors and whole spectra behind them.
+
+    Row i of each vector block belongs to rows[i]; vectors_pred holds the
+    closed-form entries of the rows before truncation, vectors_P and
+    vectors_A the matched unit eigenvectors of every row.
+    """
+
     params: ModelParams
     k_max: int
     rows: tuple[ComparisonRow, ...]
     bulk_edge_measured: float
     k_break: int | None  # smallest k with cosine_sim_P_vs_A < 0.9
     pred_truncated_at: int | None  # first k whose root bracket was empty
-
-
-@dataclass(frozen=True)
-class MatchedVectors:
-    """The three vectors behind one comparison row."""
-
-    k: int
-    predicted: np.ndarray | None  # closed-form entries, None past truncation
-    numerical_P: np.ndarray  # unit eigenvector of P matched to rank k
-    numerical_A: np.ndarray  # unit eigenvector of A matched to rank k
-
-
-@dataclass(frozen=True)
-class CompareArtifacts:
-    """Bulky by-products of a comparison run, kept out of the report."""
-
-    vectors: tuple[MatchedVectors, ...]
-    eigenvalues_P: np.ndarray  # full spectrum, magnitude-ordered
+    vectors_pred: np.ndarray  # (rows before truncation, n)
+    vectors_P: np.ndarray  # (k_max, n)
+    vectors_A: np.ndarray  # (k_max, n)
+    eigenvalues_P: np.ndarray  # all n, magnitude-ordered
     eigenvalues_A: np.ndarray
 
 
@@ -286,16 +279,15 @@ def _matched_pairs(
 
     Rank k takes the next unused magnitude rank under _match_rank's sign
     veto. Returns all eigenvalues, the matched ones and a copy of their
-    (n, k_max) eigenvector block, so the caller need not keep the n x n one.
+    eigenvectors as (k_max, n) rows, so the caller need not keep the
+    n x n block.
     """
     used: set[int] = set()
     ranks = [_match_rank(decomp.eigenvalues, used, want) for want in wants]
-    return decomp.eigenvalues, decomp.eigenvalues[ranks], decomp.eigenvectors[:, ranks]
+    return decomp.eigenvalues, decomp.eigenvalues[ranks], decomp.eigenvectors[:, ranks].T
 
 
-def compare_with_vectors(
-    params: ModelParams, k_max: int
-) -> tuple[ComparisonReport, CompareArtifacts]:
+def compare(params: ModelParams, k_max: int) -> ComparisonReport:
     """Three-way ladder comparison: analytic roots vs eig(P) vs eig(A).
 
     Samples one sparse adjacency with the params seed from the
@@ -306,9 +298,6 @@ def compare_with_vectors(
     same-signed candidates remain). A missing root bracket at some k
     truncates the prediction columns from that k on; the numerical
     columns keep going.
-
-    Also returns the matched eigenvectors and full spectra for plotting
-    and histogramming.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -318,35 +307,24 @@ def compare_with_vectors(
     A = sample_sparse_adjacency(K, params.seed)
     bulk_edge = noise_norm(A, K)
 
-    preds: list[tuple[SpectralPrediction, EigenvectorPrediction] | None] = []
-    truncated_at: int | None = None
-    for k in range(1, k_max + 1):
-        if truncated_at is not None:
-            preds.append(None)
-            continue
-        try:
-            sp = solve_omega_k(k, params.n, params.alpha)
-            preds.append((sp, eigenvector_entries(k, params.n, params.alpha)))
-        except NoRootError:
-            truncated_at = k
-            preds.append(None)
-    wants = [None if pred is None else math.copysign(1.0, pred[0].lambda_k) for pred in preds]
+    preds = ladder(k_max, params.n, params.alpha)
+    t = len(preds)
+    vecs_pred = np.array([eigenvector_entries(p.k, params.n, params.alpha).entries for p in preds]).reshape(t, params.n)
+    wants = [math.copysign(1.0, p.lambda_k) for p in preds] + [None] * (k_max - t)
     # each n x n block lives only inside its _matched_pairs call
     vals_P, lams_P, vecs_P = _matched_pairs(eig_top(expected_matrix(fv, params.epsilon_n), params.n), wants)
     vals_A, lams_A, vecs_A = _matched_pairs(eig_top(A.toarray(), params.n), wants)
 
     rows: list[ComparisonRow] = []
-    matched: list[MatchedVectors] = []
-    for i, (pred, want) in enumerate(zip(preds, wants)):
+    for i, want in enumerate(wants):
         lam_p, lam_a = float(lams_P[i]), float(lams_A[i])
-        v_p, v_a = vecs_P[:, i], vecs_A[:, i]
-        if pred is None:
+        if want is None:
             lam_k = rel_pred = cos_pred = math.nan
             sign_ok = None
         else:
-            lam_k = pred[0].lambda_k
+            lam_k = preds[i].lambda_k
             rel_pred = abs(lam_p - lam_k) / abs(lam_k)
-            cos_pred = _cosine(pred[1].entries, v_p)
+            cos_pred = _cosine(vecs_pred[i], vecs_P[i])
             sign_ok = (
                 math.copysign(1.0, lam_p) == want
                 and math.copysign(1.0, lam_a) == want
@@ -360,27 +338,21 @@ def compare_with_vectors(
                 rel_err_pred_vs_P=rel_pred,
                 rel_err_P_vs_A=abs(lam_a - lam_p) / abs(lam_p),
                 cosine_sim_pred_vs_P=cos_pred,
-                cosine_sim_P_vs_A=_cosine(v_p, v_a),
+                cosine_sim_P_vs_A=_cosine(vecs_P[i], vecs_A[i]),
                 sign_ok=sign_ok,
             )
         )
-        matched.append(
-            MatchedVectors(
-                k=i + 1,
-                predicted=None if pred is None else pred[1].entries,
-                numerical_P=v_p,
-                numerical_A=v_a,
-            )
-        )
 
-    k_break = next((row.k for row in rows if row.cosine_sim_P_vs_A < 0.9), None)
-    report = ComparisonReport(
+    return ComparisonReport(
         params=params,
         k_max=k_max,
         rows=tuple(rows),
         bulk_edge_measured=bulk_edge,
-        k_break=k_break,
-        pred_truncated_at=truncated_at,
+        k_break=next((row.k for row in rows if row.cosine_sim_P_vs_A < 0.9), None),
+        pred_truncated_at=t + 1 if t < k_max else None,
+        vectors_pred=vecs_pred,
+        vectors_P=vecs_P,
+        vectors_A=vecs_A,
+        eigenvalues_P=vals_P,
+        eigenvalues_A=vals_A,
     )
-    artifacts = CompareArtifacts(vectors=tuple(matched), eigenvalues_P=vals_P, eigenvalues_A=vals_A)
-    return report, artifacts

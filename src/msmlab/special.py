@@ -1,7 +1,7 @@
-"""Complex log-Gamma, digamma, upper incomplete Gamma, and the Pareto Laplace transform.
+"""Complex log-Gamma, digamma, and the Pareto Laplace transform.
 
-The numerics are the ``scipy.special`` ufuncs ``loggamma``, ``digamma``,
-``gammaincc`` and ``exp1``; this module adds parameter checks, error reporting and
+The numerics are the ``scipy.special`` ufuncs ``loggamma``, ``digamma``
+and ``gammaincc``; this module adds parameter checks, error reporting and
 the branch convention. Everything downstream keys off the Gamma function
 along the vertical line z = -alpha/2 + i*omega, so the branch of the
 argument is fixed here once and for all: arg Gamma is continuous in omega
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, exp1, gammaincc, loggamma
+from scipy.special import digamma, gammaincc, loggamma
 
 __all__ = [
     "PoleError",
@@ -25,7 +25,6 @@ __all__ = [
     "log_gamma_complex",
     "gamma_line",
     "digamma_line_derivative",
-    "incomplete_gamma_upper",
     "pareto_laplace",
 ]
 
@@ -104,34 +103,6 @@ def digamma_line_derivative(alpha: float, omega: float | np.ndarray) -> float | 
     return digamma(_line(alpha, omega)).real
 
 
-def incomplete_gamma_upper(z: complex | float, s: float) -> complex:
-    """Upper incomplete Gamma(z, s) for s > 0 and real order z <= 1.
-
-    For 0 < z <= 1 this is Gamma(z) Q(z, s), with Q the regularized upper
-    incomplete Gamma, and for z = 0 it is E1(s). A negative order is
-    reached from z + ceil(-z) by Gamma(c, s) = (Gamma(c+1, s) - s^c e^-s) / c.
-    z may be given as a complex number with zero imaginary part; a complex
-    order is rejected, since Q is only available for real order.
-    """
-    z = complex(z)
-    if z.imag != 0.0:
-        raise ValueError(f"z must be real, got {z}")
-    if s <= 0.0:
-        raise ValueError(f"s must be > 0, got {s}")
-    a = z.real
-    if a > 1.0:
-        raise ValueError(f"z must be <= 1, got {a}")
-    steps = math.ceil(-a) if a < 0.0 else 0
-    b = a + steps
-    out = float(exp1(s)) if b == 0.0 else math.gamma(b) * float(gammaincc(b, s))
-    for k in reversed(range(steps)):
-        c = a + k
-        out = (out - s**c * math.exp(-s)) / c
-    if not math.isfinite(out):
-        raise OverflowError(f"incomplete Gamma overflow at z = {a}, s = {s}")
-    return complex(out)
-
-
 def pareto_laplace(alpha: float, t: float) -> float:
     """Laplace transform of the Pareto(alpha) law: E exp(-t u^(-1/alpha)).
 
@@ -145,5 +116,6 @@ def pareto_laplace(alpha: float, t: float) -> float:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 1.0
-    tail = t**alpha * incomplete_gamma_upper(1.0 - alpha, t).real
+    # Gamma(1-alpha, t) = Gamma(1-alpha) Q(1-alpha, t), with Q the regularized upper incomplete Gamma
+    tail = t**alpha * (math.gamma(1.0 - alpha) * float(gammaincc(1.0 - alpha, t)))
     return math.exp(-t) - tail

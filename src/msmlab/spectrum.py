@@ -38,6 +38,7 @@ __all__ = [
     "lambda_1",
     "admissibility_residual",
     "solve_omega_k",
+    "ladder",
     "lambda_k_from_omega",
     "omega_k_approx",
     "stationary_point",
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 EULER_GAMMA = np.euler_gamma
+# largest k that k_star_estimate tries before giving up
+_K_STAR_CAP = 10_000
 
 
 class NoRootError(RuntimeError):
@@ -170,6 +173,20 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
     )
 
 
+def ladder(k_max: int, n: int, alpha: float) -> list[SpectralPrediction]:
+    """solve_omega_k for k = 1, 2, ..., k_max, stopping before the first k off the ladder.
+
+    A list shorter than k_max means that k = len + 1 raised NoRootError.
+    """
+    preds = []
+    for k in range(1, k_max + 1):
+        try:
+            preds.append(solve_omega_k(k, n, alpha))
+        except NoRootError:
+            break
+    return preds
+
+
 def omega_k_approx(k: int, n: int, alpha: float) -> float:
     """Affine approximation omega_k ~ alpha (k pi + phi_alpha) / ln n.
 
@@ -265,13 +282,13 @@ def spiral_crossings(alpha: float, n: int, omega_max: float, steps: int = 2000) 
     return np.array([brentq(imag_part, omegas[i], omegas[i + 1], xtol=1e-12) for i in flips])
 
 
-def k_star_estimate(n: int, alpha: float, k_cap: int = 10_000) -> KStarEstimate:
+def k_star_estimate(n: int, alpha: float) -> KStarEstimate:
     """Smallest k whose predicted |lambda_k| drops below the sqrt(n)/2 edge proxy."""
     _check_n(n)
     edge = math.sqrt(n) / 2.0
     log_n = math.log(n)
-    for k in range(1, k_cap + 1):
+    for k in range(1, _K_STAR_CAP + 1):
         pred = solve_omega_k(k, n, alpha)
         if abs(pred.lambda_k) < edge:
             return KStarEstimate(k_star=k, log_n=log_n, ratio=k / log_n)
-    raise NoRootError(f"no k <= {k_cap} fell below the bulk edge proxy")
+    raise NoRootError(f"no k <= {_K_STAR_CAP} fell below the bulk edge proxy")

@@ -25,7 +25,7 @@ from msmlab.model import (
     gen_fitness,
     sample_sparse_adjacency,
 )
-from msmlab.numeric import compare_with_vectors, eig_top
+from msmlab.numeric import compare, eig_top
 from msmlab.special import gamma_line, log_gamma_complex, digamma_line_derivative, pareto_laplace
 from msmlab.spectrum import k_star_estimate, lambda_1, omega_k_approx, solve_omega_k
 
@@ -39,7 +39,7 @@ def check(label: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def compare_4096():
     # one decomposition pair serves criteria 4 and 5
-    return compare_with_vectors(ModelParams(n=4096, alpha=0.5, seed=1), k_max=5)[0]
+    return compare(ModelParams(n=4096, alpha=0.5, seed=1), k_max=5)
 
 
 def test_criterion_01_top_eigenvalue_scaling():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import msmlab.numeric as numeric
+import msmlab.spectrum as spectrum
 from msmlab.eigenvectors import eigenvector_entries
 from msmlab.model import (
     WEIGHT_MODES,
@@ -21,7 +21,7 @@ from msmlab.model import (
 from msmlab.numeric import (
     ComparisonReport,
     EigenDecomposition,
-    compare_with_vectors,
+    compare,
     effective_rank,
     eig_top,
     noise_norm,
@@ -302,7 +302,7 @@ class TestNoiseNorm:
 
 @pytest.fixture(scope="module")
 def report_2048() -> ComparisonReport:
-    return compare_with_vectors(ModelParams(n=2048, alpha=0.5, seed=1), k_max=10)[0]
+    return compare(ModelParams(n=2048, alpha=0.5, seed=1), k_max=10)
 
 
 class TestCompare:
@@ -346,7 +346,7 @@ class TestCompare:
         # compare takes ||A - P|| on the kernel operator; the reference
         # redraws A from the same seed and stores H densely
         params = ModelParams(n=1024, alpha=0.5, seed=3, weight_mode=mode)
-        report, _ = compare_with_vectors(params, k_max=2)
+        report = compare(params, k_max=2)
         fv = gen_fitness(params)
         A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed)
         want = top_magnitude(A.toarray() - expected_matrix(fv, params.epsilon_n).entries)
@@ -360,7 +360,7 @@ class TestCompare:
         params = ModelParams(n=1024, alpha=alpha, seed=3, weight_mode=mode)
         K = KernelOperator(gen_fitness(params), params.epsilon_n)
         want = noise_norm(sample_sparse_adjacency(K, params.seed), K)
-        assert compare_with_vectors(params, 8)[0].bulk_edge_measured == want
+        assert compare(params, 8).bulk_edge_measured == want
 
     def test_bulk_edge_under_envelope(self, report_2048):
         n = report_2048.params.n
@@ -389,7 +389,7 @@ class TestCompare:
         # veto P's rank 29 into k = 7, past k_max
         n, k_max = 1024, 8
         params = ModelParams(n=n, alpha=alpha, seed=3, weight_mode=mode)
-        report, artifacts = compare_with_vectors(params, k_max)
+        report = compare(params, k_max)
         fv = gen_fitness(params)
         P = expected_matrix(fv, params.epsilon_n).entries
         A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed).toarray()
@@ -418,42 +418,44 @@ class TestCompare:
             (vals_p, vecs_p, used_p), (vals_a, vecs_a, used_a) = solved
             i_p, i_a = match(vals_p, used_p, want), match(vals_a, used_a, want)
             v_p, v_a = vecs_p[:, i_p], vecs_a[:, i_a]
-            matched = artifacts.vectors[row.k - 1]
             assert row.lambda_P == vals_p[i_p]
             assert row.lambda_A == vals_a[i_a]
-            assert np.array_equal(matched.numerical_P, v_p)
-            assert np.array_equal(matched.numerical_A, v_a)
+            assert np.array_equal(report.vectors_P[row.k - 1], v_p)
+            assert np.array_equal(report.vectors_A[row.k - 1], v_a)
             assert abs(row.cosine_sim_P_vs_A - abs(v_p @ v_a)) <= 1e-12
             if entries is None:
-                assert matched.predicted is None
+                assert len(report.vectors_pred) < row.k
                 assert math.isnan(row.cosine_sim_pred_vs_P)
             else:
-                assert np.array_equal(matched.predicted, entries)
+                assert np.array_equal(report.vectors_pred[row.k - 1], entries)
                 cos = abs(entries @ v_p) / np.linalg.norm(entries)
                 assert abs(row.cosine_sim_pred_vs_P - cos) <= 1e-12
         if (alpha, mode) == (0.8, "deterministic"):
             assert max(solved[0][2]) >= k_max
-        assert np.array_equal(artifacts.eigenvalues_P, solved[0][0])
-        assert np.array_equal(artifacts.eigenvalues_A, solved[1][0])
+        assert report.vectors_P.shape == report.vectors_A.shape == (k_max, n)
+        assert np.array_equal(report.eigenvalues_P, solved[0][0])
+        assert np.array_equal(report.eigenvalues_A, solved[1][0])
 
     def test_sign_veto_fallback_recorded(self):
         # at n = 32 the expected kernel runs out of positive eigenvalues
         # before k = 7, so the veto falls back to plain rank order there
-        rep = compare_with_vectors(ModelParams(n=32, alpha=0.5, seed=2), k_max=8)[0]
+        rep = compare(ModelParams(n=32, alpha=0.5, seed=2), k_max=8)
         assert rep.rows[6].sign_ok is False
         assert all(r.sign_ok is True for r in rep.rows[:6])
 
     def test_truncation_propagates(self, monkeypatch):
-        real = numeric.solve_omega_k
+        real = spectrum.solve_omega_k
 
         def stub(k, n, alpha):
             if k >= 3:
                 raise NoRootError("stubbed empty bracket")
             return real(k, n, alpha)
 
-        monkeypatch.setattr(numeric, "solve_omega_k", stub)
-        rep = compare_with_vectors(ModelParams(n=64, alpha=0.5, seed=5), k_max=5)[0]
+        monkeypatch.setattr(spectrum, "solve_omega_k", stub)
+        rep = compare(ModelParams(n=64, alpha=0.5, seed=5), k_max=5)
         assert rep.pred_truncated_at == 3
+        assert rep.vectors_pred.shape == (2, 64)
+        assert rep.vectors_P.shape == rep.vectors_A.shape == (5, 64)
         for r in rep.rows[:2]:
             assert math.isfinite(r.lambda_pred)
             assert r.sign_ok is not None
@@ -467,7 +469,7 @@ class TestCompare:
 
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
-            compare_with_vectors(ModelParams(n=64, alpha=0.5), k_max=0)
+            compare(ModelParams(n=64, alpha=0.5), k_max=0)
 
 
 class TestTopEigenvalueGap:

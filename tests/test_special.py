@@ -13,7 +13,6 @@ from msmlab.special import (
     PoleError,
     digamma_line_derivative,
     gamma_line,
-    incomplete_gamma_upper,
     log_gamma_complex,
     pareto_laplace,
 )
@@ -192,64 +191,6 @@ class TestDigammaLineDerivative:
             digamma_line_derivative(1.2, 1.0)
         with pytest.raises(ValueError):
             digamma_line_derivative(0.5, -1.0)
-
-
-class TestIncompleteGammaUpper:
-    def test_at_one_is_exp(self):
-        for s in (1e-9, 0.5, 3.0, 20.0):
-            got = incomplete_gamma_upper(1.0 + 0.0j, s)
-            assert abs(got - math.exp(-s)) <= 1e-12 * math.exp(-s)
-
-    def test_small_s_asymptote(self):
-        # Gamma(z,s) = Gamma(z) - gamma_lower(z,s) and gamma_lower ~ s^z / z
-        # as s -> 0+, so Gamma(z,s) ~ Gamma(z) - s^z / z for Re z < 0.
-        s = 1e-8
-        z = -0.25
-        want = math.gamma(1.75) / (-0.25 * 0.75) - s ** z / z
-        got = incomplete_gamma_upper(complex(z), s)
-        assert abs(got.imag) < 1e-10 * abs(got.real)
-        assert abs(got.real - want) <= 1e-4 * abs(want)
-
-    @pytest.mark.parametrize("z", [-0.9, -0.5, -0.25, -0.1, 0.3, 0.9])
-    @pytest.mark.parametrize("s", [0.01, 0.5, 1.9, 2.1, 5.0, 20.0])
-    def test_against_mpmath_grid(self, z, s):
-        got = incomplete_gamma_upper(complex(z), s)
-        want = complex(mp.gammainc(mp.mpf(z), s, mp.inf))
-        assert abs(got - want) <= 1e-10 * abs(want)
-
-    def test_continuity_across_regime_switch(self):
-        a = incomplete_gamma_upper(-0.25 + 0.0j, 2.0 - 1e-9)
-        b = incomplete_gamma_upper(-0.25 + 0.0j, 2.0 + 1e-9)
-        assert abs(a - b) <= 1e-8 * abs(b)
-
-    @given(
-        st.floats(min_value=-0.95, max_value=-0.05),
-        st.floats(min_value=0.01, max_value=30.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_recurrence_in_z(self, zr, s):
-        # Gamma(z+1,s) = z Gamma(z,s) + s^z e^-s
-        z = complex(zr)
-        lhs = incomplete_gamma_upper(z + 1, s)
-        rhs = z * incomplete_gamma_upper(z, s) + s ** z * math.exp(-s)
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            incomplete_gamma_upper(-0.25 + 0.0j, 0.0)
-        with pytest.raises(ValueError):
-            incomplete_gamma_upper(-0.25 + 0.0j, -1.0)
-        with pytest.raises(ValueError):
-            incomplete_gamma_upper(1.5 + 0.0j, 1.0)
-        with pytest.raises(ValueError):
-            incomplete_gamma_upper(-0.25 + 0.3j, 0.01)
-
-    def test_order_zero_is_exp1(self):
-        # Gamma(0, s) = E1(s), finite for every s > 0.
-        for s in (0.5, 5.0):
-            got = incomplete_gamma_upper(0.0 + 0.0j, s)
-            want = complex(mp.e1(s))
-            assert abs(got - want) <= 1e-10 * abs(want)
 
 
 class TestParetoLaplace:

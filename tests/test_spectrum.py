@@ -14,6 +14,7 @@ from msmlab.spectrum import (
     SpectralPrediction,
     admissibility_residual,
     k_star_estimate,
+    ladder,
     lambda_1,
     lambda_k_from_omega,
     omega_k_approx,
@@ -141,6 +142,25 @@ class TestSolveOmegaK:
         pred = solve_omega_k(5, 10**4, 0.5)
         assert abs(pred.lambda_k - fifth) / abs(fifth) < 0.15
         assert np.sign(pred.lambda_k) == np.sign(fifth)
+
+
+class TestLadder:
+    def test_rungs_are_the_roots(self):
+        rungs = ladder(8, 10**4, 0.2)
+        assert rungs == [solve_omega_k(k, 10**4, 0.2) for k in range(1, 9)]
+
+    @pytest.mark.parametrize("n,alpha", [(16, 0.5), (100, 0.5), (1000, 0.8)])
+    def test_stops_before_the_first_k_off_the_ladder(self, n, alpha):
+        rungs = ladder(40, n, alpha)
+        assert 1 <= len(rungs) < 40
+        assert [p.k for p in rungs] == list(range(1, len(rungs) + 1))
+        with pytest.raises(NoRootError):
+            solve_omega_k(len(rungs) + 1, n, alpha)
+
+    def test_empty_and_invalid(self):
+        assert ladder(0, 100, 0.5) == []
+        with pytest.raises(ValueError):
+            ladder(3, 1, 0.5)
 
 
 class TestLambdaKFromOmega:
