@@ -216,6 +216,14 @@ class TestParetoLaplace:
                 assert err < 1e-8
                 assert abs(pareto_laplace(alpha, t) - want) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.7, 0.75, 0.9])
+    @pytest.mark.parametrize("t", [0.01, 0.5, 1.9, 2.1, 5.0, 20.0])
+    def test_against_mpmath_grid(self, alpha, t):
+        # oracle: the defining form alpha t^alpha Gamma(-alpha, t) at 30 digits,
+        # not the order-(1-alpha) recurrence that pareto_laplace evaluates
+        want = float(alpha * mp.mpf(t) ** alpha * mp.gammainc(-mp.mpf(alpha), t, mp.inf))
+        assert abs(pareto_laplace(alpha, t) - want) <= 1e-10 * want
+
     def test_small_t_asymptote(self):
         # 1 - phi_beta(t) ~ t^beta Gamma(1-beta)
         for beta in (0.1, 0.25, 0.4):
