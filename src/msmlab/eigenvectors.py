@@ -19,6 +19,10 @@ log-periodic identity
 
 with lambda_k carrying the sign (-1)^(k+1); entry_identity_check verifies
 both statements entrywise from independent evaluation routes.
+
+Each prediction takes its rung, a spectrum.SpectralPrediction that holds
+(k, n, alpha) with the solved omega_k and lambda_k, so the root of rung k
+is solved only in spectrum.
 """
 from __future__ import annotations
 
@@ -30,10 +34,9 @@ import numpy as np
 
 from .model import KernelOperator
 from .special import log_gamma_complex
-from .spectrum import solve_omega_k
+from .spectrum import SpectralPrediction
 
 __all__ = [
-    "EigenvectorPrediction",
     "IdentityReport",
     "nu_k",
     "eigenvector_entries",
@@ -46,21 +49,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EigenvectorPrediction:
-    k: int
-    n: int
-    alpha: float
-    omega_k: float
-    entries: np.ndarray  # v_k^(1) ... v_k^(n)
-
-
-@dataclass(frozen=True)
 class IdentityReport:
     """Entrywise agreement between the direct formula and the cosine form."""
 
-    k: int
-    n: int
-    alpha: float
     max_abs_discrepancy: float
     max_abs_entry: float
     amplitude_rel_error: float
@@ -72,10 +63,6 @@ def _coefficient(alpha: float, omega: float) -> complex:
     lg = log_gamma_complex(complex(1.0 - alpha / 2.0, -omega))
     lg0 = log_gamma_complex(complex(1.0 - alpha / 2.0, 0.0))
     return complex(alpha / 2.0, -omega) * cmath.exp(lg - lg0)
-
-
-def _resolve_omega(k: int, n: int, alpha: float) -> float:
-    return solve_omega_k(k, n, alpha).omega_k
 
 
 def _mode(ratio: np.ndarray | float, alpha: float, omega: float) -> np.ndarray | float:
@@ -90,44 +77,35 @@ def _mode(ratio: np.ndarray | float, alpha: float, omega: float) -> np.ndarray |
     return np.sqrt(ratio) * ((c.real / alpha) * np.cos(phase) - (c.imag / alpha) * np.sin(phase))
 
 
-def nu_k(x: float, k: int, n: int, alpha: float) -> float:
-    """Eigenfunction value at weight coordinate x >= 1."""
+def nu_k(x: float, rung: SpectralPrediction) -> float:
+    """Eigenfunction value of the rung at weight coordinate x >= 1."""
     if x < 1.0:
         raise ValueError(f"x must be >= 1, got {x}")
-    return float(_mode(x**alpha, alpha, _resolve_omega(k, n, alpha)))
+    return float(_mode(x**rung.alpha, rung.alpha, rung.omega_k))
 
 
-def eigenvector_entries(k: int, n: int, alpha: float) -> EigenvectorPrediction:
-    """Entry prediction on the deterministic weight grid, j = 1..n."""
-    omega = _resolve_omega(k, n, alpha)
-    entries = _mode(n / np.arange(1, n + 1, dtype=float), alpha, omega)
-    return EigenvectorPrediction(k=k, n=n, alpha=alpha, omega_k=omega, entries=entries)
+def eigenvector_entries(rung: SpectralPrediction) -> np.ndarray:
+    """Entries v_k^(1) ... v_k^(n) of the rung on the deterministic weight grid."""
+    return _mode(rung.n / np.arange(1, rung.n + 1, dtype=float), rung.alpha, rung.omega_k)
 
 
-def entry_identity_check(k: int, n: int, alpha: float) -> IdentityReport:
+def entry_identity_check(rung: SpectralPrediction) -> IdentityReport:
     """Compare the direct entries with the cosine form entry by entry.
 
     The cosine route is evaluated from scratch: its amplitude comes from
-    the eigenvalue prediction, not from the direct entries, so the two
-    columns share only omega_k.
+    the rung's eigenvalue lambda_k, not from the direct entries, so the
+    two columns share only the rung's omega_k.
     """
-    pred = solve_omega_k(k, n, alpha)
-    omega = pred.omega_k
-    direct = eigenvector_entries(k, n, alpha).entries
+    omega, alpha = rung.omega_k, rung.alpha
+    direct = eigenvector_entries(rung)
     gamma_norm = math.gamma(1.0 - alpha / 2.0)
-    v1 = pred.lambda_k * (0.25 + (omega / alpha) ** 2) / gamma_norm
-    j = np.arange(1, n + 1, dtype=float)
+    v1 = rung.lambda_k * (0.25 + (omega / alpha) ** 2) / gamma_norm
+    j = np.arange(1, rung.n + 1, dtype=float)
     cosine_form = v1 * np.cos((omega / alpha) * np.log(j)) / np.sqrt(j)
-    max_abs = float(np.max(np.abs(direct)))
-    discrepancy = float(np.max(np.abs(direct - cosine_form)))
-    amp_rel = abs(direct[0] - v1) / abs(v1)
     return IdentityReport(
-        k=k,
-        n=n,
-        alpha=alpha,
-        max_abs_discrepancy=discrepancy,
-        max_abs_entry=max_abs,
-        amplitude_rel_error=amp_rel,
+        max_abs_discrepancy=float(np.max(np.abs(direct - cosine_form))),
+        max_abs_entry=float(np.max(np.abs(direct))),
+        amplitude_rel_error=abs(direct[0] - v1) / abs(v1),
     )
 
 
@@ -140,13 +118,13 @@ def l1_normalize(entries: np.ndarray) -> np.ndarray:
     return entries / total
 
 
-def zero_crossing_log_positions(pred: EigenvectorPrediction) -> np.ndarray:
-    """ln j positions where the entries change sign, by linear interpolation.
+def zero_crossing_log_positions(entries: np.ndarray) -> np.ndarray:
+    """ln j positions where the entries v^(1) ... v^(n) change sign, by linear interpolation.
 
-    For k >= 2 these are spaced pi alpha / omega_k apart (log-periodicity).
+    For rung k >= 2 these are spaced pi alpha / omega_k apart (log-periodicity).
     """
-    v = pred.entries
-    lj = np.log(np.arange(1, pred.n + 1, dtype=float))
+    v = entries
+    lj = np.log(np.arange(1, v.size + 1, dtype=float))
     out = []
     for i in np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]:
         frac = v[i] / (v[i] - v[i + 1])
@@ -154,14 +132,14 @@ def zero_crossing_log_positions(pred: EigenvectorPrediction) -> np.ndarray:
     return np.array(out)
 
 
-def operator_residual(kernel: KernelOperator, pred: EigenvectorPrediction) -> float:
-    """Relative L2 residual of P v = lambda_k v for the predicted vector, P as an operator."""
-    lam = solve_omega_k(pred.k, pred.n, pred.alpha).lambda_k
-    v = pred.entries[:, None]
+def operator_residual(kernel: KernelOperator, rung: SpectralPrediction) -> float:
+    """Relative L2 residual of P v = lambda_k v for the rung's predicted vector, P as an operator."""
+    lam = rung.lambda_k
+    v = eigenvector_entries(rung)[:, None]
     return float(np.linalg.norm(kernel.matmat(v) - lam * v) / (abs(lam) * np.linalg.norm(v)))
 
 
-def envelope_slope(pred: EigenvectorPrediction) -> float:
+def envelope_slope(rung: SpectralPrediction) -> float:
     """Trend of |v_k^(j)| sqrt(j) against ln j, from half-period window maxima.
 
     The cosine form says |v| sqrt(j) = |v_k^(1)| |cos((omega_k/alpha) ln j)|,
@@ -170,12 +148,12 @@ def envelope_slope(pred: EigenvectorPrediction) -> float:
     half-periods inside [1, n]; smaller k at a given n cannot be assessed
     this way and raise.
     """
-    if pred.omega_k <= 0.0:
+    if rung.omega_k <= 0.0:
         raise ValueError("envelope slope needs an oscillating mode (k >= 2)")
-    j = np.arange(1, pred.n + 1, dtype=float)
+    j = np.arange(1, rung.n + 1, dtype=float)
     lj = np.log(j)
-    e = np.abs(pred.entries) * np.sqrt(j)
-    half = math.pi * pred.alpha / pred.omega_k
+    e = np.abs(eigenvector_entries(rung)) * np.sqrt(j)
+    half = math.pi * rung.alpha / rung.omega_k
     xs, ys = [], []
     w = 0
     while (w + 1) * half <= lj[-1]:

@@ -27,7 +27,7 @@ in parallel, without changing the result. Stream purposes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -77,7 +77,7 @@ def stream_rng(seed: int, *key: int) -> np.random.Generator:
 class ModelParams:
     n: int
     alpha: float
-    epsilon_n: float | None = None  # None means the scaling default n^(-1/alpha)
+    epsilon_n: float = field(init=False)  # the scaling n^(-1/alpha)
     seed: int = 0
     weight_mode: str = "deterministic"
 
@@ -88,9 +88,8 @@ class ModelParams:
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
-        if self.epsilon_n is None:
-            object.__setattr__(self, "epsilon_n", float(self.n) ** (-1.0 / self.alpha))
-        if not self.epsilon_n > 0.0:
+        object.__setattr__(self, "epsilon_n", float(self.n) ** (-1.0 / self.alpha))
+        if not self.epsilon_n > 0.0:  # underflow at small alpha, e.g. n = 2048, alpha = 0.01
             raise ValueError(f"epsilon_n must be > 0, got {self.epsilon_n}")
 
 

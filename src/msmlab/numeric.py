@@ -46,6 +46,9 @@ __all__ = [
     "compare",
 ]
 
+# effective_rank's edge, as a fraction of sqrt(n)
+_RANK_EDGE = 0.5
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
@@ -180,11 +183,9 @@ def outliers(decomp: EigenDecomposition, edge: float) -> list[tuple[int, float]]
     return out
 
 
-def effective_rank(decomp: EigenDecomposition, c: float = 0.5) -> int:
-    """Number of eigenvalues with |lambda| > c * sqrt(n), raising as outliers does."""
-    if not c > 0.0:
-        raise ValueError(f"c must be > 0, got {c}")
-    return len(outliers(decomp, c * math.sqrt(decomp.n)))
+def effective_rank(decomp: EigenDecomposition) -> int:
+    """Number of eigenvalues with |lambda| > sqrt(n)/2, raising as outliers does."""
+    return len(outliers(decomp, _RANK_EDGE * math.sqrt(decomp.n)))
 
 
 def _block_operator(n: int, matmat: Callable) -> scipy.sparse.linalg.LinearOperator:
@@ -309,7 +310,7 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
 
     preds = ladder(k_max, params.n, params.alpha)
     t = len(preds)
-    vecs_pred = np.array([eigenvector_entries(p.k, params.n, params.alpha).entries for p in preds]).reshape(t, params.n)
+    vecs_pred = np.array([eigenvector_entries(p) for p in preds]).reshape(t, params.n)
     wants = [math.copysign(1.0, p.lambda_k) for p in preds] + [None] * (k_max - t)
     # each n x n block lives only inside its _matched_pairs call
     vals_P, lams_P, vecs_P = _matched_pairs(eig_top(expected_matrix(fv, params.epsilon_n), params.n), wants)

@@ -35,7 +35,6 @@ __all__ = [
     "SpiralLocus",
     "StationaryPoint",
     "KStarEstimate",
-    "lambda_1",
     "admissibility_residual",
     "solve_omega_k",
     "ladder",
@@ -58,7 +57,11 @@ class NoRootError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralPrediction:
+    """Rung k of the ladder at (n, alpha): its root omega_k and eigenvalue lambda_k."""
+
     k: int
+    n: int
+    alpha: float
     omega_k: float
     lambda_k: float
     method: str  # "exact_root" or "approximate"
@@ -99,13 +102,6 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be >= 2, got {n}")
 
 
-def lambda_1(n: int, alpha: float) -> float:
-    """Leading eigenvalue -alpha Gamma(-alpha/2) sqrt(n), always positive."""
-    _check_n(n)
-    ev = gamma_line(alpha, 0.0)
-    return alpha * math.exp(ev.log_abs) * math.sqrt(n)
-
-
 def admissibility_residual(k: int, omega: float, n: int, alpha: float) -> float:
     """f(omega) - ((omega/alpha) ln n - k pi), zero at admissible omega_k."""
     _check_n(n)
@@ -141,8 +137,10 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
     if k == 1:
         return SpectralPrediction(
             k=1,
+            n=n,
+            alpha=alpha,
             omega_k=0.0,
-            lambda_k=lambda_1(n, alpha),
+            lambda_k=lambda_k_from_omega(1, 0.0, n, alpha),
             method="exact_root",
             residual=admissibility_residual(1, 0.0, n, alpha),
         )
@@ -165,6 +163,8 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
     )
     return SpectralPrediction(
         k=k,
+        n=n,
+        alpha=alpha,
         omega_k=omega,
         lambda_k=lambda_k_from_omega(k, omega, n, alpha),
         method="exact_root",

@@ -27,7 +27,7 @@ from msmlab.model import (
 )
 from msmlab.numeric import compare, eig_top
 from msmlab.special import gamma_line, log_gamma_complex, digamma_line_derivative, pareto_laplace
-from msmlab.spectrum import k_star_estimate, lambda_1, omega_k_approx, solve_omega_k
+from msmlab.spectrum import k_star_estimate, omega_k_approx, solve_omega_k
 
 
 def check(label: str, ok: bool, detail: str) -> None:
@@ -49,7 +49,7 @@ def test_criterion_01_top_eigenvalue_scaling():
     for n in (512, 1024, 2048, 4096):
         params = ModelParams(n=n, alpha=0.5)
         top = eig_top(KernelOperator(gen_fitness(params), params.epsilon_n), 1).eigenvalues[0]
-        pred = lambda_1(n, 0.5)
+        pred = solve_omega_k(1, n, 0.5).lambda_k
         errs.append(abs(top - pred) / pred)
     non_increasing = all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
     detail = "rel err by n: " + ", ".join(f"{e:.4f}" for e in errs) + f"; non-increasing={non_increasing}"
@@ -109,11 +109,8 @@ def test_criterion_04_eigenvector_closed_form(compare_4096):
     # closed-form eigenvectors match numerics of P (cosine >= 0.95 for
     # k <= 5) and the two algebraic entry forms agree to 1e-9 relative
     cosines = [row.cosine_sim_pred_vs_P for row in compare_4096.rows]
-    identity = max(
-        entry_identity_check(k, 4096, 0.5).max_abs_discrepancy
-        / entry_identity_check(k, 4096, 0.5).max_abs_entry
-        for k in range(1, 6)
-    )
+    reports = [entry_identity_check(solve_omega_k(k, 4096, 0.5)) for k in range(1, 6)]
+    identity = max(rep.max_abs_discrepancy / rep.max_abs_entry for rep in reports)
     detail = (
         "cosine k=1..5: " + ", ".join(f"{c:.4f}" for c in cosines) + f"; identity rel {identity:.2e}"
     )

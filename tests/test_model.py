@@ -31,10 +31,6 @@ class TestModelParams:
         p = ModelParams(n=1000, alpha=0.5)
         assert p.epsilon_n == 1000.0 ** (-2.0)
 
-    def test_epsilon_override(self):
-        p = ModelParams(n=1000, alpha=0.5, epsilon_n=1e-3)
-        assert p.epsilon_n == 1e-3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelParams(n=1, alpha=0.5)
@@ -42,8 +38,8 @@ class TestModelParams:
             ModelParams(n=10, alpha=0.0)
         with pytest.raises(ValueError):
             ModelParams(n=10, alpha=1.0)
-        with pytest.raises(ValueError):
-            ModelParams(n=10, alpha=0.5, epsilon_n=0.0)
+        with pytest.raises(ValueError, match="epsilon_n must be > 0"):
+            ModelParams(n=2048, alpha=0.01)  # n^(-1/alpha) = 2^-1100 underflows to 0
         with pytest.raises(ValueError):
             ModelParams(n=10, alpha=0.5, weight_mode="gaussian")
 

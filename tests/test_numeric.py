@@ -1,5 +1,6 @@
 """Spectra, their ordering, and the three-way comparison harness."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from msmlab.numeric import (
     reconstruction_residuals,
     residual_tolerances,
 )
-from msmlab.spectrum import NoRootError, lambda_1, solve_omega_k
+from msmlab.spectrum import NoRootError, solve_omega_k
 
 
 class TestDecompositionInvariants:
@@ -64,12 +65,10 @@ class TestOutliersAndRank:
             outliers(d, -1.0)
 
     def test_effective_rank_diag(self):
-        # n = 4 so c*sqrt(n) = 1 at c = 0.5
+        # n = 4 so the edge sqrt(n)/2 is 1
         d = eig_top(np.diag([5.0, -4.0, 0.5, 0.1]), 4)
         assert effective_rank(d) == 2
-        assert effective_rank(d, c=2.6) == 0
-        with pytest.raises(ValueError):
-            effective_rank(d, c=0.0)
+        assert outliers(d, 5.2) == []
 
     def test_effective_rank_ci_sizes(self):
         # expected kernel keeps a handful of outliers above sqrt(n)/2
@@ -112,7 +111,6 @@ class TestOutliersAndRank:
         with pytest.raises(ValueError, match="outside edge"):
             outliers(d, 3.0)
         assert outliers(d, 4.5) == [(1, 5.0)]
-        assert effective_rank(d, c=2.25) == 1  # edge 4.5
 
     @pytest.mark.slow
     def test_outlier_count_band_paper_scale(self, det_instance_n1e4):
@@ -411,8 +409,8 @@ class TestCompare:
             want = entries = None
             if not truncated:
                 try:
-                    want = math.copysign(1.0, solve_omega_k(row.k, n, alpha).lambda_k)
-                    entries = eigenvector_entries(row.k, n, alpha).entries
+                    rung = solve_omega_k(row.k, n, alpha)
+                    want, entries = math.copysign(1.0, rung.lambda_k), eigenvector_entries(rung)
                 except NoRootError:
                     truncated = True
             (vals_p, vecs_p, used_p), (vals_a, vecs_a, used_a) = solved
@@ -471,15 +469,32 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(ModelParams(n=64, alpha=0.5), k_max=0)
 
+    def test_one_solve_per_rung(self, monkeypatch):
+        # the closed-form vectors take ladder's solved rungs, so each root
+        # of k = 1..8 is solved once; every msmlab namespace is counted
+        real = spectrum.solve_omega_k
+        calls = []
+
+        def counted(k, n, alpha):
+            calls.append(k)
+            return real(k, n, alpha)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("msmlab") and getattr(module, "solve_omega_k", None) is real:
+                monkeypatch.setattr(module, "solve_omega_k", counted)
+        rep = compare(ModelParams(n=64, alpha=0.5, seed=1), 8)
+        assert rep.pred_truncated_at is None
+        assert calls == list(range(1, 9))
+
 
 class TestTopEigenvalueGap:
     def test_rank_one_gap_at_n4096(self):
-        # |lambda_max(P) - lambda_1| / lambda_1 measured at 14.0%: the
+        # |lambda_max(P) - lambda_k| / lambda_k at k = 1 measured at 14.0%: the
         # finite-size correction decays like a power of 1/ln n, so no n
         # reachable here gets close to a few percent
         params = ModelParams(n=4096, alpha=0.5)
         top = eig_top(KernelOperator(gen_fitness(params), params.epsilon_n), 1).eigenvalues[0]
-        pred = lambda_1(params.n, params.alpha)
+        pred = solve_omega_k(1, params.n, params.alpha).lambda_k
         rel = abs(top - pred) / pred
         assert 0.13 <= rel <= 0.15
         assert not rel <= 0.05

@@ -15,7 +15,6 @@ from msmlab.spectrum import (
     admissibility_residual,
     k_star_estimate,
     ladder,
-    lambda_1,
     lambda_k_from_omega,
     omega_k_approx,
     solve_omega_k,
@@ -42,16 +41,17 @@ class TestLambdaOne:
     def test_frozen_value(self):
         # -0.5 Gamma(-0.25) 100 with Gamma(-0.25) from the recurrence oracle
         oracle = -0.5 * (math.gamma(1.75) / (-0.25 * 0.75)) * 100.0
-        got = lambda_1(10**4, 0.5)
+        got = solve_omega_k(1, 10**4, 0.5).lambda_k
         assert abs(got - oracle) < 1e-10 * oracle
         assert abs(got - 245.0833404930) < 1e-6
 
     def test_sqrt_n_scaling(self):
-        assert abs(lambda_1(4 * 2048, 0.5) / lambda_1(2048, 0.5) - 2.0) < 1e-12
+        ratio = solve_omega_k(1, 4 * 2048, 0.5).lambda_k / solve_omega_k(1, 2048, 0.5).lambda_k
+        assert abs(ratio - 2.0) < 1e-12
 
     def test_positive_across_alpha(self):
         for alpha in np.linspace(0.05, 0.95, 19):
-            assert lambda_1(1000, float(alpha)) > 0.0
+            assert solve_omega_k(1, 1000, float(alpha)).lambda_k > 0.0
 
     @pytest.mark.slow
     def test_against_largest_eigenvalue_of_P(self, det_instance_n1e4):
@@ -61,7 +61,7 @@ class TestLambdaOne:
         # at this n; the measured band is asserted instead. P has no
         # negative entries, so its top |eigenvalue| is its largest.
         lam_max = float(eig_top(det_instance_n1e4[2], 1).eigenvalues[0])
-        pred = lambda_1(10**4, 0.5)
+        pred = solve_omega_k(1, 10**4, 0.5).lambda_k
         rel = abs(pred - lam_max) / lam_max
         assert 0.10 < rel < 0.16
         assert pred > lam_max
@@ -104,7 +104,8 @@ class TestSolveOmegaK:
         assert pred.omega_k == 0.0
         assert pred.residual == 0.0
         assert pred.method == "exact_root"
-        assert pred.lambda_k == lambda_1(777, 0.37)
+        assert (pred.k, pred.n, pred.alpha) == (1, 777, 0.37)
+        assert pred.lambda_k == lambda_k_from_omega(1, 0.0, 777, 0.37)
 
     @pytest.mark.parametrize("k,want", sorted(FROZEN_ROOTS_A02_N1E4.items()))
     def test_frozen_roots_alpha02(self, k, want):
@@ -170,7 +171,8 @@ class TestLambdaKFromOmega:
             assert math.copysign(1.0, val) == (-1.0) ** (k + 1)
 
     def test_k1_at_zero_matches_lambda_1(self):
-        assert lambda_k_from_omega(1, 0.0, 4096, 0.5) == lambda_1(4096, 0.5)
+        want = -0.5 * math.gamma(-0.25) * 64.0
+        assert abs(lambda_k_from_omega(1, 0.0, 4096, 0.5) - want) < 1e-14 * want
 
     def test_stirling_envelope(self):
         # |lambda_k| against alpha sqrt(2 pi n) omega^(-(alpha+1)/2) e^(-pi omega/2):
@@ -296,7 +298,7 @@ class TestSpiral:
     def test_starts_at_lambda_1_on_real_axis(self):
         loc = spiral(0.5, 4096, 1.0, 100)
         w0, re0, im0 = loc.samples[0]
-        lam1 = lambda_1(4096, 0.5)
+        lam1 = solve_omega_k(1, 4096, 0.5).lambda_k
         assert w0 == 0.0
         assert abs(re0 - lam1) < 1e-10 * lam1
         assert abs(im0) < 1e-12 * lam1
@@ -377,4 +379,4 @@ class TestKStar:
         est = k_star_estimate(4, 0.5)
         assert est.k_star == 2
         assert abs(solve_omega_k(2, 4, 0.5).lambda_k) < math.sqrt(4) / 2
-        assert lambda_1(4, 0.5) > math.sqrt(4) / 2
+        assert solve_omega_k(1, 4, 0.5).lambda_k > math.sqrt(4) / 2
