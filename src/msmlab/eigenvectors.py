@@ -44,7 +44,6 @@ __all__ = [
     "l1_normalize",
     "zero_crossing_log_positions",
     "operator_residual",
-    "envelope_slope",
 ]
 
 
@@ -137,34 +136,3 @@ def operator_residual(kernel: KernelOperator, rung: SpectralPrediction) -> float
     lam = rung.lambda_k
     v = eigenvector_entries(rung)[:, None]
     return float(np.linalg.norm(kernel.matmat(v) - lam * v) / (abs(lam) * np.linalg.norm(v)))
-
-
-def envelope_slope(rung: SpectralPrediction) -> float:
-    """Trend of |v_k^(j)| sqrt(j) against ln j, from half-period window maxima.
-
-    The cosine form says |v| sqrt(j) = |v_k^(1)| |cos((omega_k/alpha) ln j)|,
-    so the maximum over any half period of the cosine recovers the constant
-    amplitude and the fitted slope should vanish. Needs at least three full
-    half-periods inside [1, n]; smaller k at a given n cannot be assessed
-    this way and raise.
-    """
-    if rung.omega_k <= 0.0:
-        raise ValueError("envelope slope needs an oscillating mode (k >= 2)")
-    j = np.arange(1, rung.n + 1, dtype=float)
-    lj = np.log(j)
-    e = np.abs(eigenvector_entries(rung)) * np.sqrt(j)
-    half = math.pi * rung.alpha / rung.omega_k
-    xs, ys = [], []
-    w = 0
-    while (w + 1) * half <= lj[-1]:
-        m = (lj >= w * half) & (lj < (w + 1) * half)
-        if m.sum() >= 2:
-            i = np.argmax(e[m])
-            xs.append(lj[m][i])
-            ys.append(math.log(e[m][i]))
-        w += 1
-    if len(xs) < 3:
-        raise ValueError(
-            f"only {len(xs)} half-periods fit inside [1, n]; k too small for this n"
-        )
-    return float(np.polyfit(xs, ys, 1)[0])

@@ -89,8 +89,8 @@ class ModelParams:
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
         object.__setattr__(self, "epsilon_n", float(self.n) ** (-1.0 / self.alpha))
-        if not self.epsilon_n > 0.0:  # underflow at small alpha, e.g. n = 2048, alpha = 0.01
-            raise ValueError(f"epsilon_n must be > 0, got {self.epsilon_n}")
+        if not self.epsilon_n > 0.0:
+            raise ValueError(f"n^(-1/alpha) underflows to 0 for n={self.n}, alpha={self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 eig_top is the one eigensolver: Lanczos for the k largest |eigenvalues|
 of an array or a matrix-free operator, and a dense solve for k >= n - 1.
 ||A - P|| is its k = 1 case on v -> A v - P v, with A the sparse draw and
-P the KernelOperator, so H is never stored. compare builds dense P,
-then dense A, only for their whole spectra, keeps of each only the
-eigenvectors matched to spectrum.ladder's predictions, and returns one
-ComparisonReport: its rows, the predicted and matched vectors as
-row-per-rank blocks, and both spectra.
+P the KernelOperator, so H is never stored. Dense matrices enter as plain
+arrays. compare builds dense P, then dense A, only for their whole
+spectra, keeps of each only the eigenvectors matched to
+spectrum.ladder's predictions, and returns one ComparisonReport: its
+rows, the predicted and matched vectors as row-per-rank blocks, and both
+spectra.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -27,7 +28,6 @@ from .eigenvectors import eigenvector_entries
 from .model import (
     KernelOperator,
     ModelParams,
-    SymmetricMatrix,
     expected_matrix,
     gen_fitness,
     sample_sparse_adjacency,
@@ -40,14 +40,10 @@ __all__ = [
     "ComparisonReport",
     "reconstruction_residuals",
     "outliers",
-    "effective_rank",
     "eig_top",
     "noise_norm",
     "compare",
 ]
-
-# effective_rank's edge, as a fraction of sqrt(n)
-_RANK_EDGE = 0.5
 
 
 @dataclass(frozen=True)
@@ -117,14 +113,8 @@ class ComparisonReport:
     eigenvalues_A: np.ndarray
 
 
-def _as_entries(matrix: np.ndarray | SymmetricMatrix) -> np.ndarray:
-    """The entries of a matrix; a plain array is checked here.
-
-    A SymmetricMatrix passes unchecked: its constructor's range checks
-    already exclude non-finite entries, and the builders cannot make them.
-    """
-    if isinstance(matrix, SymmetricMatrix):
-        return matrix.entries
+def _as_entries(matrix: np.ndarray) -> np.ndarray:
+    """A dense matrix as a float array, checked square, finite and symmetric."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
@@ -141,9 +131,7 @@ def _by_magnitude(vals: np.ndarray, vecs: np.ndarray, k: int) -> EigenDecomposit
     return EigenDecomposition(vals[order], vecs[:, order])
 
 
-def reconstruction_residuals(
-    decomp: EigenDecomposition, matrix: np.ndarray | SymmetricMatrix
-) -> np.ndarray:
+def reconstruction_residuals(decomp: EigenDecomposition, matrix: np.ndarray) -> np.ndarray:
     """Per-pair residuals ||M v_i - lambda_i v_i||_2.
 
     Each must stay below 1e-8 * (||M||_F / sqrt(n) + |lambda_i|) for the
@@ -154,9 +142,7 @@ def reconstruction_residuals(
     return np.linalg.norm(r, axis=0)
 
 
-def residual_tolerances(
-    decomp: EigenDecomposition, matrix: np.ndarray | SymmetricMatrix
-) -> np.ndarray:
+def residual_tolerances(decomp: EigenDecomposition, matrix: np.ndarray) -> np.ndarray:
     """The per-pair bound matching reconstruction_residuals."""
     m = _as_entries(matrix)
     scale = np.linalg.norm(m, "fro") / math.sqrt(decomp.n)
@@ -183,11 +169,6 @@ def outliers(decomp: EigenDecomposition, edge: float) -> list[tuple[int, float]]
     return out
 
 
-def effective_rank(decomp: EigenDecomposition) -> int:
-    """Number of eigenvalues with |lambda| > sqrt(n)/2, raising as outliers does."""
-    return len(outliers(decomp, _RANK_EDGE * math.sqrt(decomp.n)))
-
-
 def _block_operator(n: int, matmat: Callable) -> scipy.sparse.linalg.LinearOperator:
     """A symmetric n x n LinearOperator from its product with an (n, k) block."""
     return scipy.sparse.linalg.LinearOperator(
@@ -200,9 +181,9 @@ def eig_top(op, k: int) -> EigenDecomposition:
 
     op is a dense array, a sparse array, a KernelOperator or a
     LinearOperator. A dense array must be square, finite and symmetric to
-    the bit; a SymmetricMatrix is taken as it is. ARPACK's implicitly
-    restarted Lanczos (eigsh, which="LM") starts from a fixed v0, so the
-    result is deterministic; non-convergence raises ArpackNoConvergence.
+    the bit. ARPACK's implicitly restarted Lanczos (eigsh, which="LM")
+    starts from a fixed v0, so the result is deterministic; non-convergence
+    raises ArpackNoConvergence.
     For k >= n - 1, where ARPACK cannot run, eigh decomposes a dense array
     as it is and any other op as op @ I. Ties in magnitude list +c before
     -c. The zero operator, where Lanczos cannot start, sends an integer
@@ -212,7 +193,7 @@ def eig_top(op, k: int) -> EigenDecomposition:
     """
     if isinstance(op, KernelOperator):
         op = _block_operator(op.n, op.matmat)
-    elif isinstance(op, (np.ndarray, SymmetricMatrix)):
+    elif isinstance(op, np.ndarray):
         op = _as_entries(op)
     n = op.shape[0]
     if not 1 <= k <= n:
@@ -313,7 +294,7 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
     vecs_pred = np.array([eigenvector_entries(p) for p in preds]).reshape(t, params.n)
     wants = [math.copysign(1.0, p.lambda_k) for p in preds] + [None] * (k_max - t)
     # each n x n block lives only inside its _matched_pairs call
-    vals_P, lams_P, vecs_P = _matched_pairs(eig_top(expected_matrix(fv, params.epsilon_n), params.n), wants)
+    vals_P, lams_P, vecs_P = _matched_pairs(eig_top(expected_matrix(fv, params.epsilon_n).entries, params.n), wants)
     vals_A, lams_A, vecs_A = _matched_pairs(eig_top(A.toarray(), params.n), wants)
 
     rows: list[ComparisonRow] = []

@@ -9,19 +9,19 @@ with value -pi at omega = 0 (the limit from the upper half plane). That is
 scipy's principal branch of log Gamma once a zero imaginary part is read
 as +0; the tests pin the value -pi exactly, for omega = 0.0 and -0.0.
 Working in log space keeps |Gamma| representable for the whole omega
-range we use. The line functions take a scalar omega or an array of them.
+range we use: gamma_line returns log Gamma(-alpha/2 + i*omega) itself, so
+its .real is log|Gamma| and its .imag the continuous argument. The line
+functions take a scalar omega or an array of them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, gammaincc, loggamma
 
 __all__ = [
     "PoleError",
-    "GammaLineEvaluation",
     "log_gamma_complex",
     "gamma_line",
     "digamma_line_derivative",
@@ -40,7 +40,7 @@ def _log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     out = loggamma(z + 0j)
     finite = np.isfinite(out)
     if not finite.all():
-        raise OverflowError(f"log Gamma overflow at z = {np.asarray(z)[~finite][0]}")
+        raise ValueError(f"log Gamma overflows at z = {np.asarray(z)[~finite][0]}")
     return out
 
 
@@ -61,21 +61,6 @@ def log_gamma_complex(z: complex) -> complex:
     return complex(_log_gamma(z))
 
 
-@dataclass(frozen=True)
-class GammaLineEvaluation:
-    """Gamma(-alpha/2 + i*omega) in polar log form.
-
-    arg_continuous is the branch-fixed argument: continuous in omega,
-    equal to -pi at omega = 0. omega, log_abs and arg_continuous are
-    arrays of one shape when omega was given as an array.
-    """
-
-    alpha: float
-    omega: float | np.ndarray
-    log_abs: float | np.ndarray
-    arg_continuous: float | np.ndarray
-
-
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -90,12 +75,14 @@ def _line(alpha: float, omega: float | np.ndarray) -> np.ndarray:
     return -alpha / 2.0 + 1j * omega
 
 
-def gamma_line(alpha: float, omega: float | np.ndarray) -> GammaLineEvaluation:
-    """Evaluate Gamma on the line z = -alpha/2 + i*omega, omega >= 0."""
-    lg = _log_gamma(_line(alpha, omega))
-    return GammaLineEvaluation(
-        alpha=alpha, omega=omega, log_abs=lg.real, arg_continuous=lg.imag
-    )
+def gamma_line(alpha: float, omega: float | np.ndarray) -> complex | np.ndarray:
+    """log Gamma(-alpha/2 + i*omega), omega >= 0: log|Gamma| + i arg Gamma.
+
+    The argument is the branch-fixed one of the module docstring,
+    continuous in omega and -pi at omega = 0. An array omega gives an
+    array of the same shape.
+    """
+    return _log_gamma(_line(alpha, omega))
 
 
 def digamma_line_derivative(alpha: float, omega: float | np.ndarray) -> float | np.ndarray:

@@ -12,11 +12,13 @@ so sign(lambda_k) = (-1)^(k+1); an index-from-zero reading of the same
 ladder would print (-1)^k, and the spiral crossings below pin the parity:
 the locus crosses the real axis at angle pi + k pi, i.e. cos = (-1)^(k+1).
 
-The same data traces two logarithmic spirals
+The same data traces the logarithmic spiral
 
-    sigma_pm(omega) = -alpha Gamma(-alpha/2 -/+ i omega) n^(1/2 +/- i omega/alpha)
+    sigma(omega) = -alpha Gamma(-alpha/2 - i omega) n^(1/2 + i omega/alpha)
 
-whose real-axis crossings are exactly the admissible omega_k.
+whose real-axis crossings are exactly the admissible omega_k. Because
+Gamma(conj z) = conj Gamma(z), the spiral with -i omega/alpha in the
+exponent is its complex conjugate, so spiral returns this one only.
 """
 from __future__ import annotations
 
@@ -29,12 +31,9 @@ from scipy.optimize import brentq, minimize_scalar
 from .special import digamma_line_derivative, gamma_line
 
 __all__ = [
-    "EULER_GAMMA",
     "NoRootError",
     "SpectralPrediction",
-    "SpiralLocus",
     "StationaryPoint",
-    "KStarEstimate",
     "admissibility_residual",
     "solve_omega_k",
     "ladder",
@@ -46,7 +45,6 @@ __all__ = [
     "k_star_estimate",
 ]
 
-EULER_GAMMA = np.euler_gamma
 # largest k that k_star_estimate tries before giving up
 _K_STAR_CAP = 10_000
 
@@ -64,19 +62,10 @@ class SpectralPrediction:
     alpha: float
     omega_k: float
     lambda_k: float
-    method: str  # "exact_root" or "approximate"
     residual: float
     # True when (ln n)/alpha exceeds max f' on the bracket, which makes the
     # admissibility residual strictly decreasing and the root unique.
     monotone_bracket: bool = True
-
-
-@dataclass(frozen=True)
-class SpiralLocus:
-    alpha: float
-    n: int
-    branch: str  # "plus" or "minus"
-    samples: np.ndarray  # rows (omega, re, im)
 
 
 @dataclass(frozen=True)
@@ -90,13 +79,6 @@ class StationaryPoint:
     is_true_root: bool
 
 
-@dataclass(frozen=True)
-class KStarEstimate:
-    k_star: int
-    log_n: float
-    ratio: float
-
-
 def _check_n(n: int) -> None:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -105,7 +87,7 @@ def _check_n(n: int) -> None:
 def admissibility_residual(k: int, omega: float, n: int, alpha: float) -> float:
     """f(omega) - ((omega/alpha) ln n - k pi), zero at admissible omega_k."""
     _check_n(n)
-    f = gamma_line(alpha, omega).arg_continuous
+    f = gamma_line(alpha, omega).imag
     return f - (omega / alpha) * math.log(n) + k * math.pi
 
 
@@ -115,7 +97,7 @@ def lambda_k_from_omega(k: int, omega_k: float, n: int, alpha: float) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     sign = 1.0 if k % 2 == 1 else -1.0
-    return sign * alpha * math.exp(gamma_line(alpha, omega_k).log_abs) * math.sqrt(n)
+    return sign * alpha * math.exp(gamma_line(alpha, omega_k).real) * math.sqrt(n)
 
 
 def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
@@ -141,7 +123,6 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
             alpha=alpha,
             omega_k=0.0,
             lambda_k=lambda_k_from_omega(1, 0.0, n, alpha),
-            method="exact_root",
             residual=admissibility_residual(1, 0.0, n, alpha),
         )
     cap = alpha * (k * math.pi + 4.0 * math.pi) / log_n
@@ -167,7 +148,6 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
         alpha=alpha,
         omega_k=omega,
         lambda_k=lambda_k_from_omega(k, omega, n, alpha),
-        method="exact_root",
         residual=resid(omega),
         monotone_bracket=monotone,
     )
@@ -202,8 +182,8 @@ def omega_k_approx(k: int, n: int, alpha: float) -> float:
 
 def _plateau(alpha: float) -> tuple[float, float]:
     """Closed-form omega_alpha and phi_alpha = arg Gamma(-alpha/2 + i omega_alpha)."""
-    omega_alpha = math.sqrt(alpha / 2.0 * (1.0 / EULER_GAMMA - alpha / 2.0))
-    return omega_alpha, gamma_line(alpha, omega_alpha).arg_continuous
+    omega_alpha = math.sqrt(alpha / 2.0 * (1.0 / np.euler_gamma - alpha / 2.0))
+    return omega_alpha, gamma_line(alpha, omega_alpha).imag
 
 
 def stationary_point(alpha: float) -> StationaryPoint:
@@ -239,56 +219,49 @@ def stationary_point(alpha: float) -> StationaryPoint:
     return StationaryPoint(alpha, omega_alpha, phi_alpha, float(res.x), False)
 
 
-def _sigma(alpha: float, n: int, omega: float | np.ndarray, branch: str) -> complex | np.ndarray:
-    ev = gamma_line(alpha, omega)
-    # plus branch: -alpha Gamma(-alpha/2 - i omega) n^(1/2 + i omega/alpha);
-    # conjugate-symmetric in the branch sign.
-    theta = (omega / alpha) * math.log(n) - ev.arg_continuous + math.pi
-    mag = alpha * np.exp(ev.log_abs + 0.5 * math.log(n))
-    if branch == "minus":
-        theta = -theta
+def _sigma(alpha: float, n: int, omega: float | np.ndarray) -> complex | np.ndarray:
+    """-alpha Gamma(-alpha/2 - i omega) n^(1/2 + i omega/alpha), in polar form."""
+    lg = gamma_line(alpha, omega)
+    theta = (omega / alpha) * math.log(n) - lg.imag + math.pi
+    mag = alpha * np.exp(lg.real + 0.5 * math.log(n))
     return mag * np.exp(1j * theta)
 
 
-def spiral(
-    alpha: float, n: int, omega_max: float, steps: int, branch: str = "plus"
-) -> SpiralLocus:
-    """Sample sigma_branch on a uniform omega grid in [0, omega_max]."""
+def spiral(alpha: float, n: int, omega_max: float, steps: int) -> np.ndarray:
+    """sigma on a uniform omega grid in [0, omega_max], as (steps, 3) rows (omega, re, im).
+
+    The conjugate spiral is the same rows with im negated.
+    """
     _check_n(n)
     if omega_max <= 0.0:
         raise ValueError(f"omega_max must be > 0, got {omega_max}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    if branch not in ("plus", "minus"):
-        raise ValueError(f"unknown branch {branch!r}")
     omegas = np.linspace(0.0, omega_max, steps)
-    vals = _sigma(alpha, n, omegas, branch)
-    rows = np.column_stack((omegas, vals.real, vals.imag))
-    return SpiralLocus(alpha=alpha, n=n, branch=branch, samples=rows)
+    vals = _sigma(alpha, n, omegas)
+    return np.column_stack((omegas, vals.real, vals.imag))
 
 
 def spiral_crossings(alpha: float, n: int, omega_max: float, steps: int = 2000) -> np.ndarray:
-    """Real-axis crossings of the plus spiral for omega > 0, in order.
+    """Real-axis crossings of the spiral for omega > 0, in order.
 
     The m-th returned crossing coincides with the admissible root
     omega_(m+1): the locus starts ON the axis at omega = 0 (that is the
     k = 1 root), so the scan starts strictly after it.
     """
     _check_n(n)
-    imag_part = lambda w: _sigma(alpha, n, w, "plus").imag
+    imag_part = lambda w: _sigma(alpha, n, w).imag
     omegas = np.linspace(0.0, omega_max, steps)[1:]
     vals = imag_part(omegas)
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     return np.array([brentq(imag_part, omegas[i], omegas[i + 1], xtol=1e-12) for i in flips])
 
 
-def k_star_estimate(n: int, alpha: float) -> KStarEstimate:
-    """Smallest k whose predicted |lambda_k| drops below the sqrt(n)/2 edge proxy."""
+def k_star_estimate(n: int, alpha: float) -> int:
+    """k*: the smallest k whose predicted |lambda_k| drops below the sqrt(n)/2 edge proxy."""
     _check_n(n)
     edge = math.sqrt(n) / 2.0
-    log_n = math.log(n)
     for k in range(1, _K_STAR_CAP + 1):
-        pred = solve_omega_k(k, n, alpha)
-        if abs(pred.lambda_k) < edge:
-            return KStarEstimate(k_star=k, log_n=log_n, ratio=k / log_n)
+        if abs(solve_omega_k(k, n, alpha).lambda_k) < edge:
+            return k
     raise NoRootError(f"no k <= {_K_STAR_CAP} fell below the bulk edge proxy")

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: flags, files, exit codes, determinism."""
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -308,15 +309,37 @@ class TestSpiral:
         assert float(first_plus[1]) > 0.0
         assert abs(float(first_plus[2])) < 1e-12
 
-    def test_branches_mirror(self, spiral_outdir):
-        _, rows = read_csv_text(spiral_outdir / "run_spiral.csv")
-        plus = {r[0]: (float(r[1]), float(r[2])) for r in rows if r[3] == "plus"}
-        minus = {r[0]: (float(r[1]), float(r[2])) for r in rows if r[3] == "minus"}
-        assert set(plus) == set(minus)
-        for key, (re_p, im_p) in plus.items():
-            re_m, im_m = minus[key]
-            assert re_m == re_p
-            assert im_m == -im_p
+    @pytest.mark.parametrize("alpha", ["0.2", "0.5", "0.8"])
+    def test_minus_rows_conjugate_plus_rows(self, tmp_path, alpha):
+        # the benchmark's spiral shape; the minus rows are the plus rows
+        # with im negated, as text, and sigma_minus(omega) =
+        # -alpha Gamma(-alpha/2 + i omega) n^(1/2 - i omega/alpha)
+        from msmlab.output import fmt_float
+        from msmlab.special import log_gamma_complex
+
+        argv = ["spiral", "--alpha", alpha, "--n", "10000", "--omega-max", "3", "--steps", "20000"]
+        assert main(argv + ["--out", str(tmp_path / "s")]) == EXIT_OK
+        _, rows = read_csv_text(tmp_path / "s_spiral.csv")
+        plus = [r for r in rows if r[3] == "plus"]
+        minus = [r for r in rows if r[3] == "minus"]
+        assert len(plus) == len(minus) == 20_000
+        assert minus == [[w, re, fmt_float(-float(im)), "minus"] for w, re, im, _ in plus]
+        a = float(alpha)
+        for w, re, im, _ in minus[::1000]:
+            lg = log_gamma_complex(complex(-a / 2.0, float(w)))
+            want = -a * cmath.exp(lg + (0.5 - 1j * float(w) / a) * math.log(10_000))
+            assert abs(complex(float(re), float(im)) - want) <= 1e-12 * abs(want)
+
+    def test_overflow_is_usage_error(self, tmp_path, capsys):
+        # log Gamma overflows at Im z = 5e307; at 1e200 it does not
+        argv = ["spiral", "--omega-max", "1e308", "--steps", "3", "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "log Gamma overflows at z = (-0.25+5e+307j)" in err
+        assert not list(tmp_path.iterdir())
+        argv[2] = "1e200"
+        assert main(argv) == EXIT_OK
 
     def test_crossings_match_predict(self, spiral_outdir, capsys):
         _, cross = read_csv_text(spiral_outdir / "run_spiral_crossings.csv")
@@ -581,6 +604,14 @@ class TestConfigAndEnvironment:
             assert_one_line_error(err)
             assert message in err
         assert not list(tmp_path.glob("f*"))
+
+    @pytest.mark.parametrize("command", ["compare", "bulk", "coarsegrain"])
+    def test_underflowing_scale_is_usage_error(self, tmp_path, capsys, command):
+        argv = [command, "--n", "2048", "--alpha", "0.01", "--out", str(tmp_path / "f")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "msmlab: error: n^(-1/alpha) underflows to 0 for n=2048, alpha=0.01\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "key, text, message",

@@ -38,7 +38,7 @@ class TestModelParams:
             ModelParams(n=10, alpha=0.0)
         with pytest.raises(ValueError):
             ModelParams(n=10, alpha=1.0)
-        with pytest.raises(ValueError, match="epsilon_n must be > 0"):
+        with pytest.raises(ValueError, match=r"n\^\(-1/alpha\) underflows to 0 for n=2048, alpha=0.01"):
             ModelParams(n=2048, alpha=0.01)  # n^(-1/alpha) = 2^-1100 underflows to 0
         with pytest.raises(ValueError):
             ModelParams(n=10, alpha=0.5, weight_mode="gaussian")

@@ -23,7 +23,6 @@ from msmlab.numeric import (
     ComparisonReport,
     EigenDecomposition,
     compare,
-    effective_rank,
     eig_top,
     noise_norm,
     outliers,
@@ -36,7 +35,7 @@ from msmlab.spectrum import NoRootError, solve_omega_k
 class TestDecompositionInvariants:
     def test_reconstruction_and_orthonormality(self):
         params = ModelParams(n=512, alpha=0.5, seed=7)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
+        P = expected_matrix(gen_fitness(params), params.epsilon_n).entries
         d = eig_top(P, params.n)
         res = reconstruction_residuals(d, P)
         tol = residual_tolerances(d, P)
@@ -64,19 +63,19 @@ class TestOutliersAndRank:
         with pytest.raises(ValueError):
             outliers(d, -1.0)
 
-    def test_effective_rank_diag(self):
+    def test_outlier_count_diag(self):
         # n = 4 so the edge sqrt(n)/2 is 1
         d = eig_top(np.diag([5.0, -4.0, 0.5, 0.1]), 4)
-        assert effective_rank(d) == 2
+        assert len(outliers(d, math.sqrt(d.n) / 2)) == 2
         assert outliers(d, 5.2) == []
 
-    def test_effective_rank_ci_sizes(self):
+    def test_outlier_count_ci_sizes(self):
         # expected kernel keeps a handful of outliers above sqrt(n)/2
         for n in (1024, 2048):
             params = ModelParams(n=n, alpha=0.5, seed=3)
-            P = expected_matrix(gen_fitness(params), params.epsilon_n)
+            P = expected_matrix(gen_fitness(params), params.epsilon_n).entries
             d = eig_top(P, n)
-            er = effective_rank(d)
+            er = len(outliers(d, math.sqrt(n) / 2))
             assert er / math.log(n) == pytest.approx(0.55, abs=0.35)
             assert er == 4
 
@@ -88,12 +87,13 @@ class TestOutliersAndRank:
         assert 0.2 <= cnt / math.log(params.n) <= 5.0
 
     @pytest.mark.slow
-    def test_effective_rank_non_decreasing_to_paper_scale(self, det_instance_n1e4):
+    def test_outlier_count_non_decreasing_to_paper_scale(self, det_instance_n1e4):
         ranks = []
         for n in (1000, 4000):
             params = ModelParams(n=n, alpha=0.5)
-            ranks.append(effective_rank(eig_top(KernelOperator(gen_fitness(params), params.epsilon_n), 8)))
-        ranks.append(effective_rank(eig_top(det_instance_n1e4[2], 8)))
+            d = eig_top(KernelOperator(gen_fitness(params), params.epsilon_n), 8)
+            ranks.append(len(outliers(d, math.sqrt(n) / 2)))
+        ranks.append(len(outliers(eig_top(det_instance_n1e4[2], 8), math.sqrt(10**4) / 2)))
         assert ranks[-1] == 5
         assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
@@ -103,8 +103,8 @@ class TestOutliersAndRank:
         # the count cannot stop inside them; eight reach back into the bulk
         K = det_instance_n1e4[2]
         with pytest.raises(ValueError, match="outside edge"):
-            effective_rank(eig_top(K, 4))
-        assert effective_rank(eig_top(K, 8)) == 5
+            outliers(eig_top(K, 4), math.sqrt(10**4) / 2)
+        assert len(outliers(eig_top(K, 8), math.sqrt(10**4) / 2)) == 5
 
     def test_truncated_count_of_a_block(self):
         d = EigenDecomposition(eigenvalues=np.array([5.0, -4.0]), eigenvectors=np.eye(4)[:, :2])
@@ -165,11 +165,13 @@ class TestEigTop:
         with pytest.raises(ValueError):
             eig_top(np.zeros((3, 4)), 3)
 
-    def test_symmetric_matrix_input_matches_its_entries(self):
+    def test_read_only_entries_match_a_copy(self):
+        # compare hands eig_top the read-only entries of expected_matrix
         params = ModelParams(n=32, alpha=0.5)
-        P = expected_matrix(gen_fitness(params), params.epsilon_n)
+        P = expected_matrix(gen_fitness(params), params.epsilon_n).entries
+        assert not P.flags.writeable
         d = eig_top(P, 32)
-        assert np.array_equal(d.eigenvalues, eig_top(P.entries, 32).eigenvalues)
+        assert np.array_equal(d.eigenvalues, eig_top(P.copy(), 32).eigenvalues)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=8))
@@ -222,7 +224,7 @@ class TestEigTop:
         fv = gen_fitness(params)
         K = KernelOperator(fv, params.epsilon_n)
         A = sample_sparse_adjacency(K, params.seed)
-        for op, dense in ((K, expected_matrix(fv, params.epsilon_n)), (A, A.toarray())):
+        for op, dense in ((K, expected_matrix(fv, params.epsilon_n).entries), (A, A.toarray())):
             want = eig_top(dense, params.n).eigenvalues[:4]
             np.testing.assert_allclose(eig_top(op, 4).eigenvalues, want, rtol=1e-10)
 
@@ -250,7 +252,7 @@ class TestEigTop:
         params = ModelParams(n=4096, alpha=alpha, seed=1, weight_mode=mode)
         fv = gen_fitness(params)
         top = eig_top(KernelOperator(fv, params.epsilon_n), 8)
-        dense = eig_top(expected_matrix(fv, params.epsilon_n), params.n)
+        dense = eig_top(expected_matrix(fv, params.epsilon_n).entries, params.n)
         want = dense.eigenvalues[:8]
         assert np.max(np.abs(top.eigenvalues - want) / np.abs(want)) <= 1e-10
         cos = np.abs(np.sum(top.eigenvectors[:, :3] * dense.eigenvectors[:, :3], axis=0))

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msmlab.special import (
-    GammaLineEvaluation,
     PoleError,
     digamma_line_derivative,
     gamma_line,
@@ -115,17 +114,24 @@ class TestGammaLine:
     def test_branch_anchor_is_minus_pi_exactly(self):
         for alpha in (0.2, 0.5, 0.8):
             for omega in (0.0, -0.0):
-                ev = gamma_line(alpha, omega)
-                assert ev.arg_continuous == -math.pi
+                assert gamma_line(alpha, omega).imag == -math.pi
 
     def test_alpha_half_anchor_magnitude(self):
-        ev = gamma_line(0.5, 0.0)
-        assert abs(ev.log_abs - math.log(4.901666809860711)) < 1e-12
+        lg = gamma_line(0.5, 0.0)
+        assert abs(lg.real - math.log(4.901666809860711)) < 1e-12
 
-    def test_fields_round_trip(self):
-        ev = gamma_line(0.3, 1.25)
-        assert isinstance(ev, GammaLineEvaluation)
-        assert ev.alpha == 0.3 and ev.omega == 1.25
+    def test_is_log_gamma_on_the_line(self):
+        assert gamma_line(0.3, 1.25) == log_gamma_complex(complex(-0.15, 1.25))
+        omegas = np.array([[0.0, 0.5], [1.25, 3.0]])
+        lg = gamma_line(0.3, omegas)
+        assert lg.shape == omegas.shape
+        assert lg[1, 0] == gamma_line(0.3, 1.25)
+
+    def test_overflow_is_a_value_error_naming_z(self):
+        # Im z = 5e307 overflows scipy's loggamma; 1e200 does not
+        assert math.isfinite(gamma_line(0.5, 1e200).real)
+        with pytest.raises(ValueError, match=r"log Gamma overflows at z = \(-0\.25\+5e\+307j\)"):
+            gamma_line(0.5, 5e307)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -139,7 +145,7 @@ class TestGammaLine:
     def test_arg_continuity_fine_grid(self, alpha):
         # No branch jumps: adjacent values at step 1e-3 must stay close.
         omegas = np.arange(0.0, 20.0, 1e-3)
-        args = np.array([gamma_line(alpha, w).arg_continuous for w in omegas])
+        args = np.array([gamma_line(alpha, w).imag for w in omegas])
         assert np.max(np.abs(np.diff(args))) < 0.1
 
     def test_stirling_magnitude_at_omega_ten(self):
@@ -148,13 +154,13 @@ class TestGammaLine:
         a = -alpha / 2.0
         b = 10.0
         want = math.log(math.sqrt(2 * math.pi)) + (a - 0.5) * math.log(b) - math.pi * b / 2
-        got = gamma_line(alpha, b).log_abs
+        got = gamma_line(alpha, b).real
         assert abs(math.exp(got - want) - 1.0) < 0.01
 
     def test_log_space_survives_large_omega(self):
-        ev = gamma_line(0.5, 200.0)
-        assert math.isfinite(ev.log_abs) and math.isfinite(ev.arg_continuous)
-        assert ev.log_abs < -300.0  # |Gamma| itself would underflow
+        lg = gamma_line(0.5, 200.0)
+        assert math.isfinite(lg.real) and math.isfinite(lg.imag)
+        assert lg.real < -300.0  # |Gamma| itself would underflow
 
 
 class TestDigammaLineDerivative:
@@ -176,8 +182,8 @@ class TestDigammaLineDerivative:
         h = 1e-5
         for omega in (0.01, 0.2, 0.7, 1.5, 5.0):
             fd = (
-                gamma_line(alpha, omega + h).arg_continuous
-                - gamma_line(alpha, omega - h).arg_continuous
+                gamma_line(alpha, omega + h).imag
+                - gamma_line(alpha, omega - h).imag
             ) / (2 * h)
             assert abs(digamma_line_derivative(alpha, omega) - fd) < 1e-6
 

@@ -8,8 +8,6 @@ import msmlab.spectrum as spectrum
 from msmlab.numeric import eig_top
 from msmlab.special import digamma_line_derivative
 from msmlab.spectrum import (
-    EULER_GAMMA,
-    KStarEstimate,
     NoRootError,
     SpectralPrediction,
     admissibility_residual,
@@ -103,7 +101,6 @@ class TestSolveOmegaK:
         pred = solve_omega_k(1, 777, 0.37)
         assert pred.omega_k == 0.0
         assert pred.residual == 0.0
-        assert pred.method == "exact_root"
         assert (pred.k, pred.n, pred.alpha) == (1, 777, 0.37)
         assert pred.lambda_k == lambda_k_from_omega(1, 0.0, 777, 0.37)
 
@@ -242,7 +239,7 @@ class TestOmegaKApprox:
 class TestStationaryPoint:
     def test_closed_form_alpha05(self):
         sp = stationary_point(0.5)
-        want = math.sqrt(0.25 * (1.0 / EULER_GAMMA - 0.25))
+        want = math.sqrt(0.25 * (1.0 / np.euler_gamma - 0.25))
         assert sp.omega_alpha == want
         assert abs(sp.omega_alpha - 0.608780) < 1e-6
 
@@ -296,27 +293,28 @@ class TestStationaryPoint:
 
 class TestSpiral:
     def test_starts_at_lambda_1_on_real_axis(self):
-        loc = spiral(0.5, 4096, 1.0, 100)
-        w0, re0, im0 = loc.samples[0]
+        w0, re0, im0 = spiral(0.5, 4096, 1.0, 100)[0]
         lam1 = solve_omega_k(1, 4096, 0.5).lambda_k
         assert w0 == 0.0
         assert abs(re0 - lam1) < 1e-10 * lam1
         assert abs(im0) < 1e-12 * lam1
 
-    def test_branches_are_conjugate(self):
-        plus = spiral(0.4, 2048, 2.0, 333, branch="plus")
-        minus = spiral(0.4, 2048, 2.0, 333, branch="minus")
-        assert np.allclose(plus.samples[:, 1], minus.samples[:, 1], rtol=1e-12, atol=1e-300)
-        assert np.allclose(plus.samples[:, 2], -minus.samples[:, 2], rtol=1e-12, atol=1e-30)
-
-    @pytest.mark.parametrize("branch", ["plus", "minus"])
-    def test_samples_match_scalar_loop(self, branch):
+    def test_matches_sigma(self):
         from msmlab.spectrum import _sigma
 
-        loc = spiral(0.5, 10**4, 3.0, 2001, branch=branch)
-        want = np.array([_sigma(0.5, 10**4, float(w), branch) for w in loc.samples[:, 0]])
-        got = loc.samples[:, 1] + 1j * loc.samples[:, 2]
-        assert np.array_equal(loc.samples[:, 0], np.linspace(0.0, 3.0, 2001))
+        loc = spiral(0.4, 2048, 2.0, 333)
+        assert loc.shape == (333, 3)
+        want = _sigma(0.4, 2048, np.linspace(0.0, 2.0, 333))
+        assert np.array_equal(loc[:, 1], want.real)
+        assert np.array_equal(loc[:, 2], want.imag)
+
+    def test_samples_match_scalar_loop(self):
+        from msmlab.spectrum import _sigma
+
+        loc = spiral(0.5, 10**4, 3.0, 2001)
+        want = np.array([_sigma(0.5, 10**4, float(w)) for w in loc[:, 0]])
+        got = loc[:, 1] + 1j * loc[:, 2]
+        assert np.array_equal(loc[:, 0], np.linspace(0.0, 3.0, 2001))
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_crossings_match_admissible_roots(self):
@@ -329,23 +327,21 @@ class TestSpiral:
     def test_first_crossing_has_negative_real_part(self):
         alpha, n = 0.5, 4096
         w2 = spiral_crossings(alpha, n, 0.5)[0]
-        loc = spiral(alpha, n, 1.0, 5)  # only for branch plumbing
-        assert loc.branch == "plus"
         from msmlab.spectrum import _sigma
 
-        val = _sigma(alpha, n, w2, "plus")
+        val = _sigma(alpha, n, w2)
         assert val.real < 0.0
         pred = solve_omega_k(2, n, alpha)
         assert abs(val.real - pred.lambda_k) < 1e-8 * abs(pred.lambda_k)
 
     def test_two_conditions_give_real_lambda(self):
-        # Im sigma_plus vanishes at every solved root, so the single
+        # Im sigma vanishes at every solved root, so the single
         # real solve determines the eigenvalue.
         from msmlab.spectrum import _sigma
 
         for k in range(2, 7):
             pred = solve_omega_k(k, 10**4, 0.5)
-            val = _sigma(0.5, 10**4, pred.omega_k, "plus")
+            val = _sigma(0.5, 10**4, pred.omega_k)
             assert abs(val.imag) < 1e-8 * abs(pred.lambda_k)
 
     def test_validation(self):
@@ -353,30 +349,27 @@ class TestSpiral:
             spiral(0.5, 100, 0.0, 10)
         with pytest.raises(ValueError):
             spiral(0.5, 100, 1.0, 1)
-        with pytest.raises(ValueError):
-            spiral(0.5, 100, 1.0, 10, branch="up")
+        with pytest.raises(TypeError):  # one spiral: no branch to choose
+            spiral(0.5, 100, 1.0, 10, branch="minus")
 
 
 class TestKStar:
     def test_sweep_band_and_monotonicity(self):
-        ratios = []
         stars = []
         for n in (10**3, 10**4, 10**5):
-            est = k_star_estimate(n, 0.5)
-            assert isinstance(est, KStarEstimate)
-            assert 0.2 <= est.ratio <= 5.0
-            ratios.append(est.ratio)
-            stars.append(est.k_star)
+            k_star = k_star_estimate(n, 0.5)
+            assert isinstance(k_star, int)
+            assert 0.2 <= k_star / math.log(n) <= 5.0
+            stars.append(k_star)
         assert stars == sorted(stars)
 
     def test_frozen_values(self):
-        assert k_star_estimate(10**3, 0.5).k_star == 4
-        assert k_star_estimate(10**4, 0.5).k_star == 5
-        assert k_star_estimate(10**5, 0.5).k_star == 6
+        assert k_star_estimate(10**3, 0.5) == 4
+        assert k_star_estimate(10**4, 0.5) == 5
+        assert k_star_estimate(10**5, 0.5) == 6
 
     def test_definition_smallest_k(self):
         # At tiny n even k = 2 is already below the proxy edge.
-        est = k_star_estimate(4, 0.5)
-        assert est.k_star == 2
+        assert k_star_estimate(4, 0.5) == 2
         assert abs(solve_omega_k(2, 4, 0.5).lambda_k) < math.sqrt(4) / 2
         assert solve_omega_k(1, 4, 0.5).lambda_k > math.sqrt(4) / 2
