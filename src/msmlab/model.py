@@ -8,9 +8,10 @@ index 1 is the largest hub.
 
 KernelOperator applies P and reads its rows without an n x n array; the
 adjacency sampler, and the norms and solvers elsewhere, take P in that
-form. expected_matrix builds the dense array only for what needs one: the
-eigensolves and coarse-graining. Both evaluate each entry through one
-formula, so they agree to the bit where they overlap.
+form. expected_matrix builds the dense array only for the eigensolves,
+and coarse_grain holds only log(1 - P) of the permuted weights. All three
+evaluate each entry through one formula, so they agree to the bit where
+they overlap.
 
 A has one form, the sparse 0/1 CSR array of sample_sparse_adjacency;
 callers that need a dense A, such as an eigensolve, take its toarray().
@@ -117,45 +118,20 @@ class FitnessVector:
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """A dense kernel matrix: symmetric, zero diagonal, entries in [0, 1].
+    """A read-only dense kernel matrix from expected_matrix or coarse_grain.
 
-    The constructor is the checked boundary for matrices made outside this
-    module: it rejects a non-square array, asymmetry to the bit, a nonzero
-    diagonal and entries outside [0, 1], all O(n^2) passes. expected_matrix
-    and coarse_grain build arrays whose invariants hold by how they are
-    computed, so they wrap them through _built, which only makes the array
-    read-only.
+    Symmetric to the bit, with a zero diagonal and entries in [0, 1], by
+    how those builders compute it; nothing checks it again.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise ValueError("matrix must be symmetric to the bit")
-        if np.any(np.diagonal(m) != 0.0):
-            raise ValueError("diagonal must be exactly zero")
-        lo, hi = float(m.min()), float(m.max())
-        # P may round to exactly 1.0 at double precision once
-        # eps_n x_i x_j exceeds ~37, so the closed interval is checked.
-        if not (0.0 <= lo and hi <= 1.0):
-            raise ValueError(f"kernel entries outside [0,1]: [{lo},{hi}]")
+        self.entries.setflags(write=False)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def _built(cls, entries: np.ndarray) -> SymmetricMatrix:
-        """Wrap a float array that a builder here made valid by construction."""
-        entries.setflags(write=False)
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "entries", entries)
-        return matrix
 
 
 def gen_fitness(params: ModelParams) -> FitnessVector:
@@ -174,8 +150,9 @@ def gen_fitness(params: ModelParams) -> FitnessVector:
 def _kernel(epsilon_n: float, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
     """p = 1 - exp(-eps_n x_i x_j), in the one rounding every P form shares.
 
-    Evaluated in place in the product's array, so a dense P holds no n x n
-    temporary beside its result.
+    Evaluated in place in the product's array, so a dense P, or the
+    permuted P that coarse_grain takes logs of, holds no n x n temporary
+    beside its result.
     """
     t = xi * xj
     t *= -epsilon_n
@@ -191,7 +168,7 @@ def expected_matrix(x: FitnessVector, epsilon_n: float) -> SymmetricMatrix:
     np.fill_diagonal(p, 0.0)
     # each entry is a function of the commutative product x_i x_j, the
     # diagonal is zeroed, and -expm1 of a non-positive argument lies in [0, 1]
-    return SymmetricMatrix._built(p)
+    return SymmetricMatrix(p)
 
 
 class KernelOperator:
@@ -348,19 +325,25 @@ def coarse_grain(
     else:
         raise ValueError(f"unknown partition {partition!r}")
     nb = n // b
-    p = expected_matrix(x, epsilon_n).entries
+    xo = x.x[order]
+    # log(1 - p) of the permuted P, in place: each entry comes from the
+    # same product x_i x_j as expected_matrix's, so it is the same to the bit
+    lp = _kernel(epsilon_n, xo[:, None], xo[None, :])
+    np.fill_diagonal(lp, 0.0)
+    np.negative(lp, out=lp)
     with np.errstate(divide="ignore"):
         # saturated entries (p = 1 at double precision) give log 0 = -inf,
         # which propagates to P' = 1 for any block containing them
-        log_comp = np.log1p(-p)
-    lp = log_comp[order][:, order]
+        np.log1p(lp, out=lp)
     s = lp.reshape(nb, b, nb, b).sum(axis=(1, 3))
     coarse = -np.expm1(s)
     np.fill_diagonal(coarse, 0.0)
-    big_x = x.x[order].reshape(nb, b).sum(axis=1)
+    big_x = xo.reshape(nb, b).sum(axis=1)
     rank = np.argsort(-big_x, kind="stable")
     big_x = big_x[rank]
     coarse = coarse[rank][:, rank]
-    coarse = 0.5 * (coarse + coarse.T)  # re-mirror after fancy indexing
+    # s[I, J] adds the terms of s[J, I] in another order, so the two can
+    # differ in the last bit; permuting both axes alike keeps symmetry exact
+    coarse = 0.5 * (coarse + coarse.T)
     # re-mirrored, zero diagonal, and -expm1 of a log-sum <= 0 lies in [0, 1]
-    return FitnessVector(x=big_x), SymmetricMatrix._built(coarse)
+    return FitnessVector(x=big_x), SymmetricMatrix(coarse)

@@ -1,14 +1,15 @@
 """Reference spectra and the prediction-vs-numerics comparison harness.
 
-eig_top is the one eigensolver: Lanczos for the k largest |eigenvalues|
+eig_top is the top-k eigensolver: Lanczos for the k largest |eigenvalues|
 of an array or a matrix-free operator, and a dense solve for k >= n - 1.
 ||A - P|| is its k = 1 case on v -> A v - P v, with A the sparse draw and
 P the KernelOperator, so H is never stored. Dense matrices enter as plain
 arrays. compare builds dense P, then dense A, only for their whole
-spectra, keeps of each only the eigenvectors matched to
-spectrum.ladder's predictions, and returns one ComparisonReport: its
-rows, the predicted and matched vectors as row-per-rank blocks, and both
-spectra.
+spectra: one eigh each, whose values are matched to spectrum.ladder's
+predictions before any column is copied, so of each n x n vector block
+only the matched columns outlive the solve. It returns one
+ComparisonReport: its rows, the predicted and matched vectors as
+row-per-rank blocks, and both spectra.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -125,9 +126,14 @@ def _as_entries(matrix: np.ndarray) -> np.ndarray:
     return m
 
 
+def _magnitude_order(vals: np.ndarray) -> np.ndarray:
+    """Indices sorting vals by descending |lambda|, ties by descending signed value."""
+    return np.lexsort((-vals, -np.abs(vals)))
+
+
 def _by_magnitude(vals: np.ndarray, vecs: np.ndarray, k: int) -> EigenDecomposition:
-    """The first k pairs by descending |lambda|, ties by descending signed value."""
-    order = np.lexsort((-vals, -np.abs(vals)))[:k]
+    """The first k pairs in _magnitude_order."""
+    order = _magnitude_order(vals)[:k]
     return EigenDecomposition(vals[order], vecs[:, order])
 
 
@@ -229,44 +235,34 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.dot(u, v)) / (nu * nv))
 
 
-def _match_rank(
-    eigenvalues: np.ndarray, used: set[int], want_sign: float | None
-) -> int:
-    """Next unused magnitude rank, skipping sign mismatches when asked.
-
-    The sign veto keeps a positive analytic branch from being paired with
-    a negative bulk-edge eigenvalue of A that happens to outrank it in
-    magnitude. When no same-signed eigenvalue remains the veto is dropped
-    so every k still gets a row.
-    """
-    fallback = -1
-    for i in range(eigenvalues.size):
-        if i in used:
-            continue
-        if want_sign is None or math.copysign(1.0, eigenvalues[i]) == want_sign:
-            used.add(i)
-            return i
-        if fallback < 0:
-            fallback = i
-    if fallback < 0:
-        raise ValueError("ran out of eigenvalues to match")
-    used.add(fallback)
-    return fallback
-
-
 def _matched_pairs(
-    decomp: EigenDecomposition, wants: list[float | None]
+    matrix: np.ndarray, wants: list[float | None]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A whole spectrum, and the pair matched to each wanted sign in turn.
+    """A dense matrix's whole spectrum, and the pair matched to each wanted sign in turn.
 
-    Rank k takes the next unused magnitude rank under _match_rank's sign
-    veto. Returns all eigenvalues, the matched ones and a copy of their
-    eigenvectors as (k_max, n) rows, so the caller need not keep the
-    n x n block.
+    One eigh solves the matrix, which the caller built finite and
+    symmetric. Rank k takes the first unused magnitude rank whose sign is
+    the wanted one. The veto keeps a positive analytic branch from being
+    paired with a negative bulk-edge eigenvalue of A that happens to
+    outrank it in magnitude; once no same-signed eigenvalue remains, and
+    where no sign is wanted, it takes the first unused rank of either
+    sign, so every k still gets a row. Returns all eigenvalues in
+    magnitude order, the matched ones, and their eigenvectors as
+    (len(wants), n) rows: only those columns are copied out of eigh's
+    n x n block, which the caller does not keep.
     """
-    used: set[int] = set()
-    ranks = [_match_rank(decomp.eigenvalues, used, want) for want in wants]
-    return decomp.eigenvalues, decomp.eigenvalues[ranks], decomp.eigenvectors[:, ranks].T
+    vals, vecs = np.linalg.eigh(matrix)
+    order = _magnitude_order(vals)
+    positive = np.copysign(1.0, vals[order]) > 0.0
+    # every want takes the first unused rank of one sign, so each sign's
+    # used ranks are a prefix of its queue
+    queues = {1.0: np.flatnonzero(positive).tolist(), -1.0: np.flatnonzero(~positive).tolist()}
+    ranks = []
+    for want in wants:
+        queue = queues.get(want) or min((q for q in queues.values() if q), key=lambda q: q[0])
+        ranks.append(queue.pop(0))
+    matched = order[ranks]
+    return vals[order], vals[matched], vecs[:, matched].T
 
 
 def compare(params: ModelParams, k_max: int) -> ComparisonReport:
@@ -274,12 +270,13 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
 
     Samples one sparse adjacency with the params seed from the
     KernelOperator of the expected kernel, takes ||A - P|| on the two,
-    then decomposes dense P and matches it, and only then dense A. Rank k
-    is matched to the k-th eigenvalue by descending magnitude with a sign
-    veto (the predicted sign must agree for the match to stand while
-    same-signed candidates remain). A missing root bracket at some k
-    truncates the prediction columns from that k on; the numerical
-    columns keep going.
+    then builds and decomposes dense P, and only then dense A, each with
+    one eigh matched on its eigenvalues before the matched eigenvector
+    columns are copied out. Rank k is matched to the k-th eigenvalue by
+    descending magnitude with a sign veto (the predicted sign must agree
+    for the match to stand while same-signed candidates remain). A
+    missing root bracket at some k truncates the prediction columns from
+    that k on; the numerical columns keep going.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -293,9 +290,9 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
     t = len(preds)
     vecs_pred = np.array([eigenvector_entries(p) for p in preds]).reshape(t, params.n)
     wants = [math.copysign(1.0, p.lambda_k) for p in preds] + [None] * (k_max - t)
-    # each n x n block lives only inside its _matched_pairs call
-    vals_P, lams_P, vecs_P = _matched_pairs(eig_top(expected_matrix(fv, params.epsilon_n).entries, params.n), wants)
-    vals_A, lams_A, vecs_A = _matched_pairs(eig_top(A.toarray(), params.n), wants)
+    # each n x n array lives only inside its _matched_pairs call
+    vals_P, lams_P, vecs_P = _matched_pairs(expected_matrix(fv, params.epsilon_n).entries, wants)
+    vals_A, lams_A, vecs_A = _matched_pairs(A.toarray(), wants)
 
     rows: list[ComparisonRow] = []
     for i, want in enumerate(wants):

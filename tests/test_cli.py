@@ -706,6 +706,30 @@ class TestConfigAndEnvironment:
         _apply_threads(None)
         assert "OMP_NUM_THREADS" not in os.environ
 
+    def test_threads_after_numpy_loaded_warn(self, monkeypatch, capsys):
+        # numpy is loaded in this process, so the BLAS pool is already sized
+        import os
+
+        argv = ["predict", "--n", "100", "--k-max", "2", "--threads", "1"]
+        monkeypatch.setattr(os, "environ", {})
+        assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("msmlab: warning: ")
+        # the variables now read 1, as if numpy had loaded after them
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_threads_before_numpy_loads_are_silent(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "msmlab.cli", "predict", "--n", "100", "--k-max", "2", "--threads", "1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == EXIT_OK
+        assert result.stdout.startswith("k,omega_k")
+        assert result.stderr == ""
+
     def test_cli_import_leaves_numpy_unloaded(self):
         # --threads only takes effect if numpy loads after it is applied.
         code = "import sys, msmlab.cli; sys.exit('numpy' in sys.modules)"

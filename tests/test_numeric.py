@@ -1,6 +1,7 @@
 """Spectra, their ordering, and the three-way comparison harness."""
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class TestEigTop:
             eig_top(np.zeros((3, 4)), 3)
 
     def test_read_only_entries_match_a_copy(self):
-        # compare hands eig_top the read-only entries of expected_matrix
+        # expected_matrix's entries are read-only; eig_top solves them as they are
         params = ModelParams(n=32, alpha=0.5)
         P = expected_matrix(gen_fitness(params), params.epsilon_n).entries
         assert not P.flags.writeable
@@ -435,6 +436,18 @@ class TestCompare:
         assert report.vectors_P.shape == report.vectors_A.shape == (k_max, n)
         assert np.array_equal(report.eigenvalues_P, solved[0][0])
         assert np.array_equal(report.eigenvalues_A, solved[1][0])
+
+    def test_peak_memory_is_two_n_by_n_arrays(self):
+        # eigh's vector block beside the matrix it solves: the matched
+        # columns are copied out, never a reordered n x n block
+        n = 1024
+        tracemalloc.start()
+        try:
+            compare(ModelParams(n=n, alpha=0.5, seed=3), k_max=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n
 
     def test_sign_veto_fallback_recorded(self):
         # at n = 32 the expected kernel runs out of positive eigenvalues
