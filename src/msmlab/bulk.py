@@ -5,10 +5,11 @@ every bound here: sigma is the largest row deviation, sigma_star the
 largest single-entry deviation, and the measured edge is ||H|| averaged
 over independently sampled realizations.
 
-Everything here takes P as a model.KernelOperator and holds no n x n
-array: the profile is two operator products, each realization's A is a
-sparse draw, ||H|| is a Lanczos solve on v -> A v - P v, and the cavity
-sweep multiplies by P through its near/far split.
+No n x n array is made here. variance_profile takes the weights x and
+eps and reads the profile off two KernelOperator products; everything
+else takes P as a model.KernelOperator: each realization's A is a sparse
+draw, ||H|| is a Lanczos solve on v -> A v - P v, and the cavity sweep
+multiplies by P through its near/far split.
 
 The two Stieltjes solvers share one convention: the resolvent is taken of
 M/sqrt(n) using G = (M - z)^(-1), so Im S(z) > 0 on the upper half plane
@@ -16,7 +17,8 @@ and the boundary density is recovered as (1/pi) Im S(lambda + i eta).
 They share one Anderson-mixed loop too. The cavity solver iterates the
 kernel-weighted self-consistency over the n sampled weights; the Poisson
 solver iterates it with no 1/n and with the l = k term, on a
-KernelOperator of the atoms y_k = Gamma_k^(-1/alpha) of the limit process.
+KernelOperator of the atoms y_k = Gamma_k^(-1/alpha) of the limit process,
+which ppp_sample returns as a plain array, largest first.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ __all__ = [
     "VarianceProfile",
     "LowerBoundReport",
     "StieltjesSolution",
-    "PPPAtoms",
     "variance_profile",
     "norm_upper_bound",
     "measure_bulk_edge",
@@ -64,33 +65,26 @@ _LOWER_BOUND_C = 0.01
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Bernoulli variance structure of the noise part, v_ij = p_ij (1 - p_ij)."""
+    """Bernoulli variance structure of the noise part, v_ij = p_ij (1 - p_ij).
+
+    sigma_star <= 1/2 and sigma^2 <= d_max to rounding, since
+    p(1 - p) <= 1/4 and v <= p entrywise in the probabilities that
+    variance_profile evaluates; nothing checks them again.
+    """
 
     sigma: float  # max_i sqrt(sum_{j != i} v_ij)
     sigma_star: float  # max_{i != j} sqrt(v_ij)
     d_max: float  # largest expected degree
     sigma_row: int  # the row attaining sigma
 
-    def __post_init__(self) -> None:
-        # p(1-p) <= 1/4 and v <= p entrywise, so these hold in exact
-        # arithmetic; a violation means the profile was not built from
-        # a probability matrix
-        if self.sigma_star > 0.5 + 1e-12:
-            raise ValueError(f"sigma_star = {self.sigma_star} exceeds 1/2")
-        if self.sigma**2 > self.d_max + 1e-9:
-            raise ValueError(f"sigma^2 = {self.sigma**2} exceeds d_max = {self.d_max}")
-
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    delta: float
-    sigma: float
     threshold: float  # sqrt(1 - delta) * sigma
     fraction: float  # share of realizations with ||H|| >= threshold
     floor: float  # 1 - exp(-c delta^2 sigma^2)
     passed: bool
-    witness_index: int  # row attaining sigma
-    witness_max_dev: float  # max_r | ||H e_i*||^2 - sigma^2 |
+    witness_max_dev: float  # max_r | ||H e_i*||^2 - sigma^2 |, i* = vp.sigma_row
     witness_width: float  # one Hoeffding width at 95%
     witness_ok: bool  # max deviation within three widths
 
@@ -113,45 +107,6 @@ class StieltjesSolution:
     iterations: np.ndarray  # grid, ints
     converged: np.ndarray  # grid, bools
     steps: np.ndarray  # sweeps x grid
-
-
-@dataclass(frozen=True)
-class PPPAtoms:
-    """Truncated atoms y_k = Gamma_k^(-1/alpha) of the limit process."""
-
-    alpha: float
-    gamma_cumsum: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gamma_cumsum, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        g.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "gamma_cumsum", g)
-        object.__setattr__(self, "y", y)
-        if g.size != y.size:
-            raise ValueError(f"gamma_cumsum and y differ in length: {g.size} vs {y.size}")
-        if y.size == 0:
-            raise ValueError("need at least one atom")
-        if not np.all(np.diff(g) > 0.0):
-            raise ValueError("Gamma partial sums must be strictly increasing")
-        if not np.all(np.diff(y) < 0.0):
-            raise ValueError("atoms must be strictly decreasing")
-
-    @property
-    def K(self) -> int:
-        return self.y.size
-
-    @property
-    def tail_weight_bound(self) -> float:
-        """Expected weight sum_{k > K} y_k left out by the truncation.
-
-        E[Gamma_k^(-1/alpha)] ~ k^(-1/alpha), and the integral tail bound
-        gives alpha/(1-alpha) * K^(-(1-alpha)/alpha).
-        """
-        a = self.alpha
-        return a / (1.0 - a) * float(self.K) ** (-(1.0 - a) / a)
 
 
 def variance_profile(x: FitnessVector, epsilon_n: float) -> VarianceProfile:
@@ -260,27 +215,14 @@ def norm_lower_bound_check(
     floor = 1.0 - math.exp(-_LOWER_BOUND_C * delta**2 * sigma2)
     width = math.sqrt((n - 1) * math.log(2.0 / 0.05) / 2.0)
     return LowerBoundReport(
-        delta=delta,
-        sigma=vp.sigma,
         threshold=threshold,
         fraction=fraction,
         floor=floor,
         passed=fraction > floor,
-        witness_index=vp.sigma_row,
         witness_max_dev=max_dev,
         witness_width=width,
         witness_ok=max_dev <= 3.0 * width,
     )
-
-
-def _lift(z_grid: np.ndarray, eta: float) -> np.ndarray:
-    """The grid's real positions lambda lifted to lambda + i eta."""
-    lam = np.asarray(z_grid, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("z_grid must be a nonempty 1-d real array")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    return lam + 1j * eta
 
 
 def _stieltjes_fixed_point(
@@ -301,7 +243,12 @@ def _stieltjes_fixed_point(
         raise ValueError(f"damping must lie in (0,1], got {damping}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    z = _lift(z_grid, eta)
+    lam = np.asarray(z_grid, dtype=float)
+    if lam.ndim != 1 or lam.size == 0:
+        raise ValueError("z_grid must be a nonempty 1-d real array")
+    if not eta > 0.0:
+        raise ValueError(f"eta must be > 0, got {eta}")
+    z = lam + 1j * eta
 
     nz = z.size
     g = np.full((n, nz), 0j) - 1.0 / z  # free initialization
@@ -403,24 +350,25 @@ def density_mass(sol: StieltjesSolution) -> float:
     return float(scipy.integrate.trapezoid(sol.density, sol.z_grid.real))
 
 
-def ppp_sample(alpha: float, K: int, seed: int) -> PPPAtoms:
-    """Atoms of the limiting point process, largest first.
+def ppp_sample(alpha: float, K: int, seed: int) -> np.ndarray:
+    """The first K atoms y_k = Gamma_k^(-1/alpha) of the limiting point process.
 
-    Gamma_k is the partial sum of iid standard exponentials, and
-    y_k = Gamma_k^(-1/alpha), so the count of atoms above u is Poisson
-    with mean u^(-alpha).
+    Gamma_k is the partial sum of iid standard exponentials, so the atoms
+    come largest first and the count of atoms above u is Poisson with mean
+    u^(-alpha). E[y_k] ~ k^(-1/alpha), so the integral tail bound puts the
+    expected weight sum_{k > K} y_k that the truncation leaves out at
+    alpha/(1-alpha) * K^(-(1-alpha)/alpha).
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     e = stream_rng(seed, STREAM_PPP).standard_exponential(K)
-    gamma = np.cumsum(e)
-    return PPPAtoms(alpha=alpha, gamma_cumsum=gamma, y=gamma ** (-1.0 / alpha))
+    return np.cumsum(e) ** (-1.0 / alpha)
 
 
 def ppp_fixed_point(
-    atoms: PPPAtoms,
+    atoms: np.ndarray,
     z_grid: np.ndarray,
     eta: float,
     damping: float = 0.5,
@@ -428,16 +376,22 @@ def ppp_fixed_point(
 ) -> StieltjesSolution:
     """Fixed point of the atom self-consistency on a z-grid.
 
-    Solves g(y_k) = -1/(z + Phi_k) with Phi_k = sum_l g(y_l)(1 - e^(-y_k y_l))
-    over the truncated atom set, the sum including l = k since the limit
-    equation integrates over the whole process. That is the cavity equation
-    on the atoms without its 1/n, so cavity_solve's loop runs it on the
-    KernelOperator with sqrt(eps) x = y, plus the l = k term it leaves out.
-    z_grid and eta are as in cavity_solve; S_n is the plain mean of g over
-    the atoms.
+    atoms are the y_k of ppp_sample, a nonempty 1-d array sorted
+    descending with a positive last entry. Solves g(y_k) = -1/(z + Phi_k)
+    with Phi_k = sum_l g(y_l)(1 - e^(-y_k y_l)) over the truncated atom
+    set, the sum including l = k since the limit equation integrates over
+    the whole process. That is the cavity equation on the atoms without
+    its 1/n, so cavity_solve's loop runs it on the KernelOperator with
+    sqrt(eps) x = y, plus the l = k term it leaves out. z_grid and eta are
+    as in cavity_solve; S_n is the plain mean of g over the atoms.
     """
-    y = atoms.y
-    # the last atom is the smallest, so these weights are >= 1
+    y = np.asarray(atoms, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError(f"atoms must be a nonempty 1-d array, got shape {y.shape}")
+    if not y[-1] > 0.0:
+        raise ValueError(f"the last atom must be > 0, got {y[-1]}")
+    # FitnessVector refuses these weights unless the atoms descend, so that
+    # the last is the smallest and every weight is >= 1
     kernel = KernelOperator(FitnessVector(y / y[-1]), y[-1] ** 2)
     diag = -np.expm1(-(y * y))[:, None]
-    return _stieltjes_fixed_point(lambda v: kernel.matmat(v) + diag * v, atoms.K, z_grid, eta, damping, tol)
+    return _stieltjes_fixed_point(lambda v: kernel.matmat(v) + diag * v, y.size, z_grid, eta, damping, tol)

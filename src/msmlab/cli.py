@@ -228,7 +228,7 @@ def cmd_spiral(cfg: dict[str, Any]) -> int:
     locus_rows += [(omega, re, -im, "minus") for omega, re, im in locus]
     write_csv(_out_file(cfg, "_spiral.csv"), ("omega", "re", "im", "branch"), locus_rows)
 
-    crossings = spiral_crossings(cfg["alpha"], cfg["n"], cfg["omega_max"], cfg["steps"])
+    crossings = spiral_crossings(cfg["alpha"], cfg["n"], locus)
     cross_rows = []
     for i, omega in enumerate(crossings):
         k = i + 2  # the k = 1 crossing sits at omega = 0, outside the scan

@@ -335,15 +335,19 @@ def coarse_grain(
         # saturated entries (p = 1 at double precision) give log 0 = -inf,
         # which propagates to P' = 1 for any block containing them
         np.log1p(lp, out=lp)
-    s = lp.reshape(nb, b, nb, b).sum(axis=(1, 3))
-    coarse = -np.expm1(s)
+    coarse = lp.reshape(nb, b, nb, b).sum(axis=(1, 3))
+    del lp  # at b = 1 the sums are n x n too: keep at most two such arrays live
+    np.expm1(coarse, out=coarse)
+    np.negative(coarse, out=coarse)
     np.fill_diagonal(coarse, 0.0)
     big_x = xo.reshape(nb, b).sum(axis=1)
     rank = np.argsort(-big_x, kind="stable")
     big_x = big_x[rank]
-    coarse = coarse[rank][:, rank]
-    # s[I, J] adds the terms of s[J, I] in another order, so the two can
-    # differ in the last bit; permuting both axes alike keeps symmetry exact
-    coarse = 0.5 * (coarse + coarse.T)
+    coarse = coarse[np.ix_(rank, rank)]
+    # coarse[I, J] adds the terms of coarse[J, I] in another order, so the
+    # two can differ in the last bit; permuting both axes alike keeps
+    # symmetry exact
+    coarse += coarse.T
+    coarse *= 0.5
     # re-mirrored, zero diagonal, and -expm1 of a log-sum <= 0 lies in [0, 1]
     return FitnessVector(x=big_x), SymmetricMatrix(coarse)

@@ -101,8 +101,6 @@ class ComparisonReport:
     vectors_A the matched unit eigenvectors of every row.
     """
 
-    params: ModelParams
-    k_max: int
     rows: tuple[ComparisonRow, ...]
     bulk_edge_measured: float
     k_break: int | None  # smallest k with cosine_sim_P_vs_A < 0.9
@@ -323,8 +321,6 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
         )
 
     return ComparisonReport(
-        params=params,
-        k_max=k_max,
         rows=tuple(rows),
         bulk_edge_measured=bulk_edge,
         k_break=next((row.k for row in rows if row.cosine_sim_P_vs_A < 0.9), None),

@@ -242,17 +242,19 @@ def spiral(alpha: float, n: int, omega_max: float, steps: int) -> np.ndarray:
     return np.column_stack((omegas, vals.real, vals.imag))
 
 
-def spiral_crossings(alpha: float, n: int, omega_max: float, steps: int = 2000) -> np.ndarray:
+def spiral_crossings(alpha: float, n: int, locus: np.ndarray) -> np.ndarray:
     """Real-axis crossings of the spiral for omega > 0, in order.
 
-    The m-th returned crossing coincides with the admissible root
-    omega_(m+1): the locus starts ON the axis at omega = 0 (that is the
-    k = 1 root), so the scan starts strictly after it.
+    locus holds the (omega, re, im) rows that spiral(alpha, n, ...)
+    evaluated; each sign change of im between rows brackets a crossing,
+    which brentq then refines on sigma itself. The m-th returned crossing
+    coincides with the admissible root omega_(m+1): the locus starts ON
+    the axis at omega = 0 (that is the k = 1 root), so the scan starts
+    strictly after it.
     """
     _check_n(n)
     imag_part = lambda w: _sigma(alpha, n, w).imag
-    omegas = np.linspace(0.0, omega_max, steps)[1:]
-    vals = imag_part(omegas)
+    omegas, vals = locus[1:, 0], locus[1:, 2]
     flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     return np.array([brentq(imag_part, omegas[i], omegas[i + 1], xtol=1e-12) for i in flips])
 

@@ -9,7 +9,6 @@ import pytest
 
 from msmlab import bulk
 from msmlab.bulk import (
-    PPPAtoms,
     cavity_solve,
     density_mass,
     edge_samples,
@@ -243,7 +242,7 @@ class TestLowerBound:
         max_dev = max(abs(float(H[:, i_star] @ H[:, i_star]) - sigma2) for H in noises)
         floor = 1.0 - math.exp(-0.01 * 0.25 * sigma2)
         rep = norm_lower_bound_check(vp, K, draws)
-        assert (rep.fraction, rep.passed, rep.witness_index) == (fraction, fraction > floor, i_star)
+        assert (rep.fraction, rep.passed, vp.sigma_row) == (fraction, fraction > floor, i_star)
         assert rep.threshold == pytest.approx(threshold, rel=1e-12, abs=0.0)
         assert rep.floor == pytest.approx(floor, rel=1e-12, abs=0.0)
         assert rep.witness_max_dev == pytest.approx(max_dev, rel=1e-12, abs=0.0)
@@ -363,42 +362,30 @@ class TestCavitySolve:
 
 class TestPPPSample:
     def test_gamma_mean(self):
-        last = np.array([ppp_sample(0.5, 10, seed).gamma_cumsum[-1] for seed in range(2000)])
+        # Gamma_K = y_K^(-alpha)
+        last = np.array([ppp_sample(0.5, 10, seed)[-1] ** -0.5 for seed in range(2000)])
         assert abs(last.mean() - 10.0) <= 5 * math.sqrt(10) / math.sqrt(2000)
 
     def test_poisson_count_above_one(self):
-        counts = np.array([(ppp_sample(0.5, 50, s).y > 1.0).sum() for s in range(2000)])
+        counts = np.array([(ppp_sample(0.5, 50, s) > 1.0).sum() for s in range(2000)])
         # E#{y_k > u} = u^(-alpha) = 1 at u = 1
         assert abs(counts.mean() - 1.0) <= 5 / math.sqrt(2000)
 
     def test_monotone_atoms(self):
-        atoms = ppp_sample(0.3, 500, 11)
-        assert np.all(np.diff(atoms.gamma_cumsum) > 0)
-        assert np.all(np.diff(atoms.y) < 0)
-
-    def test_tail_weight_bound_value(self):
-        # alpha/(1-alpha) K^(-(1-alpha)/alpha) = 1e-4 at alpha=1/2, K=1e4
-        assert ppp_sample(0.5, 10**4, 0).tail_weight_bound == pytest.approx(1e-4, rel=1e-12)
+        assert np.all(np.diff(ppp_sample(0.3, 500, 11)) < 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ppp_sample(0.5, 0, 0)
         with pytest.raises(ValueError):
             ppp_sample(1.0, 10, 0)
-        with pytest.raises(ValueError):
-            PPPAtoms(alpha=0.5, gamma_cumsum=np.array([2.0, 1.0]), y=np.array([2.0, 1.0]))
-        with pytest.raises(ValueError):
-            PPPAtoms(alpha=0.5, gamma_cumsum=np.array([1.0, 2.0, 3.0]), y=np.array([2.0, 1.0]))
-        with pytest.raises(ValueError, match="at least one atom"):
-            PPPAtoms(alpha=0.5, gamma_cumsum=np.empty(0), y=np.empty(0))
 
 
 class TestPPPFixedPoint:
     @pytest.mark.parametrize("zr,eta", [(0.0, 2.0), (0.5, 1.0), (-0.3, 0.8)])
     def test_single_saturated_atom_quadratic(self, zr, eta):
         # one huge atom saturates the kernel, so g = -1/(z + g)
-        one = PPPAtoms(alpha=0.5, gamma_cumsum=np.array([1e-4]), y=np.array([1e8]))
-        sol = ppp_fixed_point(one, [zr], eta, tol=1e-13)
+        sol = ppp_fixed_point(np.array([1e8]), [zr], eta, tol=1e-13)
         z = complex(zr, eta)
         disc = cmath.sqrt(z * z - 4)
         oracle = next(r for r in ((-z + disc) / 2, (-z - disc) / 2) if r.imag > 0)
@@ -425,14 +412,26 @@ class TestPPPFixedPoint:
             ppp_fixed_point(atoms, [0.0], 0.5, damping=1.5)
         with pytest.raises(ValueError, match="tol"):
             ppp_fixed_point(atoms, [0.0], 0.5, tol=0.0)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            ppp_fixed_point(np.empty(0), [0.0], 0.5)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            ppp_fixed_point(atoms[None, :], [0.0], 0.5)
+        with pytest.raises(ValueError, match="fitness weights"):
+            ppp_fixed_point(atoms[::-1], [0.0], 0.5)
+        with pytest.raises(ValueError, match="last atom"):
+            ppp_fixed_point(np.array([2.0, 1.0, 0.0]), [0.0], 0.5)
 
-    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
-    def test_fixed_point_of_the_dense_kernel_with_its_diagonal(self, alpha):
+    @pytest.mark.parametrize(
+        "atoms",
+        [pytest.param(ppp_sample(alpha, 2000, 1), id=str(alpha)) for alpha in (0.2, 0.5, 0.8)]
+        # tied atoms: the solver needs no strict order
+        + [pytest.param(np.repeat(ppp_sample(0.5, 500, 1), 2), id="tied")],
+    )
+    def test_fixed_point_of_the_dense_kernel_with_its_diagonal(self, atoms):
         # the operator leaves out l = k and the solver adds it back, so the
         # result must solve the equation on the full dense atom kernel
-        atoms = ppp_sample(alpha, 2000, 1)
         sol = ppp_fixed_point(atoms, [-0.5, 0.0, 0.3], 0.05)
-        p = -np.expm1(-np.outer(atoms.y, atoms.y))
+        p = -np.expm1(-np.outer(atoms, atoms))
         residual = sol.g_per_node + 1.0 / (sol.z_grid + p @ sol.g_per_node)
         assert sol.converged.all()
         assert np.abs(residual).max() <= 1e-8

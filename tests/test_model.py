@@ -321,20 +321,32 @@ class TestCoarseGrain:
         assert big.x.tobytes() == want_x[rank].tobytes()
         assert coarse.entries.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("partition", ["contiguous", "random"])
-    def test_peak_memory_is_one_n_by_n_array(self, partition):
+    @pytest.mark.parametrize(
+        "partition,b,bound",
+        [
+            pytest.param(partition, b, bound, id=partition + suffix)
+            for partition in ("contiguous", "random")
+            # b = 10: the log-complement and its (n/10)^2 block sums; b = 2:
+            # the same with (n/2)^2 block sums, a quarter of n^2; b = 1: the
+            # block sums are n x n, and one more n x n array is made by the
+            # gather and again by the re-mirror, not by both at once
+            for b, bound, suffix in ((10, 1.25, ""), (2, 1.3, "-b2"), (1, 2.1, "-b1"))
+        ],
+    )
+    def test_peak_memory_is_one_n_by_n_array(self, partition, b, bound):
         # the log-complement is evaluated in place on the permuted weights,
-        # so the supernode sums are taken from the one n x n array
+        # so the supernode sums are taken from the one n x n array, which
+        # is freed before the sums are exponentiated, permuted and mirrored
         n = 1000
         fv = det_fitness(n, 0.5)
         eps = ModelParams(n=n, alpha=0.5).epsilon_n
         tracemalloc.start()
         try:
-            coarse_grain(fv, eps, 10, partition, seed=1)
+            coarse_grain(fv, eps, b, partition, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * n * n
+        assert peak <= bound * 8 * n * n
 
     def test_random_partition_reproducible(self):
         fv = det_fitness(40, 0.5)

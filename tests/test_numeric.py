@@ -364,7 +364,7 @@ class TestCompare:
         assert compare(params, 8).bulk_edge_measured == want
 
     def test_bulk_edge_under_envelope(self, report_2048):
-        n = report_2048.params.n
+        n = report_2048.eigenvalues_P.size
         assert report_2048.bulk_edge_measured <= math.sqrt(n) / 2 + 0.25 * math.sqrt(math.log(n))
         assert report_2048.bulk_edge_measured > 0.25 * math.sqrt(n)
 

@@ -319,14 +319,14 @@ class TestSpiral:
 
     def test_crossings_match_admissible_roots(self):
         alpha, n = 0.5, 4096
-        crossings = spiral_crossings(alpha, n, 1.0)
+        crossings = spiral_crossings(alpha, n, spiral(alpha, n, 1.0, 2000))
         assert crossings.size >= 4
         for i, w in enumerate(crossings):
             assert abs(w - solve_omega_k(i + 2, n, alpha).omega_k) < 1e-6
 
     def test_first_crossing_has_negative_real_part(self):
         alpha, n = 0.5, 4096
-        w2 = spiral_crossings(alpha, n, 0.5)[0]
+        w2 = spiral_crossings(alpha, n, spiral(alpha, n, 0.5, 2000))[0]
         from msmlab.spectrum import _sigma
 
         val = _sigma(alpha, n, w2)
