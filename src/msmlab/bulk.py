@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 
 from .model import (
@@ -50,7 +49,6 @@ __all__ = [
     "edge_samples",
     "norm_lower_bound_check",
     "cavity_solve",
-    "density_mass",
     "ppp_sample",
     "ppp_fixed_point",
 ]
@@ -345,11 +343,6 @@ def cavity_solve(
     return _stieltjes_fixed_point(lambda v: kernel.matmat(v) * (1.0 / n), n, z_grid, eta, damping, tol)
 
 
-def density_mass(sol: StieltjesSolution) -> float:
-    """Trapezoid mass of the density over the (truncated) grid."""
-    return float(scipy.integrate.trapezoid(sol.density, sol.z_grid.real))
-
-
 def ppp_sample(alpha: float, K: int, seed: int) -> np.ndarray:
     """The first K atoms y_k = Gamma_k^(-1/alpha) of the limiting point process.
 
@@ -388,10 +381,11 @@ def ppp_fixed_point(
     y = np.asarray(atoms, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError(f"atoms must be a nonempty 1-d array, got shape {y.shape}")
+    if np.any(np.diff(y) > 0.0):
+        raise ValueError("atoms must descend, largest first (ties allowed)")
     if not y[-1] > 0.0:
         raise ValueError(f"the last atom must be > 0, got {y[-1]}")
-    # FitnessVector refuses these weights unless the atoms descend, so that
-    # the last is the smallest and every weight is >= 1
+    # the atoms descend, so the last is the smallest and every weight is >= 1
     kernel = KernelOperator(FitnessVector(y / y[-1]), y[-1] ** 2)
     diag = -np.expm1(-(y * y))[:, None]
     return _stieltjes_fixed_point(lambda v: kernel.matmat(v) + diag * v, y.size, z_grid, eta, damping, tol)

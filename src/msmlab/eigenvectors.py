@@ -38,7 +38,6 @@ from .spectrum import SpectralPrediction
 
 __all__ = [
     "IdentityReport",
-    "nu_k",
     "eigenvector_entries",
     "entry_identity_check",
     "l1_normalize",
@@ -64,7 +63,7 @@ def _coefficient(alpha: float, omega: float) -> complex:
     return complex(alpha / 2.0, -omega) * cmath.exp(lg - lg0)
 
 
-def _mode(ratio: np.ndarray | float, alpha: float, omega: float) -> np.ndarray | float:
+def _mode(ratio: np.ndarray, alpha: float, omega: float) -> np.ndarray:
     """nu_k at the weight x with x^alpha = ratio, for the root omega = omega_k.
 
     Taking x^alpha rather than x keeps the grid ratio n/j exact, so
@@ -74,13 +73,6 @@ def _mode(ratio: np.ndarray | float, alpha: float, omega: float) -> np.ndarray |
     c = _coefficient(alpha, omega)
     phase = (omega / alpha) * np.log(ratio)
     return np.sqrt(ratio) * ((c.real / alpha) * np.cos(phase) - (c.imag / alpha) * np.sin(phase))
-
-
-def nu_k(x: float, rung: SpectralPrediction) -> float:
-    """Eigenfunction value of the rung at weight coordinate x >= 1."""
-    if x < 1.0:
-        raise ValueError(f"x must be >= 1, got {x}")
-    return float(_mode(x**rung.alpha, rung.alpha, rung.omega_k))
 
 
 def eigenvector_entries(rung: SpectralPrediction) -> np.ndarray:
@@ -124,11 +116,9 @@ def zero_crossing_log_positions(entries: np.ndarray) -> np.ndarray:
     """
     v = entries
     lj = np.log(np.arange(1, v.size + 1, dtype=float))
-    out = []
-    for i in np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]:
-        frac = v[i] / (v[i] - v[i + 1])
-        out.append(lj[i] + frac * (lj[i + 1] - lj[i]))
-    return np.array(out)
+    i = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]
+    frac = v[i] / (v[i] - v[i + 1])
+    return lj[i] + frac * (lj[i + 1] - lj[i])
 
 
 def operator_residual(kernel: KernelOperator, rung: SpectralPrediction) -> float:

@@ -39,7 +39,6 @@ __all__ = [
     "EigenDecomposition",
     "ComparisonRow",
     "ComparisonReport",
-    "reconstruction_residuals",
     "outliers",
     "eig_top",
     "noise_norm",
@@ -135,24 +134,6 @@ def _by_magnitude(vals: np.ndarray, vecs: np.ndarray, k: int) -> EigenDecomposit
     return EigenDecomposition(vals[order], vecs[:, order])
 
 
-def reconstruction_residuals(decomp: EigenDecomposition, matrix: np.ndarray) -> np.ndarray:
-    """Per-pair residuals ||M v_i - lambda_i v_i||_2.
-
-    Each must stay below 1e-8 * (||M||_F / sqrt(n) + |lambda_i|) for the
-    decomposition to count as faithful; callers assert that bound.
-    """
-    m = _as_entries(matrix)
-    r = m @ decomp.eigenvectors - decomp.eigenvectors * decomp.eigenvalues
-    return np.linalg.norm(r, axis=0)
-
-
-def residual_tolerances(decomp: EigenDecomposition, matrix: np.ndarray) -> np.ndarray:
-    """The per-pair bound matching reconstruction_residuals."""
-    m = _as_entries(matrix)
-    scale = np.linalg.norm(m, "fro") / math.sqrt(decomp.n)
-    return 1e-8 * (scale + np.abs(decomp.eigenvalues))
-
-
 def outliers(decomp: EigenDecomposition, edge: float) -> list[tuple[int, float]]:
     """Eigenvalues strictly outside the bulk edge, as (rank, value) pairs.
 
@@ -225,12 +206,8 @@ def noise_norm(A: scipy.sparse.sparray, kernel: KernelOperator) -> float:
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity after sign alignment, in [0, 1]."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(abs(np.dot(u, v)) / (nu * nv))
+    """Cosine similarity after sign alignment, in [0, 1], of two nonzero vectors."""
+    return float(abs(np.dot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def _matched_pairs(

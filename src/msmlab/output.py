@@ -7,6 +7,9 @@ the run that produced them, with keys sorted. The configuration leaves
 out the BLAS thread count, and the last bits of dense results depend on
 it, so a saved document reproduces its run byte for byte only when run
 again at the same thread count. NaN never reaches JSON; it becomes null.
+
+The encoders take bool, int, float (numpy's float64 is one), str and None,
+and in JSON dicts and lists of those; anything else raises TypeError.
 """
 from __future__ import annotations
 
@@ -14,8 +17,6 @@ import json
 import math
 from pathlib import Path
 from typing import Any, Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -35,12 +36,12 @@ def fmt_float(x: float) -> str:
 
 
 def _cell(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return fmt_float(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     if value is None:
         return ""
     if not isinstance(value, str):
@@ -66,22 +67,15 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[A
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return None if not math.isfinite(v) else v
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, complex):
-        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"no JSON encoding for {type(value).__name__}")
 
 
 def json_document(config: dict[str, Any], **payload: Any) -> str:

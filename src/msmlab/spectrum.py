@@ -70,7 +70,6 @@ class SpectralPrediction:
 
 @dataclass(frozen=True)
 class StationaryPoint:
-    alpha: float
     omega_alpha: float
     phi_alpha: float
     omega_star_numeric: float
@@ -209,14 +208,14 @@ def stationary_point(alpha: float) -> StationaryPoint:
             grid[i + 1],
             xtol=1e-12,
         )
-        return StationaryPoint(alpha, omega_alpha, phi_alpha, root, True)
+        return StationaryPoint(omega_alpha, phi_alpha, root, True)
     res = minimize_scalar(
         lambda w: digamma_line_derivative(alpha, w),
         bounds=(1e-6, 5.0),
         method="bounded",
         options={"xatol": 1e-10},
     )
-    return StationaryPoint(alpha, omega_alpha, phi_alpha, float(res.x), False)
+    return StationaryPoint(omega_alpha, phi_alpha, float(res.x), False)
 
 
 def _sigma(alpha: float, n: int, omega: float | np.ndarray) -> complex | np.ndarray:
@@ -230,7 +229,8 @@ def _sigma(alpha: float, n: int, omega: float | np.ndarray) -> complex | np.ndar
 def spiral(alpha: float, n: int, omega_max: float, steps: int) -> np.ndarray:
     """sigma on a uniform omega grid in [0, omega_max], as (steps, 3) rows (omega, re, im).
 
-    The conjugate spiral is the same rows with im negated.
+    The conjugate spiral is the same rows with im negated. A grid reaching
+    an omega where |sigma| underflows to (0, 0), about 474, raises ValueError.
     """
     _check_n(n)
     if omega_max <= 0.0:
@@ -239,6 +239,8 @@ def spiral(alpha: float, n: int, omega_max: float, steps: int) -> np.ndarray:
         raise ValueError(f"steps must be >= 2, got {steps}")
     omegas = np.linspace(0.0, omega_max, steps)
     vals = _sigma(alpha, n, omegas)
+    if (vals == 0.0).any():
+        raise ValueError(f"sigma underflows to 0 at omega = {omegas[vals == 0.0][0]:.6g}; lower omega_max")
     return np.column_stack((omegas, vals.real, vals.imag))
 
 

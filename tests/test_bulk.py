@@ -6,11 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from msmlab import bulk
 from msmlab.bulk import (
     cavity_solve,
-    density_mass,
     edge_samples,
     measure_bulk_edge,
     norm_lower_bound_check,
@@ -288,7 +288,7 @@ class TestCavitySolve:
         assert sol.steps.shape == (sol.iterations.max(), 41)
         assert (sol.S_n.imag > 0.0).all()
         assert (sol.density >= -1e-9).all()
-        assert 0.9 <= density_mass(sol) <= 1.1
+        assert 0.9 <= trapezoid(sol.density, sol.z_grid.real) <= 1.1
         # contraction diagnostic: step sizes shrink monotonically after
         # burn-in; violations warn rather than fail
         worst = sol.steps.max(axis=1)
@@ -416,8 +416,10 @@ class TestPPPFixedPoint:
             ppp_fixed_point(np.empty(0), [0.0], 0.5)
         with pytest.raises(ValueError, match="nonempty 1-d"):
             ppp_fixed_point(atoms[None, :], [0.0], 0.5)
-        with pytest.raises(ValueError, match="fitness weights"):
+        with pytest.raises(ValueError, match="atoms must descend"):
             ppp_fixed_point(atoms[::-1], [0.0], 0.5)
+        with pytest.raises(ValueError, match="atoms must descend"):
+            ppp_fixed_point(np.array([3.0, 1.0, 2.0]), [0.0], 0.5)
         with pytest.raises(ValueError, match="last atom"):
             ppp_fixed_point(np.array([2.0, 1.0, 0.0]), [0.0], 0.5)
 

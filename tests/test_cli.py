@@ -331,7 +331,8 @@ class TestSpiral:
             assert abs(complex(float(re), float(im)) - want) <= 1e-12 * abs(want)
 
     def test_overflow_is_usage_error(self, tmp_path, capsys):
-        # log Gamma overflows at Im z = 5e307; at 1e200 it does not
+        # log Gamma overflows at Im z = 5e307; at 1e200 it does not, and
+        # the refusal is sigma's underflow instead
         argv = ["spiral", "--omega-max", "1e308", "--steps", "3", "--out", str(tmp_path / "x")]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -339,7 +340,17 @@ class TestSpiral:
         assert "log Gamma overflows at z = (-0.25+5e+307j)" in err
         assert not list(tmp_path.iterdir())
         argv[2] = "1e200"
-        assert main(argv) == EXIT_OK
+        assert main(argv) == EXIT_USAGE
+        assert "sigma underflows to 0 at omega = 5e+199" in capsys.readouterr().err
+
+    def test_underflowed_locus_is_usage_error(self, tmp_path, capsys):
+        # |sigma| underflows past omega = 474.49 at alpha = 0.5, n = 10^4
+        argv = ["spiral", "--omega-max", "1000", "--steps", "3000", "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "sigma underflows to 0 at omega = 474.491" in err
+        assert not list(tmp_path.iterdir())
 
     def test_crossings_match_predict(self, spiral_outdir, capsys):
         _, cross = read_csv_text(spiral_outdir / "run_spiral_crossings.csv")

@@ -11,7 +11,6 @@ from msmlab.eigenvectors import (
     eigenvector_entries,
     entry_identity_check,
     l1_normalize,
-    nu_k,
     operator_residual,
     zero_crossing_log_positions,
 )
@@ -20,19 +19,23 @@ from msmlab.special import log_gamma_complex
 from msmlab.spectrum import solve_omega_k
 
 
-class TestNuK:
-    def test_perron_mode_at_one(self):
-        assert nu_k(1.0, solve_omega_k(1, 100, 0.5)) == 0.5
+class TestEigenvectorEntries:
+    def test_perron_anchor_exact(self):
+        entries = eigenvector_entries(solve_omega_k(1, 10**4, 0.5))
+        j = np.arange(1, 10**4 + 1, dtype=float)
+        assert np.array_equal(entries, 0.5 * np.sqrt(10**4 / j))
+        assert entries[0] == 50.0
+        assert entries[-1] == 0.5
 
     def test_perron_mode_power_law(self):
-        # nu_1(x) = x^(alpha/2)/2
-        assert abs(nu_k(4.0, solve_omega_k(1, 100, 0.5)) - 0.5 * 4.0**0.25) < 1e-15
+        # v_1^(j) = x_j^(alpha/2)/2 at the grid weight x_j = (n/j)^(1/alpha)
         rung = solve_omega_k(1, 2048, 0.3)
-        for x in (1.5, 7.0, 1e4):
-            assert abs(nu_k(x, rung) - 0.5 * x**0.15) < 1e-12 * x**0.15
+        x = (2048 / np.arange(1, 2049, dtype=float)) ** (1 / 0.3)
+        assert np.all(np.abs(eigenvector_entries(rung) - 0.5 * x**0.15) < 1e-12 * x**0.15)
 
     def test_two_conjugate_term_oracle(self):
-        # Same function written as half the sum of the two conjugate
+        # Entry j = 1000 of n = 10^4 at alpha = 1/2 sits at weight x = 100.
+        # The same function written as half the sum of the two conjugate
         # terms, evaluated with independent complex arithmetic.
         alpha, n, k, x = 0.5, 10**4, 2, 100.0
         rung = solve_omega_k(k, n, alpha)
@@ -44,30 +47,9 @@ class TestNuK:
         pair += complex(alpha / 2, om) * cmath.exp(lgp) * x ** (-1j * om)
         want = (x ** (alpha / 2) / (2 * alpha)) * pair
         assert abs(want.imag) < 1e-14 * abs(want.real)
-        got = nu_k(x, rung)
+        got = eigenvector_entries(rung)[1000 - 1]
         assert abs(got - want.real) < 1e-12 * abs(want.real)
         assert abs(got - 1.7298081834761485) < 1e-12
-
-    def test_matches_entries_on_grid(self):
-        n, alpha, k = 512, 0.4, 3
-        rung = solve_omega_k(k, n, alpha)
-        entries = eigenvector_entries(rung)
-        for j in (1, 2, 17, 100, 512):
-            x = (n / j) ** (1 / alpha)
-            assert abs(nu_k(x, rung) - entries[j - 1]) < 1e-10 * (abs(entries[j - 1]) + 1.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            nu_k(0.5, solve_omega_k(1, 100, 0.5))
-
-
-class TestEigenvectorEntries:
-    def test_perron_anchor_exact(self):
-        entries = eigenvector_entries(solve_omega_k(1, 10**4, 0.5))
-        j = np.arange(1, 10**4 + 1, dtype=float)
-        assert np.array_equal(entries, 0.5 * np.sqrt(10**4 / j))
-        assert entries[0] == 50.0
-        assert entries[-1] == 0.5
 
     def test_perron_positivity(self):
         for alpha in (0.2, 0.5, 0.8):
@@ -148,6 +130,22 @@ class TestLogPeriodicity:
     def test_perron_mode_has_no_crossings(self):
         entries = eigenvector_entries(solve_omega_k(1, 2048, 0.5))
         assert zero_crossing_log_positions(entries).size == 0
+
+    def test_matches_the_crossing_loop(self):
+        # one crossing at a time, as a loop: the same arithmetic, so the same bits
+        def loop(v):
+            lj = np.log(np.arange(1, v.size + 1, dtype=float))
+            out = []
+            for i in np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)[0]:
+                out.append(lj[i] + v[i] / (v[i] - v[i + 1]) * (lj[i + 1] - lj[i]))
+            return np.array(out)
+
+        rng = np.random.default_rng(5)
+        vectors = [eigenvector_entries(solve_omega_k(k, 4096, 0.5)) for k in range(1, 9)]
+        vectors += [rng.standard_normal(size) for size in (2, 3, 50, 499)]
+        for v in vectors:
+            got, want = zero_crossing_log_positions(v), loop(v)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestOperatorResidual:

@@ -352,6 +352,12 @@ class TestSpiral:
         with pytest.raises(TypeError):  # one spiral: no branch to choose
             spiral(0.5, 100, 1.0, 10, branch="minus")
 
+    def test_underflow_refused(self):
+        # the first exact (0, 0) row of this grid sits at omega = 474.49
+        with pytest.raises(ValueError, match="sigma underflows to 0 at omega = 474.491"):
+            spiral(0.5, 10**4, 1000.0, 3000)
+        assert spiral(0.5, 10**4, 474.0, 3000).shape == (3000, 3)
+
 
 class TestKStar:
     def test_sweep_band_and_monotonicity(self):
