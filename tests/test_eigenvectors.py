@@ -27,6 +27,10 @@ class TestEigenvectorEntries:
         assert entries[0] == 50.0
         assert entries[-1] == 0.5
 
+    def test_perron_mode_at_one(self):
+        # nu_1(1) = 1/2: the last entry j = n sits at weight x = 1
+        assert eigenvector_entries(solve_omega_k(1, 100, 0.5))[-1] == 0.5
+
     def test_perron_mode_power_law(self):
         # v_1^(j) = x_j^(alpha/2)/2 at the grid weight x_j = (n/j)^(1/alpha)
         rung = solve_omega_k(1, 2048, 0.3)
