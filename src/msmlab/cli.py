@@ -33,10 +33,10 @@ EXIT_NON_CONVERGENCE = 3
 EXIT_TRUNCATED = 4
 
 # largest n allowed without the --paper-scale acknowledgment; beyond it
-# compare's dense decompositions take minutes (n = 10^4: 245 s and 3.9 GB
-# peak RSS at 2 BLAS threads on 2 cores, one n x n solve held at a time),
-# and bulk's adjacency sampling, which tests all n(n-1)/2 pairs, grows
-# quadratically
+# compare's dense spectra take over a minute (at 2 BLAS threads on 2
+# cores, n = 4096: 5.1 s and 346 MB peak RSS; n = 10^4: 67 s and 1.6 GB,
+# one n x n matrix and eigvalsh's copy of it held at a time), and bulk's
+# adjacency sampling, which tests all n(n-1)/2 pairs, grows quadratically
 CI_SCALE_LIMIT = 4096
 
 # largest |closed form - aggregated kernel| that coarsegrain accepts

@@ -5,9 +5,12 @@ of an array or a matrix-free operator, and a dense solve for k >= n - 1.
 ||A - P|| is its k = 1 case on v -> A v - P v, with A the sparse draw and
 P the KernelOperator, so H is never stored. Dense matrices enter as plain
 arrays. compare builds dense P, then dense A, only for their whole
-spectra: one eigh each, whose values are matched to spectrum.ladder's
-predictions before any column is copied, so of each n x n vector block
-only the matched columns outlive the solve. It returns one
+spectra: one eigvalsh each, whose values are matched to spectrum.ladder's
+predictions before any vector is computed. The matched vectors then come
+from eig_top on P's KernelOperator and on the sparse A, down to the first
+clear magnitude gap at or past the deepest matched rank, so no n x n
+vector block is made; eigh is the fallback where the values rule Lanczos
+out or it fails. It returns one
 ComparisonReport: its rows, the predicted and matched vectors as
 row-per-rank blocks, and both spectra.
 
@@ -210,25 +213,17 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.dot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-def _matched_pairs(
-    matrix: np.ndarray, wants: list[float | None]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A dense matrix's whole spectrum, and the pair matched to each wanted sign in turn.
+def _veto_ranks(vals: np.ndarray, wants: list[float | None]) -> list[int]:
+    """The magnitude rank matched to each wanted sign in turn, for magnitude-ordered vals.
 
-    One eigh solves the matrix, which the caller built finite and
-    symmetric. Rank k takes the first unused magnitude rank whose sign is
-    the wanted one. The veto keeps a positive analytic branch from being
-    paired with a negative bulk-edge eigenvalue of A that happens to
-    outrank it in magnitude; once no same-signed eigenvalue remains, and
-    where no sign is wanted, it takes the first unused rank of either
-    sign, so every k still gets a row. Returns all eigenvalues in
-    magnitude order, the matched ones, and their eigenvectors as
-    (len(wants), n) rows: only those columns are copied out of eigh's
-    n x n block, which the caller does not keep.
+    Rank k takes the first unused magnitude rank whose sign is the wanted
+    one. The veto keeps a positive analytic branch from being paired with
+    a negative bulk-edge eigenvalue of A that happens to outrank it in
+    magnitude; once no same-signed eigenvalue remains, and where no sign
+    is wanted, it takes the first unused rank of either sign, so every k
+    still gets a row.
     """
-    vals, vecs = np.linalg.eigh(matrix)
-    order = _magnitude_order(vals)
-    positive = np.copysign(1.0, vals[order]) > 0.0
+    positive = np.copysign(1.0, vals) > 0.0
     # every want takes the first unused rank of one sign, so each sign's
     # used ranks are a prefix of its queue
     queues = {1.0: np.flatnonzero(positive).tolist(), -1.0: np.flatnonzero(~positive).tolist()}
@@ -236,7 +231,64 @@ def _matched_pairs(
     for want in wants:
         queue = queues.get(want) or min((q for q in queues.values() if q), key=lambda q: q[0])
         ranks.append(queue.pop(0))
-    matched = order[ranks]
+    return ranks
+
+
+# Lanczos solves for the top k pairs, with k the first rank at or past
+# the deepest matched one where |lambda| falls by more than
+# _LANCZOS_MIN_GAP of |lambda_k| to the next rank, and only for k <=
+# _LANCZOS_MAX_RANK. A block that ends inside a cluster slows eigsh by
+# orders of magnitude: on P's operator at n = 2048, alpha = 0.8, iid
+# seed 11, k = 12 (gap 9.1e-6) took 14.8 s and k = 14 (gap 8e-9) did not
+# converge in 30.9 s. Past a gap > 1e-3 it took <= 0.2 s for k <= 24,
+# 0.13 s at k = 128 and 0.31 s at k = 192, against 0.26 s more for eigh's
+# vectors than for eigvalsh (n = 2048, on a 2-core host); on the sparse A
+# it took <= 0.03 s. eigh's vectors also take three more n x n arrays.
+_LANCZOS_MAX_RANK = 192
+_LANCZOS_MIN_GAP = 1e-3
+# Lanczos's values must meet eigvalsh's to this fraction of |lambda_1|
+# at every rank down to k, or its vectors are not used
+_LANCZOS_VALUE_TOL = 1e-12
+
+
+def _matched_pairs(
+    matrix: np.ndarray, op, wants: list[float | None]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A dense matrix's whole spectrum, and the pair matched to each wanted sign in turn.
+
+    op applies the same matrix without storing it: the KernelOperator of
+    P or the sparse A. eigvalsh gives the whole spectrum of the matrix,
+    which the caller built finite and symmetric, and _veto_ranks matches
+    on those values, so the matched ranks are known before any vector is
+    computed. The vectors then come from eig_top(op, k), with k chosen
+    from the values by the Lanczos limits above, when its values agree
+    with eigvalsh's at every rank <= k; the matched values are
+    eigvalsh's. Where no k passes the limits, and when Lanczos does not
+    converge or disagrees, one eigh solves the matrix and the veto runs
+    again on its own values. Returns all eigenvalues in magnitude order,
+    the matched ones, and their eigenvectors as (len(wants), n) rows.
+    """
+    vals = np.linalg.eigvalsh(matrix)
+    vals = vals[_magnitude_order(vals)]
+    ranks = _veto_ranks(vals, wants)
+    d = max(ranks) + 1
+    mags = np.abs(vals)
+    # the ranks k in [d, n - 2] where |lambda_k| clears |lambda_k+1| by the gap
+    depths = d + np.flatnonzero(mags[d - 1 : -2] - mags[d:-1] > _LANCZOS_MIN_GAP * mags[d - 1 : -2])
+    if depths.size and depths[0] <= _LANCZOS_MAX_RANK:
+        k = int(depths[0])
+        try:
+            top = eig_top(op, k)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            pass
+        else:
+            if np.all(np.abs(top.eigenvalues - vals[:k]) <= _LANCZOS_VALUE_TOL * mags[0]):
+                return vals, vals[ranks], top.eigenvectors[:, ranks].T
+    # the dense path: eigh's own order, which near ties can make differ
+    # from eigvalsh's, so its ranks are matched afresh
+    vals, vecs = np.linalg.eigh(matrix)
+    order = _magnitude_order(vals)
+    matched = order[_veto_ranks(vals[order], wants)]
     return vals[order], vals[matched], vecs[:, matched].T
 
 
@@ -245,11 +297,12 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
 
     Samples one sparse adjacency with the params seed from the
     KernelOperator of the expected kernel, takes ||A - P|| on the two,
-    then builds and decomposes dense P, and only then dense A, each with
-    one eigh matched on its eigenvalues before the matched eigenvector
-    columns are copied out. Rank k is matched to the k-th eigenvalue by
-    descending magnitude with a sign veto (the predicted sign must agree
-    for the match to stand while same-signed candidates remain). A
+    then builds dense P, and only then dense A, for _matched_pairs: one
+    eigvalsh each, matched on its eigenvalues, and the matched vectors
+    from Lanczos on the operator or the sparse draw, with eigh as the
+    fallback. Rank k is matched to the k-th eigenvalue by descending
+    magnitude with a sign veto (the predicted sign must agree for the
+    match to stand while same-signed candidates remain). A
     missing root bracket at some k truncates the prediction columns from
     that k on; the numerical columns keep going.
     """
@@ -266,8 +319,8 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
     vecs_pred = np.array([eigenvector_entries(p) for p in preds]).reshape(t, params.n)
     wants = [math.copysign(1.0, p.lambda_k) for p in preds] + [None] * (k_max - t)
     # each n x n array lives only inside its _matched_pairs call
-    vals_P, lams_P, vecs_P = _matched_pairs(expected_matrix(fv, params.epsilon_n).entries, wants)
-    vals_A, lams_A, vecs_A = _matched_pairs(A.toarray(), wants)
+    vals_P, lams_P, vecs_P = _matched_pairs(expected_matrix(fv, params.epsilon_n).entries, K, wants)
+    vals_A, lams_A, vecs_A = _matched_pairs(A.toarray(), A, wants)
 
     rows: list[ComparisonRow] = []
     for i, want in enumerate(wants):

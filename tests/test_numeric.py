@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msmlab.numeric as numeric
 import msmlab.spectrum as spectrum
 from msmlab.eigenvectors import eigenvector_entries
 from msmlab.model import (
@@ -303,6 +305,54 @@ class TestNoiseNorm:
             noise_norm(A, constant_kernel(9, 0.2)[0])
 
 
+def compare_traced(monkeypatch, params: ModelParams, k_max: int):
+    """compare's report, and the solver calls of P's and of A's spectrum in turn.
+
+    Spies record the calls; nothing is timed. Each matrix's solve opens
+    with its eigvalsh, so the calls from one eigvalsh to the next belong to
+    P: ["eigvalsh", "eig_top"] is the Lanczos path, and an "eigh" marks
+    the dense one. noise_norm's eig_top runs before either and is dropped.
+    """
+    calls = []
+
+    def spy(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+        m.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        m.setattr(numeric, "eig_top", spy("eig_top", numeric.eig_top))
+        report = compare(params, k_max)
+    first, second = [i for i, c in enumerate(calls) if c == "eigvalsh"]
+    return report, calls[first:second], calls[second:]
+
+
+def dense_oracle(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Dense P and A, each with one inline eigh in the documented magnitude order."""
+    fv = gen_fitness(params)
+    P = expected_matrix(fv, params.epsilon_n).entries
+    A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed).toarray()
+    solved = []
+    for m in (P, A):
+        vals, vecs = np.linalg.eigh(m)
+        order = np.lexsort((-vals, -np.abs(vals)))
+        solved.append((m, vals[order], vecs[:, order]))
+    return solved
+
+
+def veto_match(vals: np.ndarray, used: set, want: float | None) -> int:
+    """The sign veto as a loop: the first unused rank of the wanted sign, else of any sign."""
+    free = [i for i in range(vals.size) if i not in used]
+    same = [i for i in free if want is None or math.copysign(1.0, vals[i]) == want]
+    i = (same or free)[0]
+    used.add(i)
+    return i
+
+
 @pytest.fixture(scope="module")
 def report_2048() -> ComparisonReport:
     return compare(ModelParams(n=2048, alpha=0.5, seed=1), k_max=10)
@@ -385,29 +435,22 @@ class TestCompare:
 
     @pytest.mark.parametrize("mode", WEIGHT_MODES)
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
-    def test_rows_match_dense_eigh_of_P_and_A(self, alpha, mode):
+    def test_rows_match_dense_eigh_of_P_and_A(self, alpha, mode, monkeypatch):
         # every row and its vectors rebuilt from one inline eigh of P and
         # of A, in the documented order (|lambda| descending, ties by signed
-        # value) with the sign veto; deterministic weights at alpha = 0.8
-        # veto P's rank 29 into k = 7, past k_max
+        # value) with the sign veto. All six cases take the Lanczos path:
+        # the values are eigvalsh's, to the bit, and the vectors eig_top's,
+        # which sat within 3.6e-15 |lambda_1| and 1 - |cos| <= 2.0e-15 of
+        # eigh's. Deterministic weights at alpha = 0.8 veto P's rank 29
+        # into k = 7, so that Lanczos block reaches past rank 29
         n, k_max = 1024, 8
         params = ModelParams(n=n, alpha=alpha, seed=3, weight_mode=mode)
-        report = compare(params, k_max)
-        fv = gen_fitness(params)
-        P = expected_matrix(fv, params.epsilon_n).entries
-        A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), params.seed).toarray()
-        solved = []
-        for m in (P, A):
-            vals, vecs = np.linalg.eigh(m)
-            order = np.lexsort((-vals, -np.abs(vals)))
-            solved.append((vals[order], vecs[:, order], set()))
-
-        def match(vals, used, want):
-            free = [i for i in range(vals.size) if i not in used]
-            same = [i for i in free if want is None or math.copysign(1.0, vals[i]) == want]
-            i = (same or free)[0]
-            used.add(i)
-            return i
+        report, *calls = compare_traced(monkeypatch, params, k_max)
+        assert calls == [["eigvalsh", "eig_top"]] * 2
+        solved = dense_oracle(params)
+        blocks = (report.vectors_P, report.vectors_A)
+        spectra = (report.eigenvalues_P, report.eigenvalues_A)
+        used, used_own = (set(), set()), (set(), set())
 
         truncated = False
         for row in report.rows:
@@ -418,13 +461,18 @@ class TestCompare:
                     want, entries = math.copysign(1.0, rung.lambda_k), eigenvector_entries(rung)
                 except NoRootError:
                     truncated = True
-            (vals_p, vecs_p, used_p), (vals_a, vecs_a, used_a) = solved
-            i_p, i_a = match(vals_p, used_p, want), match(vals_a, used_a, want)
-            v_p, v_a = vecs_p[:, i_p], vecs_a[:, i_a]
-            assert row.lambda_P == vals_p[i_p]
-            assert row.lambda_A == vals_a[i_a]
-            assert np.array_equal(report.vectors_P[row.k - 1], v_p)
-            assert np.array_equal(report.vectors_A[row.k - 1], v_a)
+            oracle = []
+            for (_, vals, vecs), u, u_own, lam, block, got_vals in zip(
+                solved, used, used_own, (row.lambda_P, row.lambda_A), blocks, spectra
+            ):
+                i = veto_match(vals, u, want)
+                v = vecs[:, i]
+                # the row's value is eigvalsh's at its own matched rank
+                assert lam == got_vals[veto_match(got_vals, u_own, want)]
+                assert abs(lam - vals[i]) <= 1e-12 * abs(vals[0])
+                assert abs(block[row.k - 1] @ v) >= 1.0 - 1e-12
+                oracle.append(v)
+            v_p, v_a = oracle
             assert abs(row.cosine_sim_P_vs_A - abs(v_p @ v_a)) <= 1e-12
             if entries is None:
                 assert len(report.vectors_pred) < row.k
@@ -434,14 +482,98 @@ class TestCompare:
                 cos = abs(entries @ v_p) / np.linalg.norm(entries)
                 assert abs(row.cosine_sim_pred_vs_P - cos) <= 1e-12
         if (alpha, mode) == (0.8, "deterministic"):
-            assert max(solved[0][2]) >= k_max
+            assert max(used[0]) >= k_max
         assert report.vectors_P.shape == report.vectors_A.shape == (k_max, n)
-        assert np.array_equal(report.eigenvalues_P, solved[0][0])
-        assert np.array_equal(report.eigenvalues_A, solved[1][0])
+        for (m, _, _), got in zip(solved, spectra):
+            vals = np.linalg.eigvalsh(m)
+            assert np.array_equal(got, vals[np.lexsort((-vals, -np.abs(vals)))])
 
-    def test_peak_memory_is_two_n_by_n_arrays(self):
-        # eigh's vector block beside the matrix it solves: the matched
-        # columns are copied out, never a reordered n x n block
+    @pytest.mark.parametrize(
+        "n, alpha, mode, seed, k_max, want_dense",
+        [
+            # P's ranks 72 and 1115 at k = 9 and 11, past the depth cap
+            (2048, 0.8, "deterministic", 0, 12, (True, False)),
+            # every rank reaches n - 1; A's spectrum is -+0.618, -+1.618
+            (4, 0.5, "deterministic", 2, 8, (True, True)),
+        ],
+        ids=["depth-cap", "n4-ties"],
+    )
+    def test_dense_path_is_eigh_to_the_bit(self, n, alpha, mode, seed, k_max, want_dense, monkeypatch):
+        # where the values refuse Lanczos, eig_top never runs on that
+        # matrix and eigh, matched on its own values, gives every row
+        params = ModelParams(n=n, alpha=alpha, seed=seed, weight_mode=mode)
+        report, *calls = compare_traced(monkeypatch, params, k_max)
+        for c, is_dense in zip(calls, want_dense):
+            assert c == (["eigvalsh", "eigh"] if is_dense else ["eigvalsh", "eig_top"])
+        self.assert_dense_rows(report, params, want_dense)
+
+    def test_no_clear_gap_takes_the_dense_path(self, monkeypatch):
+        # ranks 4..100 form one cluster, |lambda| falling by 1e-5 a rank,
+        # so no Lanczos block can end at or past the matched rank 4 on a
+        # gap > 1e-3: eigh runs instead, matched on its own values
+        n = 100
+        lam = np.concatenate([[5.0, -4.0, 3.0], 2.0 * (1.0 - 1e-5 * np.arange(n - 3))])
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))
+        m = (q * lam) @ q.T
+        m = (m + m.T) / 2.0
+        wants = [1.0, -1.0, 1.0, 1.0]
+        calls = []
+        monkeypatch.setattr(numeric, "eig_top", lambda op, k: calls.append(k))
+        vals, matched, vecs = numeric._matched_pairs(m, m, wants)
+        assert calls == []
+        want_vals, want_vecs = np.linalg.eigh(m)
+        order = np.lexsort((-want_vals, -np.abs(want_vals)))
+        assert np.array_equal(vals, want_vals[order])
+        used = set()
+        for i, want in enumerate(wants):
+            j = veto_match(vals, used, want)
+            assert matched[i] == vals[j]
+            assert np.array_equal(vecs[i], want_vecs[:, order[j]])
+
+    @pytest.mark.parametrize("failure", ["no-convergence", "values-off"])
+    def test_failed_lanczos_takes_the_dense_path(self, failure, monkeypatch):
+        # an ArpackNoConvergence from the matched-vector solve, or values
+        # 1e-11 |lambda_1| off eigvalsh's, falls back to eigh; noise_norm's
+        # k = 1 solve runs unchanged
+        real = numeric.eig_top
+
+        def eig_top(op, k):
+            top = real(op, k)
+            if k == 1:
+                return top
+            if failure == "no-convergence":
+                raise scipy.sparse.linalg.ArpackNoConvergence("stubbed", [], [])
+            off = top.eigenvalues.copy()
+            off[-1] += 1e-11 * abs(off[0])
+            return EigenDecomposition(off, top.eigenvectors)
+
+        monkeypatch.setattr(numeric, "eig_top", eig_top)
+        params = ModelParams(n=1024, alpha=0.5, seed=3)
+        report, *calls = compare_traced(monkeypatch, params, 8)
+        assert calls == [["eigvalsh", "eig_top", "eigh"]] * 2
+        self.assert_dense_rows(report, params, (True, True))
+
+    @staticmethod
+    def assert_dense_rows(report: ComparisonReport, params: ModelParams, dense) -> None:
+        """The rows of each dense-path matrix are an inline eigh's, to the bit."""
+        wants = [None if math.isnan(r.lambda_pred) else math.copysign(1.0, r.lambda_pred) for r in report.rows]
+        spectra = (report.eigenvalues_P, report.eigenvalues_A)
+        blocks = (report.vectors_P, report.vectors_A)
+        for (_, vals, vecs), is_dense, got, block, name in zip(
+            dense_oracle(params), dense, spectra, blocks, ("lambda_P", "lambda_A")
+        ):
+            if not is_dense:
+                continue
+            assert np.array_equal(got, vals)
+            used = set()
+            for row, want in zip(report.rows, wants):
+                i = veto_match(vals, used, want)
+                assert getattr(row, name) == vals[i]
+                assert np.array_equal(block[row.k - 1], vecs[:, i])
+
+    def test_peak_memory_is_one_n_by_n_array(self):
+        # the dense matrix alone: eigvalsh's working copy is LAPACK's, and
+        # Lanczos holds (n, k) blocks, so no n x n vector block is made
         n = 1024
         tracemalloc.start()
         try:
@@ -449,7 +581,7 @@ class TestCompare:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * n * n
+        assert peak <= 1.5 * 8 * n * n
 
     def test_sign_veto_fallback_recorded(self):
         # at n = 32 the expected kernel runs out of positive eigenvalues
