@@ -1,9 +1,9 @@
-"""Noise-part norm bounds, measured bulk edges, and Stieltjes solvers.
+"""The noise part's variance profile, measured bulk edges, and Stieltjes solvers.
 
-The noise part is H = A - P. Its entry variances p_ij(1 - p_ij) drive
-every bound here: sigma is the largest row deviation, sigma_star the
-largest single-entry deviation, and the measured edge is ||H|| averaged
-over independently sampled realizations.
+The noise part is H = A - P, with entry variances p_ij(1 - p_ij): sigma
+is the largest row deviation and sigma_star the largest single-entry
+deviation. The measured edge is ||H|| averaged over independently
+sampled realizations.
 
 No n x n array is made here. variance_profile takes the weights x and
 eps and reads the profile off two KernelOperator products; everything
@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-import scipy.sparse
 
 from .model import (
     STREAM_PPP,
@@ -41,13 +40,10 @@ from .numeric import noise_norm
 
 __all__ = [
     "VarianceProfile",
-    "LowerBoundReport",
     "StieltjesSolution",
     "variance_profile",
-    "norm_upper_bound",
     "measure_bulk_edge",
     "edge_samples",
-    "norm_lower_bound_check",
     "cavity_solve",
     "ppp_sample",
     "ppp_fixed_point",
@@ -57,8 +53,6 @@ __all__ = [
 _ANDERSON_DEPTH = 5
 # sweeps after which the Stieltjes solvers flag a grid point as not converged
 _MAX_SWEEPS = 5000
-# c in norm_lower_bound_check's floor 1 - exp(-c delta^2 sigma^2)
-_LOWER_BOUND_C = 0.01
 
 
 @dataclass(frozen=True)
@@ -74,17 +68,6 @@ class VarianceProfile:
     sigma_star: float  # max_{i != j} sqrt(v_ij)
     d_max: float  # largest expected degree
     sigma_row: int  # the row attaining sigma
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    threshold: float  # sqrt(1 - delta) * sigma
-    fraction: float  # share of realizations with ||H|| >= threshold
-    floor: float  # 1 - exp(-c delta^2 sigma^2)
-    passed: bool
-    witness_max_dev: float  # max_r | ||H e_i*||^2 - sigma^2 |, i* = vp.sigma_row
-    witness_width: float  # one Hoeffding width at 95%
-    witness_ok: bool  # max deviation within three widths
 
 
 @dataclass(frozen=True)
@@ -135,23 +118,6 @@ def variance_profile(x: FitnessVector, epsilon_n: float) -> VarianceProfile:
     )
 
 
-def norm_upper_bound(vp: VarianceProfile, n: int) -> tuple[float, float]:
-    """(expectation_bound, crude_bound) for ||H||.
-
-    expectation_bound is sigma + sigma_star sqrt(ln n) with the absolute
-    constant set to 1, so it is a shape statement rather than a certified
-    bound. crude_bound = sqrt(n)/2 + (1/4) sqrt(ln n) dominates it for
-    every profile since sigma <= sqrt(n)/2 and sigma_star <= 1/2.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    root_log = math.sqrt(math.log(n))
-    return (
-        vp.sigma + vp.sigma_star * root_log,
-        math.sqrt(n) / 2.0 + root_log / 4.0,
-    )
-
-
 def edge_samples(kernel: KernelOperator, realizations: int, seed: int) -> np.ndarray:
     """||H|| for `realizations` independent adjacency draws from P.
 
@@ -174,53 +140,6 @@ def measure_bulk_edge(kernel: KernelOperator, realizations: int, seed: int) -> t
     if realizations == 1:
         return float(edges[0]), 0.0
     return float(edges.mean()), float(edges.std(ddof=1) / math.sqrt(realizations))
-
-
-def norm_lower_bound_check(
-    vp: VarianceProfile,
-    kernel: KernelOperator,
-    draws: Sequence[scipy.sparse.sparray],
-    delta: float = 0.5,
-) -> LowerBoundReport:
-    """Check ||H|| >= sqrt(1 - delta) sigma across realizations.
-
-    draws are sparse adjacencies drawn from kernel, the KernelOperator of
-    the P that vp profiles; each ||A - P|| comes from noise_norm. The
-    empirical pass fraction must beat the conservative floor
-    1 - exp(-c delta^2 sigma^2), with c = 0.01. As a second, entrywise
-    witness, the squared column norm at the row attaining sigma is a sum
-    of n-1 independent variables bounded by 1 with mean sigma^2, so it
-    must sit within three 95% Hoeffding widths of sigma^2 in every
-    realization.
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0,1], got {delta}")
-    if not draws:
-        raise ValueError("need at least one adjacency draw")
-    n = kernel.n
-    e = np.zeros((n, 1))
-    e[vp.sigma_row] = 1.0
-    sigma2 = vp.sigma**2
-    threshold = math.sqrt(1.0 - delta) * vp.sigma
-    hits = 0
-    max_dev = 0.0
-    for A in draws:
-        if noise_norm(A, kernel) >= threshold:
-            hits += 1
-        col = (A @ e - kernel.matmat(e))[:, 0]  # H e_i* = A[:, i*] - P e_i*
-        max_dev = max(max_dev, abs(float(col @ col) - sigma2))
-    fraction = hits / len(draws)
-    floor = 1.0 - math.exp(-_LOWER_BOUND_C * delta**2 * sigma2)
-    width = math.sqrt((n - 1) * math.log(2.0 / 0.05) / 2.0)
-    return LowerBoundReport(
-        threshold=threshold,
-        fraction=fraction,
-        floor=floor,
-        passed=fraction > floor,
-        witness_max_dev=max_dev,
-        witness_width=width,
-        witness_ok=max_dev <= 3.0 * width,
-    )
 
 
 def _stieltjes_fixed_point(

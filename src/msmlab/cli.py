@@ -13,8 +13,8 @@ thread count. The only environment variable honored is MSMLAB_THREADS
 therefore be applied before the numerical modules are imported — keep
 heavy imports inside the command handlers.
 
-Exit codes: 0 success, 2 usage error, 3 numerical non-convergence,
-4 no-root truncation (partial output is still written).
+Exit codes: 0 success, 2 usage error or a failed allocation, 3 numerical
+non-convergence, 4 no-root truncation (partial output is still written).
 """
 from __future__ import annotations
 
@@ -485,6 +485,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return command.handler({k: (str(v) if isinstance(v, Path) else v) for k, v in cfg.items()})
     except (ValueError, OSError) as exc:
         return _usage(str(exc))
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; a bare MemoryError says nothing
+        return _usage(str(exc) or "out of memory")
     except RuntimeError as exc:
         # Imported here, not at the top: --threads must act before numpy loads.
         from scipy.sparse.linalg import ArpackNoConvergence

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import KernelOperator
 from .special import log_gamma_complex
 from .spectrum import SpectralPrediction
 
@@ -42,7 +41,6 @@ __all__ = [
     "entry_identity_check",
     "l1_normalize",
     "zero_crossing_log_positions",
-    "operator_residual",
 ]
 
 
@@ -120,9 +118,3 @@ def zero_crossing_log_positions(entries: np.ndarray) -> np.ndarray:
     frac = v[i] / (v[i] - v[i + 1])
     return lj[i] + frac * (lj[i + 1] - lj[i])
 
-
-def operator_residual(kernel: KernelOperator, rung: SpectralPrediction) -> float:
-    """Relative L2 residual of P v = lambda_k v for the rung's predicted vector, P as an operator."""
-    lam = rung.lambda_k
-    v = eigenvector_entries(rung)[:, None]
-    return float(np.linalg.norm(kernel.matmat(v) - lam * v) / (abs(lam) * np.linalg.norm(v)))

@@ -1,18 +1,17 @@
 """Reference spectra and the prediction-vs-numerics comparison harness.
 
 eig_top is the top-k eigensolver: Lanczos for the k largest |eigenvalues|
-of an array or a matrix-free operator, and a dense solve for k >= n - 1.
-||A - P|| is its k = 1 case on v -> A v - P v, with A the sparse draw and
-P the KernelOperator, so H is never stored. Dense matrices enter as plain
-arrays. compare builds dense P, then dense A, only for their whole
-spectra: one eigvalsh each, whose values are matched to spectrum.ladder's
-predictions before any vector is computed. The matched vectors then come
-from eig_top on P's KernelOperator and on the sparse A, down to the first
-clear magnitude gap at or past the deepest matched rank, so no n x n
-vector block is made; eigh is the fallback where the values rule Lanczos
-out or it fails. It returns one
-ComparisonReport: its rows, the predicted and matched vectors as
-row-per-rank blocks, and both spectra.
+of a sparse array or a matrix-free operator, and a dense solve of op @ I
+for k >= n - 1. ||A - P|| is its k = 1 case on v -> A v - P v, with A the
+sparse draw and P the KernelOperator, so H is never stored. compare
+builds dense P, then dense A, only for their whole spectra: one eigvalsh
+each, whose values are matched to spectrum.ladder's predictions before
+any vector is computed. The matched vectors then come from eig_top on
+P's KernelOperator and on the sparse A, down to the first clear
+magnitude gap at or past the deepest matched rank, so no n x n vector
+block is made; eigh is the fallback where the values rule Lanczos out or
+it fails. It returns one ComparisonReport: its rows, the predicted and
+matched vectors as row-per-rank blocks, and both spectra.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
 ties broken by descending signed value, and eigenvectors travel with their
@@ -114,18 +113,6 @@ class ComparisonReport:
     eigenvalues_A: np.ndarray
 
 
-def _as_entries(matrix: np.ndarray) -> np.ndarray:
-    """A dense matrix as a float array, checked square, finite and symmetric."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must all be finite")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix must be symmetric")
-    return m
-
-
 def _magnitude_order(vals: np.ndarray) -> np.ndarray:
     """Indices sorting vals by descending |lambda|, ties by descending signed value."""
     return np.lexsort((-vals, -np.abs(vals)))
@@ -167,27 +154,22 @@ def _block_operator(n: int, matmat: Callable) -> scipy.sparse.linalg.LinearOpera
 def eig_top(op, k: int) -> EigenDecomposition:
     """The k largest-|lambda| eigenpairs of a symmetric operator, magnitude-ordered.
 
-    op is a dense array, a sparse array, a KernelOperator or a
-    LinearOperator. A dense array must be square, finite and symmetric to
-    the bit. ARPACK's implicitly restarted Lanczos (eigsh, which="LM")
-    starts from a fixed v0, so the result is deterministic; non-convergence
-    raises ArpackNoConvergence.
-    For k >= n - 1, where ARPACK cannot run, eigh decomposes a dense array
-    as it is and any other op as op @ I. Ties in magnitude list +c before
-    -c. The zero operator, where Lanczos cannot start, sends an integer
-    probe to exactly zero, even as an A - P of 0/1 entries, whose partial
-    sums are exact integers; any other matrix does so only by chance
-    cancellation.
+    op is a scipy.sparse array, a KernelOperator or a LinearOperator.
+    ARPACK's implicitly restarted Lanczos (eigsh, which="LM") starts from a
+    fixed v0, so the result is deterministic; non-convergence raises
+    ArpackNoConvergence. For k >= n - 1, where ARPACK cannot run, eigh
+    decomposes op @ I. Ties in magnitude list +c before -c. The zero
+    operator, where Lanczos cannot start, sends an integer probe to
+    exactly zero, even as an A - P of 0/1 entries, whose partial sums are
+    exact integers; any other matrix does so only by chance cancellation.
     """
     if isinstance(op, KernelOperator):
         op = _block_operator(op.n, op.matmat)
-    elif isinstance(op, np.ndarray):
-        op = _as_entries(op)
     n = op.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k >= n - 1:
-        return _by_magnitude(*np.linalg.eigh(op if isinstance(op, np.ndarray) else op @ np.eye(n)), k)
+        return _by_magnitude(*np.linalg.eigh(op @ np.eye(n)), k)
     rng = np.random.default_rng(0)
     v0 = rng.standard_normal(n)
     if not (op @ rng.integers(1, 2**30, n).astype(float)).any():

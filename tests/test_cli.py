@@ -494,6 +494,28 @@ class TestCoarseGrain:
         doc = json.loads((tmp_path / "cg_a0.5.json").read_text())
         assert doc["config"]["alpha"] == 0.5
 
+    @pytest.mark.parametrize(
+        "text, shown",
+        [
+            ("Unable to allocate 6.71 GiB for an array with shape (30000, 30000)",) * 2,
+            ("", "out of memory"),
+        ],
+    )
+    def test_failed_allocation_is_one_line_exit_2(self, monkeypatch, tmp_path, capsys, text, shown):
+        # numpy's MemoryError names the array; a bare one names nothing
+        import msmlab.model
+
+        def coarse_grain(*args, **kwargs):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(msmlab.model, "coarse_grain", coarse_grain)
+        rc = main(["coarsegrain", "--n", "40", "--b", "4", "--out", str(tmp_path / "cg")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert_one_line_error(err)
+        assert err == f"msmlab: error: {shown}\n"
+        assert not (tmp_path / "cg.json").exists()
+
 
 class TestConfigAndEnvironment:
     def test_config_file_supplies_defaults_flags_win(self, tmp_path, capsys):
