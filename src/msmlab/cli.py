@@ -473,6 +473,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve(args, _COMMON + command.options)
         if command.writes is not None and cfg["out"] is None:
             return _usage(f"{args.command} writes {command.writes}; --out is required")
+        if cfg["out"] is not None and not cfg["out"].parent.is_dir():
+            return _usage(f"--out directory {cfg['out'].parent} does not exist")
         biggest = max(cfg["n"]) if isinstance(cfg["n"], list) else cfg["n"]
         if "paper_scale" in cfg and biggest > CI_SCALE_LIMIT and not cfg["paper_scale"]:
             return _usage(

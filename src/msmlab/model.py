@@ -68,6 +68,10 @@ _FAR_CUT = 0.1
 _FAR_TERMS = 14
 _HUB_Y = 1e14
 
+# 1 - exp(-t) rounds to 1 for t > 54 ln 2, so with eps_n at least this an
+# x_i x_j that overflows to inf gives p = 1 exactly
+_EPSILON_FLOOR = 54.0 * math.log(2.0) / np.finfo(float).max
+
 
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for the child stream addressed by key."""
@@ -92,6 +96,11 @@ class ModelParams:
         object.__setattr__(self, "epsilon_n", float(self.n) ** (-1.0 / self.alpha))
         if not self.epsilon_n > 0.0:
             raise ValueError(f"n^(-1/alpha) underflows to 0 for n={self.n}, alpha={self.alpha}")
+        if self.epsilon_n < _EPSILON_FLOOR:
+            raise ValueError(
+                f"n^(-1/alpha) = {self.epsilon_n:.3g} for n={self.n}, alpha={self.alpha} is below "
+                f"{_EPSILON_FLOOR:.3g}, where an overflowing x_i x_j no longer means p = 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,8 @@ class FitnessVector:
         object.__setattr__(self, "x", x)
         if x.ndim != 1 or x.size < 1:
             raise ValueError("fitness vector must be a nonempty 1-d array")
+        if not np.isfinite(x).all():
+            raise ValueError(f"fitness weights must be finite, got {x[~np.isfinite(x)][0]}")
         if not np.all(x >= 1.0):
             raise ValueError("fitness weights must be >= 1")
         if np.any(np.diff(x) > 0.0):
@@ -142,7 +153,8 @@ def gen_fitness(params: ModelParams) -> FitnessVector:
         x = (n / j) ** (1.0 / alpha)
     else:
         u = stream_rng(params.seed, STREAM_FITNESS).random(n)
-        x = u ** (-1.0 / alpha)
+        with np.errstate(over="ignore"):  # FitnessVector refuses the inf
+            x = u ** (-1.0 / alpha)
         x = np.sort(x)[::-1]
     return FitnessVector(x=x)
 
@@ -152,9 +164,11 @@ def _kernel(epsilon_n: float, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
 
     Evaluated in place in the product's array, so a dense P, or the
     permuted P that coarse_grain takes logs of, holds no n x n temporary
-    beside its result.
+    beside its result. A product that overflows to inf gives p = 1, which
+    ModelParams' floor on eps_n makes exact.
     """
-    t = xi * xj
+    with np.errstate(over="ignore"):
+        t = xi * xj
     t *= -epsilon_n
     np.expm1(t, out=t)
     return np.negative(t, out=t)

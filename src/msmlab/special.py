@@ -21,16 +21,11 @@ import numpy as np
 from scipy.special import digamma, gammaincc, loggamma
 
 __all__ = [
-    "PoleError",
     "log_gamma_complex",
     "gamma_line",
     "digamma_line_derivative",
     "pareto_laplace",
 ]
-
-
-class PoleError(ValueError):
-    """Raised when an evaluation point sits on a pole of Gamma."""
 
 
 def _log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
@@ -52,13 +47,10 @@ def log_gamma_complex(z: complex) -> complex:
     real axis the value is the limit from Im z > 0, which is what the
     branch convention arg Gamma(-alpha/2) = -pi requires.
 
-    Raises PoleError at nonpositive integers.
+    Raises ValueError at the poles, the nonpositive integers, where
+    scipy's loggamma returns nan.
     """
-    z = complex(z)
-    nearest = round(z.real)
-    if nearest <= 0 and abs(z - nearest) < 1e-13:
-        raise PoleError(f"log Gamma pole at z = {z}")
-    return complex(_log_gamma(z))
+    return complex(_log_gamma(complex(z)))
 
 
 def _check_alpha(alpha: float) -> None:

@@ -26,14 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-from .special import digamma_line_derivative, gamma_line
+from .special import gamma_line
 
 __all__ = [
     "NoRootError",
     "SpectralPrediction",
-    "StationaryPoint",
     "admissibility_residual",
     "solve_omega_k",
     "ladder",
@@ -63,19 +62,6 @@ class SpectralPrediction:
     omega_k: float
     lambda_k: float
     residual: float
-    # True when (ln n)/alpha exceeds max f' on the bracket, which makes the
-    # admissibility residual strictly decreasing and the root unique.
-    monotone_bracket: bool = True
-
-
-@dataclass(frozen=True)
-class StationaryPoint:
-    omega_alpha: float
-    phi_alpha: float
-    omega_star_numeric: float
-    # True when f' actually crosses zero in (0, 5]; otherwise
-    # omega_star_numeric is the minimizer of f' (no true stationary point).
-    is_true_root: bool
 
 
 def _check_n(n: int) -> None:
@@ -103,9 +89,9 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
     """Solve the admissibility condition for the k-th root.
 
     k = 1 is omega = 0 exactly. For k >= 2 the residual starts at
-    (k-1) pi > 0 and is strictly decreasing whenever (ln n)/alpha beats
-    max f' on the bracket, so the first sign change brackets the unique
-    root; Brent refinement polishes it to |residual| < 1e-9. The bracket
+    (k-1) pi > 0; Brent refinement polishes the root bracketed by the
+    first sign change to |residual| < 1e-9. It is unique, unchecked here,
+    when (ln n)/alpha exceeds f' on the bracket. The bracket
     starts at twice the affine estimate alpha (k pi + pi)/ln n and may
     grow geometrically up to alpha (k pi + 4 pi)/ln n; no sign change by
     then means k is beyond the ladder for this n (NoRootError), which is
@@ -138,9 +124,6 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
     if r0 <= 0.0:  # k = 0 lands here: residual already negative at 0
         raise NoRootError(f"residual does not start positive for k={k}")
     omega = brentq(resid, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-    monotone = log_n / alpha > max(
-        digamma_line_derivative(alpha, 0.0), digamma_line_derivative(alpha, hi)
-    )
     return SpectralPrediction(
         k=k,
         n=n,
@@ -148,7 +131,6 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
         omega_k=omega,
         lambda_k=lambda_k_from_omega(k, omega, n, alpha),
         residual=resid(omega),
-        monotone_bracket=monotone,
     )
 
 
@@ -175,47 +157,20 @@ def omega_k_approx(k: int, n: int, alpha: float) -> float:
     _check_n(n)
     if k < 2:
         raise ValueError(f"approximation needs k >= 2, got {k}")
-    _, phi = _plateau(alpha)
+    _, phi = stationary_point(alpha)
     return alpha * (k * math.pi + phi) / math.log(n)
 
 
-def _plateau(alpha: float) -> tuple[float, float]:
-    """Closed-form omega_alpha and phi_alpha = arg Gamma(-alpha/2 + i omega_alpha)."""
+def stationary_point(alpha: float) -> tuple[float, float]:
+    """Closed-form (omega_alpha, phi_alpha = arg Gamma(-alpha/2 + i omega_alpha)).
+
+    omega_alpha = sqrt(alpha/2 (1/euler_gamma - alpha/2)) truncates the
+    series for f' at zeroth order, so f'(omega_alpha) is 0.045 / 0.116 /
+    0.194 at alpha = 0.2 / 0.5 / 0.8, not 0. f' itself vanishes in (0, 5]
+    only at alpha = 0.2 (omega = 0.434); at 0.5 and 0.8 it stays positive.
+    """
     omega_alpha = math.sqrt(alpha / 2.0 * (1.0 / np.euler_gamma - alpha / 2.0))
     return omega_alpha, gamma_line(alpha, omega_alpha).imag
-
-
-def stationary_point(alpha: float) -> StationaryPoint:
-    """Closed-form plateau frequency omega_alpha and phase phi_alpha.
-
-    omega_alpha = sqrt(alpha/2 (1/euler_gamma - alpha/2)) comes from a
-    zeroth-order truncation of the series for f', so f'(omega_alpha) is
-    small but not exactly zero. omega_star_numeric reports where f'
-    actually vanishes in (0, 5] when it does; for alpha where f' stays
-    positive on that interval, the minimizer of f' is reported instead
-    and is_true_root is False.
-    """
-    omega_alpha, phi_alpha = _plateau(alpha)
-    grid = np.linspace(1e-6, 5.0, 400)
-    vals = digamma_line_derivative(alpha, grid)
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if flips.size:
-        i = flips[0]
-        root = brentq(
-            lambda w: digamma_line_derivative(alpha, w),
-            grid[i],
-            grid[i + 1],
-            xtol=1e-12,
-        )
-        return StationaryPoint(omega_alpha, phi_alpha, root, True)
-    res = minimize_scalar(
-        lambda w: digamma_line_derivative(alpha, w),
-        bounds=(1e-6, 5.0),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return StationaryPoint(omega_alpha, phi_alpha, float(res.x), False)
 
 
 def _sigma(alpha: float, n: int, omega: float | np.ndarray) -> complex | np.ndarray:

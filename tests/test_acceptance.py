@@ -275,8 +275,8 @@ def test_criterion_10_stationary_point():
     for alpha in (0.2, 0.5, 0.8):
         from msmlab.spectrum import stationary_point
 
-        sp = stationary_point(alpha)
-        vals.append(abs(digamma_line_derivative(alpha, sp.omega_alpha)))
+        omega_alpha, _ = stationary_point(alpha)
+        vals.append(abs(digamma_line_derivative(alpha, omega_alpha)))
     detail = "|f'(omega_alpha)|: " + ", ".join(f"{v:.6f}" for v in vals)
     check("criterion 10 (stationary)", all(v < 0.05 for v in vals), detail)
 

@@ -647,6 +647,45 @@ class TestConfigAndEnvironment:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "given, message",
+        [
+            (["--n", "2048", "--alpha", "0.0105"], "n^(-1/alpha) = 4.32e-316 for n=2048, alpha=0.0105 is below 2.08e-307"),
+            (
+                ["--n", "64", "--alpha", "0.01", "--no-deterministic", "--seed", "65"],
+                "fitness weights must be finite, got inf",
+            ),
+        ],
+        ids=["scale_below_floor", "iid_weight_overflows"],
+    )
+    def test_unrepresentable_model_refused_before_sampling(self, tmp_path, capsys, monkeypatch, given, message):
+        import msmlab.numeric
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the model was checked")
+
+        monkeypatch.setattr(msmlab.numeric, "sample_sparse_adjacency", refuse)
+        assert main(["compare", "--out", str(tmp_path / "f"), *given]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert message in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["predict", "compare", "spiral", "bulk", "coarsegrain"])
+    def test_missing_out_directory_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        import msmlab.bulk
+        import msmlab.numeric
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked before --out was checked")
+
+        monkeypatch.setattr(msmlab.numeric, "compare", refuse)
+        monkeypatch.setattr(msmlab.bulk, "measure_bulk_edge", refuse)
+        missing = tmp_path / "missing"
+        assert main([command, "--n", "64", "--out", str(missing / "x")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"msmlab: error: --out directory {missing} does not exist\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
         "key, text, message",
         [
             ("eta", "0", "eta must be > 0, got 0.0"),

@@ -1,6 +1,7 @@
 """Model construction: weights, kernel, adjacency sampling, coarse-graining."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,57 @@ class TestModelParams:
             ModelParams(n=2048, alpha=0.01)  # n^(-1/alpha) = 2^-1100 underflows to 0
         with pytest.raises(ValueError):
             ModelParams(n=10, alpha=0.5, weight_mode="gaussian")
+
+    @pytest.mark.parametrize(
+        "n, alpha, eps",
+        [(2048, 0.0105, "4.32e-316"), (4096, 1 / 85.13, "3.02e-308")],
+        ids=["hub_weight_overflows", "hub_weight_finite"],
+    )
+    def test_scale_below_floor_refused(self, n, alpha, eps):
+        # below 54 ln 2 / DBL_MAX an x_i x_j that overflows to inf stands
+        # for an eps_n x_i x_j that may be small, so p = 1 would be wrong
+        with pytest.raises(ValueError, match=rf"n\^\(-1/alpha\) = {eps} for n={n}, .* below 2.08e-307"):
+            ModelParams(n=n, alpha=alpha)
+
+
+class TestOverflowingProducts:
+    """n = 64, alpha = 0.01: eps_n = 2^-600, just above the floor, and x_1 x_2 = 2^1100 overflows."""
+
+    params = ModelParams(n=64, alpha=0.01)
+
+    def test_builders_emit_no_warning(self):
+        fv = gen_fitness(self.params)
+        eps = self.params.epsilon_n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected_matrix(fv, eps)
+            K = KernelOperator(fv, eps)
+            K.matmat(np.ones((64, 2)))
+            sample_sparse_adjacency(K, seed=0)
+            coarse_grain(fv, eps, 1)
+
+    def test_saturated_entries_are_one_and_hub_row_exact(self):
+        fv = gen_fitness(self.params)
+        x, eps = fv.x, self.params.epsilon_n
+        P = expected_matrix(fv, eps).entries
+        with np.errstate(over="ignore"):
+            assert np.isinf(x[0] * x[1])
+        log_t = math.log(eps) + np.log(x)[:, None] + np.log(x)[None, :]
+        saturated = log_t > math.log(54.0 * math.log(2.0))
+        np.fill_diagonal(saturated, False)
+        assert saturated[0, 1] and not saturated.all()
+        assert np.all(P[saturated] == 1.0)
+        want = -np.expm1(-np.exp(log_t[0, 1:]))
+        assert np.all(np.abs(P[0, 1:] - want) <= 1e-14 * want)
+        assert P[0, -1] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+
+    def test_iid_weight_overflow_refused(self):
+        # u^(-100) overflows for the smallest uniforms of seed 65
+        params = ModelParams(n=64, alpha=0.01, seed=65, weight_mode="iid_pareto")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fitness weights must be finite, got inf"):
+                gen_fitness(params)
 
 
 class TestGenFitness:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msmlab.special import (
-    PoleError,
     digamma_line_derivative,
     gamma_line,
     log_gamma_complex,
@@ -44,7 +43,7 @@ class TestLogGammaComplex:
 
     def test_poles_raise(self):
         for z in (0.0, -1.0, -2.0, -7.0):
-            with pytest.raises(PoleError):
+            with pytest.raises(ValueError, match="log Gamma"):
                 log_gamma_complex(complex(z, 0.0))
 
     def test_frozen_point_off_axis(self):

@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
-import msmlab.spectrum as spectrum
 from msmlab.numeric import eig_top
 from msmlab.special import digamma_line_derivative
 from msmlab.spectrum import (
@@ -109,7 +109,10 @@ class TestSolveOmegaK:
         pred = solve_omega_k(k, 10**4, 0.2)
         assert abs(pred.omega_k - want) < 5e-7
         assert abs(pred.residual) < 1e-9
-        assert pred.monotone_bracket
+        # (ln n)/alpha beats f' on [0, 2 omega_k], so the residual is
+        # strictly decreasing there and the root is unique
+        grid = np.linspace(0.0, 2.0 * pred.omega_k, 201)
+        assert math.log(10**4) / 0.2 > digamma_line_derivative(0.2, grid).max()
 
     @pytest.mark.parametrize("k,want", sorted(FROZEN_ROOTS_A05_N4096.items()))
     def test_frozen_roots_alpha05(self, k, want):
@@ -200,7 +203,7 @@ class TestOmegaKApprox:
 
     def test_k2_closed_form(self):
         alpha, n = 0.5, 10**4
-        phi = stationary_point(alpha).phi_alpha
+        _, phi = stationary_point(alpha)
         want = alpha * (2 * math.pi + phi) / math.log(n)
         assert abs(omega_k_approx(2, n, alpha) - want) < 1e-15
 
@@ -225,55 +228,42 @@ class TestOmegaKApprox:
         with pytest.raises(ValueError):
             omega_k_approx(1, 100, 0.5)
 
-    def test_skips_the_stationary_point_search(self, monkeypatch):
-        # only the closed-form phi_alpha enters; the f' scan is not needed
-        want = omega_k_approx(2, 10_000, 0.5)
-
-        def no_search(alpha):
-            raise AssertionError("stationary_point called")
-
-        monkeypatch.setattr(spectrum, "stationary_point", no_search)
-        assert omega_k_approx(2, 10_000, 0.5) == want
-
 
 class TestStationaryPoint:
     def test_closed_form_alpha05(self):
-        sp = stationary_point(0.5)
+        omega_alpha, _ = stationary_point(0.5)
         want = math.sqrt(0.25 * (1.0 / np.euler_gamma - 0.25))
-        assert sp.omega_alpha == want
-        assert abs(sp.omega_alpha - 0.608780) < 1e-6
+        assert omega_alpha == want
+        assert abs(omega_alpha - 0.608780) < 1e-6
 
     @pytest.mark.parametrize(
         "alpha,om,phi",
         [(0.2, 0.404036, -2.086535), (0.5, 0.608780, -2.471585), (0.8, 0.730056, -2.821130)],
     )
     def test_frozen_values(self, alpha, om, phi):
-        sp = stationary_point(alpha)
-        assert abs(sp.omega_alpha - om) < 1e-6
-        assert abs(sp.phi_alpha - phi) < 1e-6
+        omega_alpha, phi_alpha = stationary_point(alpha)
+        assert abs(omega_alpha - om) < 1e-6
+        assert abs(phi_alpha - phi) < 1e-6
 
     def test_phi_inside_principal_window(self):
         for alpha in np.linspace(0.05, 0.95, 19):
-            sp = stationary_point(float(alpha))
-            assert -math.pi < sp.phi_alpha < math.pi
+            _, phi_alpha = stationary_point(float(alpha))
+            assert -math.pi < phi_alpha < math.pi
 
     def test_numeric_root_only_for_small_alpha(self):
         # f' crosses zero in (0,5] at alpha = 0.2 but stays positive for
-        # alpha = 0.5 and 0.8, where the minimizer is reported instead.
-        sp02 = stationary_point(0.2)
-        assert sp02.is_true_root
-        assert abs(sp02.omega_star_numeric - 0.434337) < 1e-5
-        sp05 = stationary_point(0.5)
-        assert not sp05.is_true_root
-        assert abs(sp05.omega_star_numeric - 0.667801) < 1e-4
-        sp08 = stationary_point(0.8)
-        assert not sp08.is_true_root
-        assert abs(sp08.omega_star_numeric - 0.612810) < 1e-4
+        # alpha = 0.5 and 0.8, where its minimizer stands in for the root.
+        grid = np.linspace(1e-6, 5.0, 400)
+        assert (digamma_line_derivative(0.2, grid) < 0.0).any()
+        assert abs(_f_prime_root_or_min(0.2) - 0.434337) < 1e-5
+        for alpha, want in ((0.5, 0.667801), (0.8, 0.612810)):
+            assert (digamma_line_derivative(alpha, grid) > 0.0).all()
+            assert abs(_f_prime_root_or_min(alpha) - want) < 1e-4
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_grid_matches_scalar_loop(self, alpha):
-        # stationary_point scans f' on this grid in one array call; the
-        # per-point scalar loop is the reference.
+        # f' evaluated on a whole grid in one array call; the per-point
+        # scalar loop is the reference.
         grid = np.linspace(1e-6, 5.0, 400)
         want = np.array([digamma_line_derivative(alpha, float(w)) for w in grid])
         got = digamma_line_derivative(alpha, grid)
@@ -283,12 +273,25 @@ class TestStationaryPoint:
         # Closed form vs numeric: within 15% for alpha = 0.2 and 0.5; the
         # alpha = 0.8 deviation is 16.1%, just outside that band (f' has
         # no zero there and its minimizer drifts left of omega_alpha).
-        for alpha, cap in ((0.2, 0.15), (0.5, 0.15)):
-            sp = stationary_point(alpha)
-            assert abs(sp.omega_star_numeric - sp.omega_alpha) / sp.omega_alpha <= cap
-        sp = stationary_point(0.8)
-        dev = abs(sp.omega_star_numeric - sp.omega_alpha) / sp.omega_alpha
-        assert 0.15 < dev < 0.18
+        devs = {}
+        for alpha in (0.2, 0.5, 0.8):
+            omega_alpha, _ = stationary_point(alpha)
+            devs[alpha] = abs(_f_prime_root_or_min(alpha) - omega_alpha) / omega_alpha
+        assert devs[0.2] <= 0.15 and devs[0.5] <= 0.15
+        assert 0.15 < devs[0.8] < 0.18
+
+
+def _f_prime_root_or_min(alpha):
+    """First zero of f' in (0, 5] if it has one, else the minimizer of f' there."""
+    grid = np.linspace(1e-6, 5.0, 400)
+    vals = digamma_line_derivative(alpha, grid)
+    flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+    f_prime = lambda w: digamma_line_derivative(alpha, w)
+    if flips.size:
+        i = flips[0]
+        return brentq(f_prime, grid[i], grid[i + 1], xtol=1e-12)
+    res = minimize_scalar(f_prime, bounds=(1e-6, 5.0), method="bounded", options={"xatol": 1e-10})
+    return float(res.x)
 
 
 class TestSpiral:
