@@ -200,8 +200,11 @@ class KernelOperator:
     A product costs two sparse products of 14 n entries plus the near
     block, which holds 0.3-1.5 % of the n^2 pairs at n = 4096 for alpha in
     [0.2, 0.8], and matches the dense product to about 1e-14 of its
-    largest entry.
+    largest entry. Its shape, dtype and matvec let scipy's
+    aslinearoperator, and so eigsh and operator sums, take it as it is.
     """
+
+    dtype = np.dtype(float)
 
     def __init__(self, x: FitnessVector, epsilon_n: float) -> None:
         # imported here: the CLI paths that never build an operator stay scipy-free
@@ -212,6 +215,7 @@ class KernelOperator:
         xs = x.x
         n = xs.size
         self.n = n
+        self.shape = (n, n)
         self._x = xs
         self._epsilon_n = epsilon_n
         y = math.sqrt(epsilon_n) * xs
@@ -277,6 +281,10 @@ class KernelOperator:
         out += self._far_coef @ suffix
         out -= self._diag[:, None] * v
         return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """P v for a length-n vector, as an n x 1 block."""
+        return self.matmat(np.reshape(v, (self.n, 1)))
 
     def _upper_row(self, i: int) -> np.ndarray:
         """p_ij for j > i, to the bit as expected_matrix stores it."""

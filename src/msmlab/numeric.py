@@ -1,16 +1,18 @@
 """Reference spectra and the prediction-vs-numerics comparison harness.
 
 eig_top is the top-k eigensolver: Lanczos for the k largest |eigenvalues|
-of a sparse array or a matrix-free operator, and a dense solve of op @ I
-for k >= n - 1. ||A - P|| is its k = 1 case on v -> A v - P v, with A the
-sparse draw and P the KernelOperator, so H is never stored. compare
-builds dense P, then dense A, only for their whole spectra: one eigvalsh
-each, whose values are matched to spectrum.ladder's predictions before
-any vector is computed. The matched vectors then come from eig_top on
-P's KernelOperator and on the sparse A, down to the first clear
-magnitude gap at or past the deepest matched rank, so no n x n vector
-block is made; eigh is the fallback where the values rule Lanczos out or
-it fails. It returns one ComparisonReport: its rows, the predicted and
+of anything scipy.sparse.linalg.aslinearoperator takes (a sparse array, a
+KernelOperator, a LinearOperator), and a dense solve of op @ I for
+k >= n - 1; it returns numpy's (values, vectors) pair. ||A - P|| is its
+k = 1 case on scipy's difference of the sparse draw A and the
+KernelOperator of P, so H is never stored. compare builds dense P, then
+dense A, only for their whole spectra: one eigvalsh each, whose values
+are matched to spectrum.ladder's predictions before any vector is
+computed. The matched vectors then come from eig_top on P's
+KernelOperator and on the sparse A, down to the first clear magnitude
+gap at or past the deepest matched rank, so no n x n vector block is
+made; eigh is the fallback where the values rule Lanczos out or it
+fails. It returns one ComparisonReport: its rows, the predicted and
 matched vectors as row-per-rank blocks, and both spectra.
 
 Ordering convention: eigenvalues are sorted by descending magnitude, with
@@ -22,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg
+from scipy.sparse.linalg import aslinearoperator
 
 from .eigenvectors import eigenvector_entries
 from .model import (
@@ -38,39 +40,12 @@ from .model import (
 from .spectrum import ladder
 
 __all__ = [
-    "EigenDecomposition",
     "ComparisonRow",
     "ComparisonReport",
-    "outliers",
     "eig_top",
     "noise_norm",
     "compare",
 ]
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Symmetric eigenpairs, magnitude-ordered: all n, or the top k with an (n, k) block."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        vecs = np.asarray(self.eigenvectors, dtype=float)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvectors", vecs)
-        if vecs.ndim != 2 or vecs.shape[1] != vals.size or vecs.shape[0] < vals.size:
-            raise ValueError(f"eigenvector block {vecs.shape} does not hold {vals.size} eigenvectors")
-        a = np.abs(vals)
-        if np.any(a[:-1] < a[1:]):
-            raise ValueError("eigenvalues must be sorted by descending magnitude")
-
-    @property
-    def n(self) -> int:
-        return self.eigenvectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -118,43 +93,12 @@ def _magnitude_order(vals: np.ndarray) -> np.ndarray:
     return np.lexsort((-vals, -np.abs(vals)))
 
 
-def _by_magnitude(vals: np.ndarray, vecs: np.ndarray, k: int) -> EigenDecomposition:
-    """The first k pairs in _magnitude_order."""
-    order = _magnitude_order(vals)[:k]
-    return EigenDecomposition(vals[order], vecs[:, order])
-
-
-def outliers(decomp: EigenDecomposition, edge: float) -> list[tuple[int, float]]:
-    """Eigenvalues strictly outside the bulk edge, as (rank, value) pairs.
-
-    Because the decomposition is magnitude-ordered, the outliers are a
-    prefix of the eigenvalue list and rank k counts from 1 at the top. A
-    top-k decomposition with no |lambda| inside the edge raises instead.
-    """
-    if not edge >= 0.0:
-        raise ValueError(f"edge must be >= 0, got {edge}")
-    vals = decomp.eigenvalues
-    if vals.size < decomp.n and not np.any(np.abs(vals) <= edge):
-        raise ValueError(f"all {vals.size} of {decomp.n} eigenvalues lie outside edge {edge}")
-    out: list[tuple[int, float]] = []
-    for i, lam in enumerate(vals):
-        if abs(lam) <= edge:
-            break
-        out.append((i + 1, float(lam)))
-    return out
-
-
-def _block_operator(n: int, matmat: Callable) -> scipy.sparse.linalg.LinearOperator:
-    """A symmetric n x n LinearOperator from its product with an (n, k) block."""
-    return scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda v: matmat(v.reshape(n, 1)), matmat=matmat, dtype=float
-    )
-
-
-def eig_top(op, k: int) -> EigenDecomposition:
+def eig_top(op, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest-|lambda| eigenpairs of a symmetric operator, magnitude-ordered.
 
-    op is a scipy.sparse array, a KernelOperator or a LinearOperator.
+    op is anything scipy.sparse.linalg.aslinearoperator takes, such as a
+    sparse array or a KernelOperator; the result is numpy's pair of the k
+    values and the (n, k) block whose column i pairs with value i.
     ARPACK's implicitly restarted Lanczos (eigsh, which="LM") starts from a
     fixed v0, so the result is deterministic; non-convergence raises
     ArpackNoConvergence. For k >= n - 1, where ARPACK cannot run, eigh
@@ -163,31 +107,34 @@ def eig_top(op, k: int) -> EigenDecomposition:
     exactly zero, even as an A - P of 0/1 entries, whose partial sums are
     exact integers; any other matrix does so only by chance cancellation.
     """
-    if isinstance(op, KernelOperator):
-        op = _block_operator(op.n, op.matmat)
+    op = aslinearoperator(op)
     n = op.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k >= n - 1:
-        return _by_magnitude(*np.linalg.eigh(op @ np.eye(n)), k)
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n)
-    if not (op @ rng.integers(1, 2**30, n).astype(float)).any():
-        return EigenDecomposition(np.zeros(k), np.eye(n, k))
-    return _by_magnitude(*scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0), k)
+        vals, vecs = np.linalg.eigh(op @ np.eye(n))
+    else:
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(n)
+        if not (op @ rng.integers(1, 2**30, n).astype(float)).any():
+            return np.zeros(k), np.eye(n, k)
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0)
+    order = _magnitude_order(vals)[:k]
+    return vals[order], vecs[:, order]
 
 
 def noise_norm(A: scipy.sparse.sparray, kernel: KernelOperator) -> float:
-    """||H|| = ||A - P|| from eig_top's k = 1 solve on v -> A v - P v.
+    """||H|| = ||A - P|| from eig_top's k = 1 solve on scipy's operator A - P.
 
     A is the sparse adjacency that sample_sparse_adjacency drew from
-    kernel, the KernelOperator of P. H is never stored.
+    kernel, the KernelOperator of P. scipy applies the difference as
+    A v + (-1)(P v), which is A v - P v to the bit; H is never stored.
     """
     n = kernel.n
     if A.shape != (n, n):
         raise ValueError(f"dimension mismatch: {A.shape} vs {n}")
-    H = _block_operator(n, lambda v: A @ v - kernel.matmat(v))
-    return float(abs(eig_top(H, 1).eigenvalues[0]))
+    vals, _ = eig_top(aslinearoperator(A) - aslinearoperator(kernel), 1)
+    return float(abs(vals[0]))
 
 
 def _cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -260,12 +207,12 @@ def _matched_pairs(
     if depths.size and depths[0] <= _LANCZOS_MAX_RANK:
         k = int(depths[0])
         try:
-            top = eig_top(op, k)
+            top_vals, top_vecs = eig_top(op, k)
         except scipy.sparse.linalg.ArpackNoConvergence:
             pass
         else:
-            if np.all(np.abs(top.eigenvalues - vals[:k]) <= _LANCZOS_VALUE_TOL * mags[0]):
-                return vals, vals[ranks], top.eigenvectors[:, ranks].T
+            if np.all(np.abs(top_vals - vals[:k]) <= _LANCZOS_VALUE_TOL * mags[0]):
+                return vals, vals[ranks], top_vecs[:, ranks].T
     # the dense path: eigh's own order, which near ties can make differ
     # from eigvalsh's, so its ranks are matched afresh
     vals, vecs = np.linalg.eigh(matrix)

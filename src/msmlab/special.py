@@ -33,9 +33,10 @@ def _log_gamma(z: complex | np.ndarray) -> complex | np.ndarray:
     # negative real axis); adding 0j turns -0.0 into +0.0, the limit from
     # above, which is the branch used here.
     out = loggamma(z + 0j)
-    finite = np.isfinite(out)
-    if not finite.all():
-        raise ValueError(f"log Gamma overflows at z = {np.asarray(z)[~finite][0]}")
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        what = "has a pole" if np.isnan(np.ravel(out)[bad[0]]) else "overflows"
+        raise ValueError(f"log Gamma {what} at z = {np.ravel(z)[bad[0]]}")
     return out
 
 
@@ -62,7 +63,7 @@ def _line(alpha: float, omega: float | np.ndarray) -> np.ndarray:
     """z = -alpha/2 + i*omega, after checking alpha and omega >= 0."""
     _check_alpha(alpha)
     omega = np.asarray(omega, dtype=float)
-    if (omega < 0.0).any():
+    if not (omega >= 0.0).all():  # a nan omega is refused here, not read as a pole
         raise ValueError(f"omega must be >= 0, got {omega.min()}")
     return -alpha / 2.0 + 1j * omega
 

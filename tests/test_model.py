@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,6 +209,20 @@ class TestKernelOperator:
             KernelOperator(fv, 0.0)
         with pytest.raises(ValueError):
             KernelOperator(fv, 1e-2).matmat(np.ones((9, 2)))
+
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    def test_is_a_scipy_operator_by_protocol(self, mode):
+        # aslinearoperator reads shape, dtype and matvec, with no subclass;
+        # its matvec is the one-column matmat to the bit
+        params = ModelParams(n=300, alpha=0.5, seed=1, weight_mode=mode)
+        K = KernelOperator(gen_fitness(params), params.epsilon_n)
+        op = scipy.sparse.linalg.aslinearoperator(K)
+        assert not isinstance(K, scipy.sparse.linalg.LinearOperator)
+        assert op.shape == (300, 300) and op.dtype == np.float64
+        v = np.random.default_rng(2).standard_normal(300)
+        got = op.matvec(v)
+        assert got.shape == (300,)
+        assert np.array_equal(got, K.matmat(v[:, None])[:, 0])
 
 
 class TestSampleAdjacency:

@@ -43,7 +43,7 @@ class TestLogGammaComplex:
 
     def test_poles_raise(self):
         for z in (0.0, -1.0, -2.0, -7.0):
-            with pytest.raises(ValueError, match="log Gamma"):
+            with pytest.raises(ValueError, match="log Gamma has a pole"):
                 log_gamma_complex(complex(z, 0.0))
 
     def test_frozen_point_off_axis(self):
@@ -139,6 +139,8 @@ class TestGammaLine:
             gamma_line(1.0, 1.0)
         with pytest.raises(ValueError):
             gamma_line(0.5, -0.1)
+        with pytest.raises(ValueError, match="omega must be >= 0, got nan"):
+            gamma_line(0.5, math.nan)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_arg_continuity_fine_grid(self, alpha):
