@@ -1,15 +1,12 @@
-"""The noise part's variance profile, measured bulk edges, and Stieltjes solvers.
+"""Measured bulk edges and Stieltjes solvers.
 
-The noise part is H = A - P, with entry variances p_ij(1 - p_ij): sigma
-is the largest row deviation and sigma_star the largest single-entry
-deviation. The measured edge is ||H|| averaged over independently
-sampled realizations.
+The noise part is H = A - P, and the measured edge is ||H|| averaged
+over independently sampled realizations.
 
-No n x n array is made here. variance_profile takes the weights x and
-eps and reads the profile off two KernelOperator products; everything
-else takes P as a model.KernelOperator: each realization's A is a sparse
-draw, ||H|| is a Lanczos solve on v -> A v - P v, and the cavity sweep
-multiplies by P through its near/far split.
+No n x n array is made here. P is a model.KernelOperator throughout:
+each realization's A is a sparse draw, ||H|| is a Lanczos solve on
+v -> A v - P v, and the cavity sweep multiplies by P through its
+near/far split.
 
 The two Stieltjes solvers share one convention: the resolvent is taken of
 M/sqrt(n) using G = (M - z)^(-1), so Im S(z) > 0 on the upper half plane
@@ -32,16 +29,13 @@ from .model import (
     STREAM_PPP,
     FitnessVector,
     KernelOperator,
-    _kernel,
     sample_sparse_adjacency,
     stream_rng,
 )
 from .numeric import noise_norm
 
 __all__ = [
-    "VarianceProfile",
     "StieltjesSolution",
-    "variance_profile",
     "measure_bulk_edge",
     "edge_samples",
     "cavity_solve",
@@ -53,21 +47,6 @@ __all__ = [
 _ANDERSON_DEPTH = 5
 # sweeps after which the Stieltjes solvers flag a grid point as not converged
 _MAX_SWEEPS = 5000
-
-
-@dataclass(frozen=True)
-class VarianceProfile:
-    """Bernoulli variance structure of the noise part, v_ij = p_ij (1 - p_ij).
-
-    sigma_star <= 1/2 and sigma^2 <= d_max to rounding, since
-    p(1 - p) <= 1/4 and v <= p entrywise in the probabilities that
-    variance_profile evaluates; nothing checks them again.
-    """
-
-    sigma: float  # max_i sqrt(sum_{j != i} v_ij)
-    sigma_star: float  # max_{i != j} sqrt(v_ij)
-    d_max: float  # largest expected degree
-    sigma_row: int  # the row attaining sigma
 
 
 @dataclass(frozen=True)
@@ -88,34 +67,6 @@ class StieltjesSolution:
     iterations: np.ndarray  # grid, ints
     converged: np.ndarray  # grid, bools
     steps: np.ndarray  # sweeps x grid
-
-
-def variance_profile(x: FitnessVector, epsilon_n: float) -> VarianceProfile:
-    """Row and entry maxima of the variances v_ij = p_ij (1 - p_ij), matrix-free.
-
-    With t = eps x_i x_j, p(1 - p) = e^(-t) - e^(-2t) = p(2 eps) - p(eps), so
-    the row sums of v are K_{2 eps} 1 - K_eps 1 for the KernelOperators of
-    the two scales, built one after the other; K_eps 1 holds the expected
-    degrees. p(1 - p) peaks at t = ln 2 and falls monotonically away from
-    it, so row i's largest entry sits at a weight bracketing
-    ln 2 / (eps x_i) in the sorted x: the two on each side, in case one of
-    them is i itself, evaluated as expected_matrix evaluates them.
-    """
-    ones = np.ones((x.n, 1))
-    degrees = KernelOperator(x, epsilon_n).matmat(ones)[:, 0]
-    row = KernelOperator(x, 2.0 * epsilon_n).matmat(ones)[:, 0] - degrees
-    i_star = int(row.argmax())
-    xs = x.x
-    # the first j with x_j <= ln 2 / (eps x_i); x descends, so -x ascends
-    cols = np.searchsorted(-xs, -math.log(2.0) / (epsilon_n * xs))[:, None] + np.arange(-2, 2)
-    pair = (cols >= 0) & (cols < x.n) & (cols != np.arange(x.n)[:, None])
-    p = _kernel(epsilon_n, xs[np.nonzero(pair)[0]], xs[cols[pair]])
-    return VarianceProfile(
-        sigma=float(np.sqrt(row[i_star])),
-        sigma_star=float(np.sqrt((p * (1.0 - p)).max(initial=0.0))),
-        d_max=float(degrees.max()),
-        sigma_row=i_star,
-    )
 
 
 def edge_samples(kernel: KernelOperator, realizations: int, seed: int) -> np.ndarray:

@@ -98,6 +98,13 @@ def _alpha_value(text: str) -> float:
     return value
 
 
+def _out_prefix(text: str) -> Path:
+    """The --out prefix, whose last component the output file names extend."""
+    if os.path.basename(text) in ("", ".", ".."):
+        raise argparse.ArgumentTypeError(f"must end in a file name prefix, got {text!r}")
+    return Path(text)
+
+
 def _apply_threads(threads: int | None) -> None:
     if threads is None and os.environ.get("MSMLAB_THREADS"):
         try:
@@ -332,7 +339,7 @@ class _Command:
 
 
 # every command takes these, from a flag or from a config file
-_COMMON = (("out", Path, None, "output path prefix"), ("threads", _positive_int, None, "cap the BLAS worker pool"))
+_COMMON = (("out", _out_prefix, None, "output path prefix"), ("threads", _positive_int, None, "cap the BLAS worker pool"))
 # rows several commands share
 _SEED = ("seed", _seed_value, 0)
 _ALPHA = ("alpha", _alpha_value, 0.5)

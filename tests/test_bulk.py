@@ -1,4 +1,4 @@
-"""Variance bounds, measured edges, cavity and Poisson-process solvers."""
+"""Noise-variance facts on a dense reference, measured edges, cavity and Poisson-process solvers."""
 import cmath
 import math
 import tracemalloc
@@ -15,10 +15,8 @@ from msmlab.bulk import (
     measure_bulk_edge,
     ppp_fixed_point,
     ppp_sample,
-    variance_profile,
 )
 from msmlab.model import (
-    WEIGHT_MODES,
     FitnessVector,
     KernelOperator,
     ModelParams,
@@ -28,11 +26,6 @@ from msmlab.model import (
     sample_sparse_adjacency,
 )
 from msmlab.numeric import noise_norm
-
-
-def saturated_profile(n: int) -> bulk.VarianceProfile:
-    """Every p rounds to 1 (eps = 40), so every variance is exactly 0."""
-    return variance_profile(FitnessVector(np.ones(n)), 40.0)
 
 
 def crude_bound(n: int) -> float:
@@ -45,12 +38,22 @@ def dense_norm(H: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(H)).max())
 
 
-def model_profile(params: ModelParams) -> bulk.VarianceProfile:
-    return variance_profile(gen_fitness(params), params.epsilon_n)
-
-
 def model_P(params: ModelParams) -> SymmetricMatrix:
     return expected_matrix(gen_fitness(params), params.epsilon_n)
+
+
+def dense_profile(params: ModelParams) -> tuple[float, float, int]:
+    """sigma, sigma_star and sigma's row of H = A - P, from v = p (1 - p) on the dense P.
+
+    sigma is the largest row deviation sqrt(sum_j v_ij), sigma_star the
+    largest entry deviation sqrt(v_ij); P's diagonal is 0, so v's is too.
+    Meant for n <= 1024, where P is at most 8 MB.
+    """
+    p = model_P(params).entries
+    v = p * (1.0 - p)
+    rows = v.sum(axis=1)
+    row = int(rows.argmax())
+    return math.sqrt(rows[row]), math.sqrt(v.max()), row
 
 
 def constant_kernel(n: int, p: float) -> KernelOperator:
@@ -62,68 +65,6 @@ def model_kernel(params: ModelParams) -> KernelOperator:
     return KernelOperator(gen_fitness(params), params.epsilon_n)
 
 
-class TestVarianceProfile:
-    def test_saturated_kernel(self):
-        vp = saturated_profile(4)
-        assert vp.sigma == 0.0
-        assert vp.sigma_star == 0.0
-        assert vp.d_max == 3.0
-
-    def test_maximal_bernoulli_variance(self):
-        # p = 1/2 everywhere maximizes p(1-p), pinning both maxima
-        n = 6
-        vp = variance_profile(FitnessVector(np.ones(n)), math.log(2.0))
-        assert vp.sigma_star == 0.5
-        assert vp.sigma == pytest.approx(math.sqrt(n - 1) / 2, abs=1e-15)
-
-    def test_sigma_under_crude_level_paper_scale_kernel(self):
-        vp = model_profile(ModelParams(n=4096, alpha=0.5))
-        assert vp.sigma <= math.sqrt(4096) / 2
-        # hubs saturate a pair probability through p = 1/2 exactly
-        assert vp.sigma_star == pytest.approx(0.5, abs=1e-9)
-
-    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
-    def test_structural_invariants(self, alpha):
-        vp = model_profile(ModelParams(n=256, alpha=alpha))
-        assert vp.sigma_star <= 0.5 + 1e-12
-        assert vp.sigma**2 <= vp.d_max + 1e-9
-
-    @pytest.mark.parametrize("n", [257, 1000, 2048])
-    @pytest.mark.parametrize("mode", WEIGHT_MODES)
-    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
-    def test_matches_the_dense_variances(self, alpha, mode, n):
-        # reference: v = p (1 - p) entrywise on the dense P; measured
-        # <= 1.3e-14 relative on sigma and <= 2.1e-15 on d_max
-        params = ModelParams(n=n, alpha=alpha, seed=3, weight_mode=mode)
-        fv = gen_fitness(params)
-        p = expected_matrix(fv, params.epsilon_n).entries
-        v = p * (1.0 - p)
-        rows = v.sum(axis=1)
-        vp = variance_profile(fv, params.epsilon_n)
-        assert vp.sigma == pytest.approx(math.sqrt(rows.max()), rel=1e-13, abs=0.0)
-        assert vp.d_max == pytest.approx(p.sum(axis=1).max(), rel=1e-13, abs=0.0)
-        assert vp.sigma_star == math.sqrt(v.max())
-        assert vp.sigma_row == int(rows.argmax())
-
-    def test_holds_no_dense_array(self):
-        # two operator products and four neighbours per row, then Lanczos
-        # on the sparse draws; measured 0.060 and 0.011 of one n x n array
-        n = 4096
-        params = ModelParams(n=n, alpha=0.5)
-        fv = gen_fitness(params)
-        K = KernelOperator(fv, params.epsilon_n)
-        draws = [sample_sparse_adjacency(K, s) for s in range(2)]
-        tracemalloc.start()
-        try:
-            variance_profile(fv, params.epsilon_n)
-            for A in draws:
-                noise_norm(A, K)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.25 * n * n * 8
-
-
 class TestNormUpperBound:
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("n", [256, 1024])
@@ -131,8 +72,8 @@ class TestNormUpperBound:
         # sigma + sigma_star sqrt(ln n), the expectation bound with its
         # absolute constant set to 1, sits under the crude bound since
         # sigma <= sqrt(n)/2 and sigma_star <= 1/2
-        vp = model_profile(ModelParams(n=n, alpha=alpha))
-        assert vp.sigma + vp.sigma_star * math.sqrt(math.log(n)) <= crude_bound(n)
+        sigma, sigma_star, _ = dense_profile(ModelParams(n=n, alpha=alpha))
+        assert sigma + sigma_star * math.sqrt(math.log(n)) <= crude_bound(n)
 
 
 class TestBulkEdge:
@@ -175,6 +116,22 @@ class TestBulkEdge:
             tracemalloc.stop()
         assert peak <= 0.25 * n * n * 8
 
+    def test_noise_norm_holds_no_dense_array(self):
+        # Lanczos on two sparse draws, H never stored; measured 0.012 of
+        # one n x n array
+        n = 4096
+        params = ModelParams(n=n, alpha=0.5)
+        K = model_kernel(params)
+        draws = [sample_sparse_adjacency(K, s) for s in range(2)]
+        tracemalloc.start()
+        try:
+            for A in draws:
+                noise_norm(A, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * n * n * 8
+
     @pytest.mark.parametrize("alpha", [0.2, 0.8])
     def test_operator_and_dense_kernel_give_the_same_edges(self, alpha):
         params = ModelParams(n=1000, alpha=alpha, seed=2)
@@ -191,32 +148,30 @@ class TestBulkEdge:
 @pytest.fixture(scope="module")
 def instance():
     params = ModelParams(n=1024, alpha=0.5, seed=3)
-    fv = gen_fitness(params)
-    K = KernelOperator(fv, params.epsilon_n)
-    vp = variance_profile(fv, params.epsilon_n)
+    K = model_kernel(params)
     draws = [sample_sparse_adjacency(K, s) for s in range(5)]
-    return vp, K, draws
+    return dense_profile(params), K, draws
 
 
 class TestLowerBound:
     def test_full_fraction_at_half_delta(self, instance):
         # ||H|| >= sqrt(1 - delta) sigma at delta = 1/2 on every draw;
         # measured 0.999-1.060 sigma
-        vp, K, draws = instance
-        assert all(noise_norm(A, K) >= math.sqrt(0.5) * vp.sigma for A in draws)
+        (sigma, _, _), K, draws = instance
+        assert all(noise_norm(A, K) >= math.sqrt(0.5) * sigma for A in draws)
 
     def test_column_norm_witness(self, instance):
         # ||H e_i||^2 at the row attaining sigma is a sum of n - 1
         # independent terms in [0, 1] with mean sigma^2, so it sits within
         # three 95% Hoeffding widths of sigma^2 on every draw
-        vp, K, draws = instance
+        (sigma, _, sigma_row), K, draws = instance
         n = K.n
         e = np.zeros((n, 1))
-        e[vp.sigma_row] = 1.0
+        e[sigma_row] = 1.0
         width = math.sqrt((n - 1) * math.log(2.0 / 0.05) / 2.0)
         for A in draws:
             col = (A @ e - K.matmat(e))[:, 0]
-            assert abs(float(col @ col) - vp.sigma**2) <= 3.0 * width
+            assert abs(float(col @ col) - sigma**2) <= 3.0 * width
 
 
 class TestCavitySolve:

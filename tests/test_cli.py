@@ -685,6 +685,34 @@ class TestConfigAndEnvironment:
         assert capsys.readouterr().err == f"msmlab: error: --out directory {missing} does not exist\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("text", ["", ".", "runs/", "runs/.", "runs/.."])
+    @pytest.mark.parametrize("command", ["predict", "compare", "spiral", "bulk", "coarsegrain"])
+    def test_out_without_file_name_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, text):
+        # Path drops a trailing separator and keeps "." and "..", so these
+        # would name hidden files or files beside or above runs/
+        import msmlab.bulk
+        import msmlab.numeric
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked before --out was checked")
+
+        monkeypatch.setattr(msmlab.numeric, "compare", refuse)
+        monkeypatch.setattr(msmlab.bulk, "measure_bulk_edge", refuse)
+        (tmp_path / "work" / "runs").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "work")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"out": text}))
+        argv = [command, "--n", "64"]
+        for given, prefix in ((["--out", text], "argument --out"), (["--config", str(config)], "config key 'out'")):
+            assert main(argv + given) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == f"msmlab: error: {prefix}: must end in a file name prefix, got {text!r}\n"
+        assert [p.relative_to(tmp_path).as_posix() for p in sorted(tmp_path.rglob("*"))] == [
+            "cfg.json",
+            "work",
+            "work/runs",
+        ]
+
     @pytest.mark.parametrize(
         "key, text, message",
         [

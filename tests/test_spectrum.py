@@ -9,7 +9,6 @@ from msmlab.numeric import eig_top
 from msmlab.special import digamma_line_derivative
 from msmlab.spectrum import (
     NoRootError,
-    SpectralPrediction,
     admissibility_residual,
     k_star_estimate,
     ladder,
