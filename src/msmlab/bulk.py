@@ -73,15 +73,15 @@ def edge_samples(kernel: KernelOperator, realizations: int, seed: int) -> np.nda
     """||H|| for `realizations` independent adjacency draws from P.
 
     Each A is sampled sparse from the operator and its ||A - P|| taken by
-    noise_norm, so no n x n array is made. Realization r uses adjacency
-    seed `seed + r`, so sweeps over seeds stay reproducible and
-    non-overlapping draws need distinct base seeds.
+    noise_norm, so no n x n array is made. Realization r is the adjacency
+    stream (seed, r), so realization 0 is compare's draw for the seed and
+    no realization of one seed repeats a draw of another.
     """
     if realizations < 1:
         raise ValueError(f"need at least one realization, got {realizations}")
     out = np.empty(realizations)
     for r in range(realizations):
-        out[r] = noise_norm(sample_sparse_adjacency(kernel, seed + r), kernel)
+        out[r] = noise_norm(sample_sparse_adjacency(kernel, seed, r), kernel)
     return out
 
 

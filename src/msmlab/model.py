@@ -17,13 +17,20 @@ A has one form, the sparse 0/1 CSR array of sample_sparse_adjacency;
 callers that need a dense A, such as an eigensolve, take its toarray().
 
 Randomness uses the counter-based Philox generator with one child stream
-per (purpose, row) pair, so adjacency rows can be sampled in any order, or
-in parallel, without changing the result. Stream purposes:
+per (purpose, realization) key, so each draw is a pure function of its
+seed and key and never of which draws ran before it. Stream purposes:
 
     0  fitness draws
-    1  adjacency sampling, one stream per row
+    1  adjacency sampling, one stream per realization
     2  coarse-graining partition shuffles
     3  Poisson process atoms (used by the bulk solvers)
+
+The sampler tests the operator's near pairs one uniform each and draws
+the far pairs, where y_i y_j < 0.1, as a Poisson split: far row i throws
+Poisson(y_i T_i) points over its suffix, T_i = sum of its y_j, each point
+landing on j with probability y_j / T_i, so pair (i, j) is hit with
+probability 1 - exp(-y_i y_j) exactly (Norros & Reittu, Adv. Appl. Probab.
+38, 59-75, 2006). A draw costs O(n + m) for m edges.
 """
 from __future__ import annotations
 
@@ -216,15 +223,16 @@ class KernelOperator:
         n = xs.size
         self.n = n
         self.shape = (n, n)
-        self._x = xs
-        self._epsilon_n = epsilon_n
         y = math.sqrt(epsilon_n) * xs
+        self._y = y
         hubs = int(np.count_nonzero(y > _HUB_Y))
         # J_i counts the j with y_j >= s0 / y_i; y descends, so -y ascends
         cut = np.maximum(np.searchsorted(-y, -_FAR_CUT / y, side="right"), hubs)
         cut[:hubs] = n
 
         rows = np.arange(n)
+        # row i's far pairs above the diagonal are j >= max(J_i, i + 1); n if none
+        self._far_start = np.maximum(cut, rows + 1)
         counts = cut - (rows < cut)  # the diagonal is not stored
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(counts, out=indptr[1:])
@@ -286,31 +294,50 @@ class KernelOperator:
         """P v for a length-n vector, as an n x 1 block."""
         return self.matmat(np.reshape(v, (self.n, 1)))
 
-    def _upper_row(self, i: int) -> np.ndarray:
-        """p_ij for j > i, to the bit as expected_matrix stores it."""
-        return _kernel(self._epsilon_n, self._x[i], self._x[i + 1 :])
 
-
-def sample_sparse_adjacency(kernel: KernelOperator, seed: int) -> scipy.sparse.csr_array:
+def sample_sparse_adjacency(
+    kernel: KernelOperator, seed: int, realization: int = 0
+) -> scipy.sparse.csr_array:
     """One adjacency draw from P as a symmetric scipy CSR array of 0/1 entries.
 
-    Row i draws uniforms u from its own child stream and keeps the j > i
-    with u < p_ij, p_ij to the bit as expected_matrix stores it, so the
-    sample does not depend on the order rows are processed in. Only the
-    hits are stored; the O(n^2) cost is time.
+    Every number comes from the one stream (seed, STREAM_ADJACENCY,
+    realization), so realizations of a seed are independent and each is
+    reproducible alone. The near pairs i < j of the operator's CSR block
+    take one uniform each, in CSR order, and are kept where u < p_ij, p_ij
+    to the bit as expected_matrix stores it. Far row i throws
+    Poisson(y_i T_i) points, T_i = sum_{j >= s_i} y_j over its far pairs
+    j >= s_i, each landing on j with probability y_j / T_i through one
+    searchsorted on the suffix sums of y, summed from the smallest y up.
+    Pair (i, j) then takes Poisson(y_i y_j) points independently of every
+    other pair, and is an edge when it takes any: with probability
+    1 - exp(-y_i y_j) = p_ij. Only near pairs and points are visited.
     """
     import scipy.sparse
 
-    row = kernel._upper_row
     n = kernel.n
-    hits = [
-        i + 1 + np.flatnonzero(stream_rng(seed, STREAM_ADJACENCY, i).random(n - 1 - i) < row(i))
-        for i in range(n - 1)
-    ]
-    upper = np.concatenate([np.empty(0, dtype=np.intp), *hits])
-    lower = np.repeat(np.arange(n - 1), [h.size for h in hits])
-    both = (np.concatenate([lower, upper]), np.concatenate([upper, lower]))
-    return scipy.sparse.csr_array((np.ones(2 * upper.size), both), shape=(n, n))
+    rng = stream_rng(seed, STREAM_ADJACENCY, realization)
+    near = kernel._near
+    rows = np.repeat(np.arange(n, dtype=near.indices.dtype), np.diff(near.indptr))
+    pairs = np.flatnonzero(near.indices > rows)
+    hits = pairs[rng.random(pairs.size) < near.data[pairs]]
+
+    y, start = kernel._y, kernel._far_start
+    far = np.flatnonzero(start < n)
+    # suffix[k] = T(n - 1 - k), the sum of y_j over j >= n - 1 - k
+    suffix = np.cumsum(y[start.min() :][::-1])
+    last = n - 1 - start[far]  # the suffix slot of each far row's T_i
+    total = suffix[last]
+    points = rng.poisson(y[far] * total)
+    u = rng.random(points.sum()) * np.repeat(total, points)
+    # the first slot whose sum passes u; a u that rounds up to T_i stays in range
+    slot = np.minimum(np.searchsorted(suffix, u, side="right"), np.repeat(last, points))
+
+    i = np.concatenate([rows[hits], np.repeat(far, points)])
+    j = np.concatenate([near.indices[hits], n - 1 - slot])
+    both = (np.concatenate([i, j]), np.concatenate([j, i]))
+    A = scipy.sparse.csr_array((np.ones(2 * i.size), both), shape=(n, n))
+    A.data[:] = 1.0  # the constructor sums duplicates: a pair hit by several points is one edge
+    return A
 
 
 def coarse_grain(

@@ -29,7 +29,6 @@ import numpy as np
 import scipy.sparse.linalg
 from scipy.sparse.linalg import aslinearoperator
 
-from .eigenvectors import eigenvector_entries
 from .model import (
     KernelOperator,
     ModelParams,
@@ -37,7 +36,6 @@ from .model import (
     gen_fitness,
     sample_sparse_adjacency,
 )
-from .spectrum import ladder
 
 __all__ = [
     "ComparisonRow",
@@ -224,7 +222,7 @@ def _matched_pairs(
 def compare(params: ModelParams, k_max: int) -> ComparisonReport:
     """Three-way ladder comparison: analytic roots vs eig(P) vs eig(A).
 
-    Samples one sparse adjacency with the params seed from the
+    Samples one sparse adjacency, realization 0 of the params seed, from the
     KernelOperator of the expected kernel, takes ||A - P|| on the two,
     then builds dense P, and only then dense A, for _matched_pairs: one
     eigvalsh each, matched on its eigenvalues, and the matched vectors
@@ -235,6 +233,11 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
     missing root bracket at some k truncates the prediction columns from
     that k on; the numerical columns keep going.
     """
+    # imported here: bulk reaches noise_norm through this module, and
+    # loads neither the closed forms nor scipy.optimize and scipy.special
+    from .eigenvectors import eigenvector_entries
+    from .spectrum import ladder
+
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     k_max = min(k_max, params.n)

@@ -138,11 +138,21 @@ class TestBulkEdge:
         fv = gen_fitness(params)
         K = KernelOperator(fv, params.epsilon_n)
         P = expected_matrix(fv, params.epsilon_n)
-        # realization r draws with seed + r; the reference stores H densely
-        noises = [sample_sparse_adjacency(K, params.seed + r).toarray() - P.entries for r in range(3)]
+        # realization r draws stream (seed, r); the reference stores H densely
+        noises = [sample_sparse_adjacency(K, params.seed, r).toarray() - P.entries for r in range(3)]
         dense = [dense_norm(H) for H in noises]
         matrix_free = edge_samples(K, 3, params.seed)
         assert np.all(np.abs(matrix_free - dense) <= 1e-13 * np.array(dense))
+
+    def test_realizations_are_keyed_not_offset(self):
+        # bulk seed s, realization 1 is no longer compare's draw for seed
+        # s + 1, and realization 0 is compare's draw for seed s
+        params = ModelParams(n=256, alpha=0.5, seed=4)
+        K = model_kernel(params)
+        edges = edge_samples(K, 2, params.seed)
+        assert (sample_sparse_adjacency(K, params.seed, 1) != sample_sparse_adjacency(K, params.seed + 1)).nnz
+        assert edges[1] != edge_samples(K, 1, params.seed + 1)[0]
+        assert edges[0] == noise_norm(sample_sparse_adjacency(K, params.seed), K)
 
 
 @pytest.fixture(scope="module")

@@ -844,6 +844,15 @@ class TestConfigAndEnvironment:
         result = subprocess.run([sys.executable, "-c", code], timeout=120)
         assert result.returncode == 0
 
+    def test_bulk_import_leaves_the_closed_forms_unloaded(self):
+        # bulk reaches noise_norm through numeric, whose compare alone
+        # imports the closed forms, and with them scipy.optimize and scipy.special
+        unwanted = ("msmlab.spectrum", "msmlab.eigenvectors", "scipy.optimize", "scipy.special")
+        code = f"import sys, msmlab.cli, msmlab.bulk; print(*(m for m in {unwanted!r} if m in sys.modules))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
+
 class TestInstalledScript:
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -245,14 +245,56 @@ class TestSampleAdjacency:
         assert np.array_equal(A, sample_sparse_adjacency(K, seed=11).toarray())
         assert not np.array_equal(A, sample_sparse_adjacency(K, seed=12).toarray())
 
-    def test_row_streams_are_order_independent(self):
-        # Row i is a pure function of (seed, i); recompute one row alone.
-        fv = det_fitness(30, 0.6)
-        A = sample_sparse_adjacency(KernelOperator(fv, 1e-3), seed=5).toarray()
-        i = 7
-        u = stream_rng(5, STREAM_ADJACENCY, i).random(30 - 1 - i)
-        want = (u < expected_matrix(fv, 1e-3).entries[i, i + 1 :]).astype(float)
-        assert np.array_equal(A[i, i + 1 :], want)
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    @pytest.mark.parametrize("n", [257, 1000])
+    def test_near_pairs_take_the_realization_uniforms_in_order(self, n, alpha, mode):
+        # the near pairs i < j, y_i y_j >= 0.1 by the operator's rule
+        # y_j >= 0.1 / y_i, in row-major order, take the stream's first
+        # uniforms one each and are hits where u < p_ij
+        params = ModelParams(n=n, alpha=alpha, seed=2, weight_mode=mode)
+        fv = gen_fitness(params)
+        P = expected_matrix(fv, params.epsilon_n).entries
+        K = KernelOperator(fv, params.epsilon_n)
+        y = math.sqrt(params.epsilon_n) * fv.x
+        near = np.triu(y[None, :] >= 0.1 / y[:, None], 1)
+        rows, cols = np.nonzero(near)
+        assert 0 < rows.size < n * (n - 1) // 2  # near and far pairs both occur
+        for seed, realization in ((0, 0), (7, 3)):
+            u = stream_rng(seed, STREAM_ADJACENCY, realization).random(rows.size)
+            A = sample_sparse_adjacency(K, seed, realization).toarray()
+            assert np.array_equal(A[rows, cols], (u < P[rows, cols]).astype(float))
+
+    def test_pair_frequencies_match_P_over_far_pairs(self):
+        # n = 60, alpha = 0.5: 1431 of the 1770 pairs, in 56 rows, are far.
+        # Each pair's hit count over R realizations lies within 5 sigma of
+        # R p. The chi-square over the pairs expecting at least 5 hits and
+        # 5 misses lies within 5 of its standard deviations of its dof,
+        # with var(z^2) = 2 + (1 - 6 p q) / (R p q) per pair
+        n, R = 60, 20_000
+        params = ModelParams(n=n, alpha=0.5)
+        fv = gen_fitness(params)
+        K = KernelOperator(fv, params.epsilon_n)
+        y = math.sqrt(params.epsilon_n) * fv.x
+        iu = np.triu_indices(n, 1)
+        far = (y[:, None] * y[None, :] < 0.1)[iu]
+        assert far.sum() > 1000
+        counts = np.zeros((n, n))
+        for r in range(R):
+            counts += sample_sparse_adjacency(K, 3, r).toarray()
+        assert np.array_equal(counts, counts.T) and not np.diagonal(counts).any()
+        p = expected_matrix(fv, params.epsilon_n).entries[iu]
+        hits = counts[iu]
+        sure = p == 1.0  # hub pairs where p rounds to 1 are hit in every draw
+        assert np.all(hits[sure] == R)
+        p, hits = p[~sure], hits[~sure]
+        pq = p * (1.0 - p)
+        z = (hits - R * p) / np.sqrt(R * pq)
+        assert np.abs(z).max() < 5.0
+        chi = R * np.minimum(p, 1.0 - p) >= 5.0
+        dof = np.count_nonzero(chi)
+        sd = math.sqrt(np.sum(2.0 + (1.0 - 6.0 * pq[chi]) / (R * pq[chi]))) / dof
+        assert abs(np.sum(z[chi] ** 2) / dof - 1.0) < 5.0 * sd
 
     def test_entry_means_match_P(self):
         # spread weights give pair probabilities from 0.18 to 0.96
@@ -269,22 +311,20 @@ class TestSampleAdjacency:
         assert np.all(np.abs(mean[iu] - m[iu]) < 5 * sigma)
 
 
-    @pytest.mark.parametrize("mode", WEIGHT_MODES)
-    @pytest.mark.parametrize("alpha", [0.2, 0.8])
-    @pytest.mark.parametrize("n", [257, 1000])
-    def test_same_graph_as_dense_row_loop(self, n, alpha, mode):
-        params = ModelParams(n=n, alpha=alpha, seed=2, weight_mode=mode)
+    @pytest.mark.slow
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_edge_count_at_paper_scale(self, alpha):
+        # n = 10^5: the count of m edges lies within 5 sigma of
+        # E m = 1'P1 / 2, where var m = sum_{i<j} p (1 - p) = 1'(P_2eps - P_eps)1 / 2
+        # since p (1 - p) = e^-t - e^-2t
+        params = ModelParams(n=10**5, alpha=alpha)
         fv = gen_fitness(params)
-        P = expected_matrix(fv, params.epsilon_n)
         K = KernelOperator(fv, params.epsilon_n)
-        for seed in (0, 7):
-            # reference: fill the dense upper triangle row by row, then mirror
-            want = np.zeros((n, n))
-            for i in range(n - 1):
-                u = stream_rng(seed, STREAM_ADJACENCY, i).random(n - 1 - i)
-                want[i, i + 1 :] = (u < P.entries[i, i + 1 :]).astype(float)
-            want += want.T
-            assert np.array_equal(sample_sparse_adjacency(K, seed).toarray(), want)
+        ones = np.ones((params.n, 1))
+        mean = K.matmat(ones).sum() / 2
+        var = KernelOperator(fv, 2 * params.epsilon_n).matmat(ones).sum() / 2 - mean
+        edges = sample_sparse_adjacency(K, 1).nnz / 2
+        assert abs(edges - mean) < 5 * math.sqrt(var)
 
 
 class TestNoiseMatrix:
