@@ -23,7 +23,6 @@ seed and key and never of which draws ran before it. Stream purposes:
     0  fitness draws
     1  adjacency sampling, one stream per realization
     2  coarse-graining partition shuffles
-    3  Poisson process atoms (used by the bulk solvers)
 
 The sampler tests the operator's near pairs one uniform each and draws
 the far pairs, where y_i y_j < 0.1, as a Poisson split: far row i throws
@@ -48,7 +47,6 @@ __all__ = [
     "STREAM_FITNESS",
     "STREAM_ADJACENCY",
     "STREAM_PARTITION",
-    "STREAM_PPP",
     "ModelParams",
     "FitnessVector",
     "SymmetricMatrix",
@@ -65,7 +63,6 @@ WEIGHT_MODES = ("iid_pareto", "deterministic")
 STREAM_FITNESS = 0
 STREAM_ADJACENCY = 1
 STREAM_PARTITION = 2
-STREAM_PPP = 3
 
 # KernelOperator's near/far split. Pairs with y_i y_j < _FAR_CUT take the
 # series of 1 - exp(-t) to _FAR_TERMS terms; the remainder t^15/15! < 1e-27

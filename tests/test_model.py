@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from msmlab.model import (
     STREAM_ADJACENCY,
+    STREAM_FITNESS,
     STREAM_PARTITION,
     WEIGHT_MODES,
     FitnessVector,
@@ -96,6 +97,11 @@ class TestOverflowingProducts:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="fitness weights must be finite, got inf"):
                 gen_fitness(params)
+
+
+def test_stream_purpose_numbers_are_fixed():
+    # every seeded draw is keyed by its purpose's number, so renumbering moves them all
+    assert (STREAM_FITNESS, STREAM_ADJACENCY, STREAM_PARTITION) == (0, 1, 2)
 
 
 class TestGenFitness:
