@@ -267,6 +267,11 @@ class TestCavitySolve:
         [
             pytest.param(lambda grid: cavity_solve(model_kernel(ModelParams(n=512, alpha=0.2)), grid, eta=0.05), id="0.2"),
             pytest.param(lambda grid: cavity_solve(model_kernel(ModelParams(n=512, alpha=0.8)), grid, eta=0.05), id="0.8"),
+            # any scipy operator runs the same loop
+            pytest.param(
+                lambda grid: cavity_solve(scipy.sparse.linalg.aslinearoperator(model_P(ModelParams(n=512, alpha=0.5)).entries), grid, eta=0.05),
+                id="dense",
+            ),
         ],
     )
     def test_anderson_matches_damped_map_in_half_the_sweeps(self, solve, monkeypatch):
@@ -290,6 +295,80 @@ class TestCavitySolve:
         assert matrix_free.converged.all()
         assert np.array_equal(matrix_free.iterations, dense.iterations)
         assert np.all(np.abs(matrix_free.S_n - dense.S_n) <= 1e-10 * np.abs(dense.S_n))
+
+    @pytest.mark.parametrize("zr,eta", [(0.0, 2.0), (0.5, 1.0), (-0.3, 0.8)])
+    def test_saturated_kernel_quadratic_oracle(self, zr, eta):
+        # every p_ij is 1, so g = -1/(z + c g) with c = (n-1)/n
+        n = 64
+        sol = cavity_solve(constant_kernel(n, 1.0), np.array([zr]), eta=eta, tol=1e-13)
+        c = (n - 1) / n
+        z = complex(zr, eta)
+        disc = cmath.sqrt(z * z - 4 * c)
+        oracle = next(r for r in ((-z + disc) / (2 * c), (-z - disc) / (2 * c)) if r.imag > 0)
+        assert np.abs(sol.g_per_node[:, 0] - oracle).max() < 1e-12
+        assert sol.converged.all()
+
+    @pytest.mark.parametrize(
+        "fv,eps",
+        [pytest.param(gen_fitness(ModelParams(n=1024, alpha=a)), ModelParams(n=1024, alpha=a).epsilon_n, id=str(a)) for a in (0.2, 0.5, 0.8)]
+        # tied weights: the operator needs no strict order
+        + [pytest.param(FitnessVector(np.repeat(gen_fitness(ModelParams(n=512, alpha=0.5)).x, 2)), ModelParams(n=1024, alpha=0.5).epsilon_n, id="tied")],
+    )
+    def test_fixed_point_of_the_dense_kernel(self, fv, eps):
+        # the operator leaves out j = i, as the dense P's zero diagonal does,
+        # so the result must solve the equation on the dense P
+        sol = cavity_solve(KernelOperator(fv, eps), np.array([-0.5, 0.0, 0.3]), eta=0.05)
+        P = expected_matrix(fv, eps).entries
+        residual = sol.g_per_node + 1.0 / (sol.z_grid + P @ sol.g_per_node / fv.n)
+        assert sol.converged.all()
+        assert np.abs(residual).max() <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    def test_herglotz_per_node(self, alpha):
+        sol = cavity_solve(model_kernel(ModelParams(n=1024, alpha=alpha)), np.array([-0.4, 0.2]), eta=0.3)
+        assert sol.converged.all()
+        assert (sol.g_per_node.imag > 0.0).all()
+
+    def test_transform_stable_under_doubling_n(self):
+        f1 = cavity_solve(model_kernel(ModelParams(n=4096, alpha=0.5)), np.array([0.0]), eta=0.5)
+        f2 = cavity_solve(model_kernel(ModelParams(n=8192, alpha=0.5)), np.array([0.0]), eta=0.5)
+        assert f1.converged.all() and f2.converged.all()
+        assert abs(f1.S_n[0] - f2.S_n[0]) / abs(f1.S_n[0]) < 0.05
+
+    def test_validation_order(self):
+        # each check is made before the next, so a call wrong in every
+        # argument names the first: damping, then tol, then z_grid, then eta
+        K = constant_kernel(8, 0.2)
+        bad = dict(z_grid=np.empty(0), eta=0.0, damping=1.5, tol=0.0)
+        for name, good, match in (
+            ("damping", 0.5, "damping"),
+            ("tol", 1e-9, "tol"),
+            ("z_grid", np.array([0.0]), "nonempty 1-d"),
+            ("eta", 0.1, "eta"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                cavity_solve(K, **bad)
+            bad[name] = good
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            cavity_solve(K, np.zeros((1, 3)), eta=0.1)
+        assert cavity_solve(K, **bad).converged.all()
+
+    def test_cavity_and_sampled_resolvent_agree(self):
+        # the annealed transform against (1/n) tr (H/sqrt(n) - z)^-1 of one
+        # draw; both are near the free resolvent at these z, so the band
+        # mostly certifies that scaling and sign conventions line up
+        params = ModelParams(n=2048, alpha=0.5)
+        K = model_kernel(params)
+        H = sample_sparse_adjacency(K, params.seed).toarray()
+        H -= model_P(params).entries
+        H /= math.sqrt(params.n)
+        spectrum = np.linalg.eigvalsh(H)
+        del H
+        for eta in (0.5, 1.0, 2.0):
+            sol = cavity_solve(K, np.array([0.0]), eta=eta)
+            sampled = np.mean(1.0 / (spectrum - 1j * eta))
+            assert sol.converged.all()
+            assert abs(sol.S_n[0] - sampled) / abs(sol.S_n[0]) < 0.2
 
     @pytest.mark.slow
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
