@@ -25,6 +25,7 @@ from msmlab.model import (
     sample_sparse_adjacency,
 )
 from msmlab.numeric import noise_norm
+from msmlab.special import pareto_laplace
 
 
 def crude_bound(n: int) -> float:
@@ -41,18 +42,86 @@ def model_P(params: ModelParams) -> SymmetricMatrix:
     return expected_matrix(gen_fitness(params), params.epsilon_n)
 
 
-def dense_profile(params: ModelParams) -> tuple[float, float, int]:
-    """sigma, sigma_star and sigma's row of H = A - P, from v = p (1 - p) on the dense P.
+def dense_variance(params: ModelParams) -> np.ndarray:
+    """v = p (1 - p), the entry variances of H = A - P, on the dense P.
 
-    sigma is the largest row deviation sqrt(sum_j v_ij), sigma_star the
-    largest entry deviation sqrt(v_ij); P's diagonal is 0, so v's is too.
-    Meant for n <= 1024, where P is at most 8 MB.
+    P's diagonal is 0, so v's is too. Meant for n <= 1024, where P is at
+    most 8 MB.
     """
     p = model_P(params).entries
-    v = p * (1.0 - p)
+    return p * (1.0 - p)
+
+
+def dense_profile(params: ModelParams) -> tuple[float, float, int]:
+    """sigma, sigma_star and sigma's row of H = A - P, from dense_variance's v.
+
+    sigma is the largest row deviation sqrt(sum_j v_ij), sigma_star the
+    largest entry deviation sqrt(v_ij).
+    """
+    v = dense_variance(params)
     rows = v.sum(axis=1)
     row = int(rows.argmax())
     return math.sqrt(rows[row]), math.sqrt(v.max()), row
+
+
+def sigma_inf(alpha: float, rows: int) -> tuple[float, int]:
+    """sigma_inf(alpha) = max_i sqrt(L(s_i) - L(2 s_i)) over i <= rows, and its i.
+
+    s_i = i^(-1/alpha) and L is special.pareto_laplace. With deterministic
+    weights eps_n x_i x_j = s_i (j/n)^(-1/alpha), so row i's variance
+    sum_j p_ij (1 - p_ij) tends to n (L(s_i) - L(2 s_i)), since
+    p (1 - p) = e^(-t) - e^(-2t) at p = 1 - e^(-t). i counts from 1.
+    """
+    gaps = [pareto_laplace(alpha, s) - pareto_laplace(alpha, 2.0 * s) for s in np.arange(1, rows + 1) ** (-1.0 / alpha)]
+    i = int(np.argmax(gaps))
+    return math.sqrt(gaps[i]), i + 1
+
+
+def operator_row_variances(params: ModelParams) -> np.ndarray:
+    """d = K_{2 eps} 1 - K_eps 1, the row sums of p (1 - p), from two operator products."""
+    fv = gen_fitness(params)
+    ones = np.ones((params.n, 1))
+    return (KernelOperator(fv, 2.0 * params.epsilon_n).matmat(ones) - KernelOperator(fv, params.epsilon_n).matmat(ones))[:, 0]
+
+
+def damped_map(kernel, lam: np.ndarray, eta: float, damping: float = 0.5, tol: float = 1e-9):
+    """The plain damped map g <- g + damping (F(g) - g) per grid point, and its sweeps."""
+    n, z = kernel.shape[0], lam + 1j * eta
+    g = np.full((n, z.size), 0j) - 1.0 / z
+    running, iterations = np.ones(z.size, dtype=bool), np.zeros(z.size, dtype=int)
+    for it in range(1, bulk._MAX_SWEEPS + 1):
+        r = -1.0 / (z + (kernel.matmat(g.view(float)) * (1.0 / n)).view(complex)) - g
+        g[:, running] += damping * r[:, running]
+        iterations[running] = it
+        running &= damping * np.abs(r).max(axis=0) >= tol
+        if not running.any():
+            break
+    return g, iterations
+
+
+def anderson_reference(kernel, lam: np.ndarray, eta: float, damping: float = 0.5, tol: float = 1e-9):
+    """cavity_solve's Anderson mixing one grid point at a time, the history rebuilt newest first."""
+    n = kernel.shape[0]
+    g_out, iterations = np.empty((n, lam.size), dtype=complex), np.zeros(lam.size, dtype=int)
+    for p, z in enumerate(lam + 1j * eta):
+        g, dgs, drs, last, last_size = np.full(n, 0j) - 1.0 / z, [], [], None, -np.inf
+        for it in range(1, bulk._MAX_SWEEPS + 1):
+            r = -1.0 / (z + (kernel.matmat(g.reshape(n, 1).view(float)) * (1.0 / n)).view(complex)[:, 0]) - g
+            size = np.abs(r).max()
+            if last is not None:
+                dgs, drs = [g - last[0]] + dgs[: bulk._ANDERSON_DEPTH - 1], [r - last[1]] + drs[: bulk._ANDERSON_DEPTH - 1]
+            if size > last_size:
+                dgs, drs = [], []
+            last, last_size, step = (g, r), size, damping * r
+            if drs:
+                dR, dG = np.array(drs), np.array(dgs)
+                step -= np.linalg.pinv(dR.conj() @ dR.T, hermitian=True) @ (dR.conj() @ r) @ (dG + damping * dR)
+            g = g + step
+            iterations[p] = it
+            if damping * size < tol:
+                break
+        g_out[:, p] = g
+    return g_out, iterations
 
 
 def constant_kernel(n: int, p: float) -> KernelOperator:
@@ -190,6 +259,25 @@ class TestLowerBound:
         for A in draws:
             col = (A @ e - K.matmat(e))[:, 0]
             assert abs(float(col @ col) - sigma**2) <= 3.0 * width
+
+
+class TestEdgePrefactor:
+    @pytest.mark.parametrize("alpha,row", [(0.2, 2), (0.5, 2), (0.8, 3)])
+    @pytest.mark.parametrize("n,bound", [(1024, 2e-4), (4096, 5e-5)])
+    def test_sigma_inf_matches_the_largest_row_variance(self, alpha, row, n, bound):
+        # measured sqrt(max_i d_i / n) - sigma_inf = +2.6e-5 / +1.1e-4 /
+        # +1.0e-4 at n = 1024 and +6.5e-6 / +2.8e-5 / +2.5e-5 at n = 4096;
+        # the largest row is a light one, not the hub
+        d = operator_row_variances(ModelParams(n=n, alpha=alpha))
+        limit, i = sigma_inf(alpha, n)
+        assert abs(math.sqrt(d.max() / n) - limit) <= bound
+        assert int(d.argmax()) + 1 == i == row
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_operator_row_variances_are_the_dense_row_sums(self, alpha):
+        # measured to 3.4e-14 relative
+        params = ModelParams(n=1024, alpha=alpha)
+        assert np.allclose(operator_row_variances(params), dense_variance(params).sum(axis=1), rtol=1e-12, atol=0.0)
 
 
 class TestCavitySolve:
@@ -369,6 +457,75 @@ class TestCavitySolve:
             sampled = np.mean(1.0 / (spectrum - 1j * eta))
             assert sol.converged.all()
             assert abs(sol.S_n[0] - sampled) / abs(sol.S_n[0]) < 0.2
+
+    def test_holds_no_per_sweep_history_copy(self):
+        # the iterate, the ring of dR and dG + damping dR and g_per_node are
+        # 12 units of 16 n grid bytes; measured 18.2-19.2 units, where a
+        # history rebuilt every sweep read 46.0
+        n, grid = 4096, np.linspace(-0.75, 0.75, 15)
+        K = model_kernel(ModelParams(n=n, alpha=0.5))
+        tracemalloc.start()
+        try:
+            cavity_solve(K, grid, eta=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 16 * n * grid.size
+
+    def test_grid_points_are_independent(self):
+        # points stop at different sweeps (13-18), so the running state is
+        # compacted under the others; each alone gives the same bits
+        grid = np.linspace(-0.75, 0.75, 15)
+        K = model_kernel(ModelParams(n=1024, alpha=0.5))
+        together = cavity_solve(K, grid, eta=0.05)
+        assert together.converged.all()
+        assert together.iterations.min() < together.iterations.max()
+        for p in range(grid.size):
+            alone = cavity_solve(K, grid[p : p + 1], eta=0.05)
+            assert alone.iterations[0] == together.iterations[p]
+            assert np.array_equal(alone.g_per_node[:, 0], together.g_per_node[:, p])
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_ring_history_matches_the_rebuilt_one(self, alpha):
+        # the ring sums the slots in another order and the Gram matrix is
+        # built one row at a time, so only the last bits may move; the sweep
+        # counts must not
+        grid = np.linspace(-0.75, 0.75, 15)
+        K = model_kernel(ModelParams(n=512, alpha=alpha))
+        sol = cavity_solve(K, grid, eta=0.05)
+        g, iterations = anderson_reference(K, grid, eta=0.05)
+        assert np.array_equal(sol.iterations, iterations)
+        assert np.all(np.abs(sol.S_n - g.mean(axis=0)) <= 1e-12 * np.abs(g.mean(axis=0)))
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    def test_depth_zero_is_the_damped_map(self, alpha, monkeypatch):
+        monkeypatch.setattr(bulk, "_ANDERSON_DEPTH", 0)
+        grid = np.linspace(-0.75, 0.75, 15)
+        K = model_kernel(ModelParams(n=512, alpha=alpha))
+        sol = cavity_solve(K, grid, eta=0.05)
+        g, iterations = damped_map(K, grid, eta=0.05)
+        assert sol.converged.all()
+        assert np.array_equal(sol.iterations, iterations)
+        assert np.array_equal(sol.g_per_node, g)
+
+    @pytest.mark.parametrize("depth", [0, 5])
+    def test_sweep_cap_keeps_the_last_iterate(self, depth, monkeypatch):
+        monkeypatch.setattr(bulk, "_MAX_SWEEPS", 3)
+        monkeypatch.setattr(bulk, "_ANDERSON_DEPTH", depth)
+        grid = np.linspace(-0.75, 0.75, 15)
+        K = model_kernel(ModelParams(n=512, alpha=0.5))
+        sol = cavity_solve(K, grid, eta=0.05)
+        assert not sol.converged.any()
+        assert (sol.iterations == 3).all()
+        assert sol.steps.shape == (3, grid.size)
+        assert np.isfinite(sol.g_per_node).all()
+        assert (sol.g_per_node != 0j - 1.0 / sol.z_grid).all(axis=0).all()
+        if depth == 0:
+            # the third damped iterate, to the bit
+            assert np.array_equal(sol.g_per_node, damped_map(K, grid, eta=0.05)[0])
+        else:
+            monkeypatch.setattr(bulk, "_MAX_SWEEPS", 2)
+            assert (sol.g_per_node != cavity_solve(K, grid, eta=0.05).g_per_node).any(axis=0).all()
 
     @pytest.mark.slow
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])

@@ -439,6 +439,20 @@ class TestBulk:
         assert grid["all_converged"] is True
         assert grid["converged_points"] == grid["grid_points"] == 9
 
+    def test_sweep_cap_exits_3_and_still_writes(self, tmp_path, monkeypatch):
+        import msmlab.bulk
+
+        monkeypatch.setattr(msmlab.bulk, "_MAX_SWEEPS", 3)
+        argv = ["bulk", "--alpha", "0.5", "--n", "64", "--realizations", "1", "--density", "--grid-points", "5"]
+        assert main(argv + ["--out", str(tmp_path / "b")]) == EXIT_NON_CONVERGENCE
+        _, rows = read_csv_text(tmp_path / "b_density_n64_a0.5.csv")
+        assert len(rows) == 5
+        assert all(math.isfinite(float(r[1])) for r in rows)
+        grid = json.loads((tmp_path / "b_convergence.json").read_text())["grids"][0]
+        assert grid["all_converged"] is False
+        assert grid["converged_points"] == 0
+        assert grid["max_iterations"] == 3
+
     def test_out_required_and_scale_guard(self, capsys, tmp_path):
         assert main(["bulk", "--n", "32"]) == EXIT_USAGE
         rc = main(["bulk", "--n", "8192", "--out", str(tmp_path / "x")])
