@@ -44,10 +44,6 @@ __all__ = [
     "k_star_estimate",
 ]
 
-# largest k that k_star_estimate tries before giving up
-_K_STAR_CAP = 10_000
-
-
 class NoRootError(RuntimeError):
     """No admissible omega_k in the allowed bracket: k is off the ladder."""
 
@@ -89,13 +85,12 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
     """Solve the admissibility condition for the k-th root.
 
     k = 1 is omega = 0 exactly. For k >= 2 the residual starts at
-    (k-1) pi > 0; Brent refinement polishes the root bracketed by the
-    first sign change to |residual| < 1e-9. It is unique, unchecked here,
-    when (ln n)/alpha exceeds f' on the bracket. The bracket
-    starts at twice the affine estimate alpha (k pi + pi)/ln n and may
-    grow geometrically up to alpha (k pi + 4 pi)/ln n; no sign change by
-    then means k is beyond the ladder for this n (NoRootError), which is
-    also the k = 0 outcome.
+    (k-1) pi > 0, and Brent refinement polishes the root in the bracket
+    [0, alpha (k pi + 4 pi)/ln n] to |residual| < 1e-9. It is unique,
+    unchecked here, when (ln n)/alpha exceeds f' on the bracket. A
+    residual still positive at the bracket's end means k is beyond the
+    ladder for this n; that, and k = 0, whose residual starts negative,
+    raise NoRootError.
     """
     _check_n(n)
     if k < 0:
@@ -111,19 +106,15 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
             residual=admissibility_residual(1, 0.0, n, alpha),
         )
     cap = alpha * (k * math.pi + 4.0 * math.pi) / log_n
-    hi = min(2.0 * alpha * (k * math.pi + math.pi) / log_n, cap)
     resid = lambda w: admissibility_residual(k, w, n, alpha)
-    r0 = resid(0.0)
-    while resid(hi) > 0.0:
-        if hi >= cap:
-            raise NoRootError(
-                f"no admissible omega for k={k} at n={n}, alpha={alpha} "
-                f"(residual positive up to omega={cap:.6g})"
-            )
-        hi = min(1.5 * hi, cap)
-    if r0 <= 0.0:  # k = 0 lands here: residual already negative at 0
+    if resid(0.0) <= 0.0:  # k = 0 lands here: residual already negative at 0
         raise NoRootError(f"residual does not start positive for k={k}")
-    omega = brentq(resid, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    if resid(cap) > 0.0:
+        raise NoRootError(
+            f"no admissible omega for k={k} at n={n}, alpha={alpha} "
+            f"(residual positive up to omega={cap:.6g})"
+        )
+    omega = brentq(resid, 0.0, cap, xtol=1e-15, rtol=8.9e-16)
     return SpectralPrediction(
         k=k,
         n=n,
@@ -217,10 +208,14 @@ def spiral_crossings(alpha: float, n: int, locus: np.ndarray) -> np.ndarray:
 
 
 def k_star_estimate(n: int, alpha: float) -> int:
-    """k*: the smallest k whose predicted |lambda_k| drops below the sqrt(n)/2 edge proxy."""
+    """k*: the smallest k whose predicted |lambda_k| drops below the sqrt(n)/2 edge proxy.
+
+    A ladder that ends before any rung drops below the proxy raises
+    solve_omega_k's NoRootError.
+    """
     _check_n(n)
     edge = math.sqrt(n) / 2.0
-    for k in range(1, _K_STAR_CAP + 1):
-        if abs(solve_omega_k(k, n, alpha).lambda_k) < edge:
-            return k
-    raise NoRootError(f"no k <= {_K_STAR_CAP} fell below the bulk edge proxy")
+    k = 1
+    while abs(solve_omega_k(k, n, alpha).lambda_k) >= edge:
+        k += 1
+    return k

@@ -279,6 +279,22 @@ class TestEdgePrefactor:
         params = ModelParams(n=1024, alpha=alpha)
         assert np.allclose(operator_row_variances(params), dense_variance(params).sum(axis=1), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_noise_norm_attains_sigma_inf(self, alpha):
+        # for independent entries E||H|| lies between about sigma, the largest
+        # row deviation, and 2 sigma plus a log term (Bandeira & van Handel,
+        # Ann. Probab. 44, 2016); here the lower bound is attained, and
+        # sigma/sqrt(n) tends to sigma_inf, whose row is 2 or 3. Worst measured
+        # gaps over the three alphas and both seeds: 2.80 / 1.12 / 1.16 /
+        # 0.25 % at n = 4096 / 10^4 / 3 10^4 / 10^5
+        limit, _ = sigma_inf(alpha, 4096)
+        for n, band in ((4096, 0.04), (10**4, 0.02), (3 * 10**4, 0.02), (10**5, 0.01)):
+            K = model_kernel(ModelParams(n=n, alpha=alpha))
+            gaps = [noise_norm(sample_sparse_adjacency(K, seed), K) / math.sqrt(n) / limit - 1.0 for seed in (1, 2)]
+            print(f"alpha={alpha}, n={n}: ||H||/(sigma_inf sqrt(n)) - 1 = " + " / ".join(f"{g:+.4f}" for g in gaps))
+            assert max(abs(g) for g in gaps) <= band
+
 
 class TestCavitySolve:
     def test_free_resolvent_exact(self):
@@ -351,25 +367,23 @@ class TestCavitySolve:
         assert np.abs(real_view - reference).max() <= 1e-15 * np.abs(reference).max()
 
     @pytest.mark.parametrize(
-        "solve",
+        "kernel",
         [
-            pytest.param(lambda grid: cavity_solve(model_kernel(ModelParams(n=512, alpha=0.2)), grid, eta=0.05), id="0.2"),
-            pytest.param(lambda grid: cavity_solve(model_kernel(ModelParams(n=512, alpha=0.8)), grid, eta=0.05), id="0.8"),
+            pytest.param(lambda: model_kernel(ModelParams(n=512, alpha=0.2)), id="0.2"),
+            pytest.param(lambda: model_kernel(ModelParams(n=512, alpha=0.8)), id="0.8"),
             # any scipy operator runs the same loop
-            pytest.param(
-                lambda grid: cavity_solve(scipy.sparse.linalg.aslinearoperator(model_P(ModelParams(n=512, alpha=0.5)).entries), grid, eta=0.05),
-                id="dense",
-            ),
+            pytest.param(lambda: scipy.sparse.linalg.aslinearoperator(model_P(ModelParams(n=512, alpha=0.5)).entries), id="dense"),
         ],
     )
-    def test_anderson_matches_damped_map_in_half_the_sweeps(self, solve, monkeypatch):
-        grid = np.linspace(-0.75, 0.75, 15)
-        mixed = solve(grid)
-        monkeypatch.setattr(bulk, "_ANDERSON_DEPTH", 0)
-        damped = solve(grid)
-        assert mixed.converged.all() and damped.converged.all()
-        assert np.abs(mixed.S_n - damped.S_n).max() <= 1e-8 * np.abs(damped.S_n).min()
-        assert 2 * mixed.iterations.max() <= damped.iterations.max()
+    def test_anderson_matches_damped_map_in_half_the_sweeps(self, kernel):
+        # measured 23 / 16 / 18 sweeps against the damped map's 61 / 41 / 47
+        grid, K = np.linspace(-0.75, 0.75, 15), kernel()
+        mixed = cavity_solve(K, grid, eta=0.05)
+        g, iterations = damped_map(K, grid, eta=0.05)
+        damped = g.mean(axis=0)
+        assert mixed.converged.all() and iterations.max() < bulk._MAX_SWEEPS
+        assert np.abs(mixed.S_n - damped).max() <= 1e-8 * np.abs(damped).min()
+        assert 2 * mixed.iterations.max() <= iterations.max()
 
     @pytest.mark.parametrize("alpha", [0.2, 0.8])
     def test_operator_matches_dense_kernel(self, alpha):
@@ -497,21 +511,8 @@ class TestCavitySolve:
         assert np.array_equal(sol.iterations, iterations)
         assert np.all(np.abs(sol.S_n - g.mean(axis=0)) <= 1e-12 * np.abs(g.mean(axis=0)))
 
-    @pytest.mark.parametrize("alpha", [0.2, 0.8])
-    def test_depth_zero_is_the_damped_map(self, alpha, monkeypatch):
-        monkeypatch.setattr(bulk, "_ANDERSON_DEPTH", 0)
-        grid = np.linspace(-0.75, 0.75, 15)
-        K = model_kernel(ModelParams(n=512, alpha=alpha))
-        sol = cavity_solve(K, grid, eta=0.05)
-        g, iterations = damped_map(K, grid, eta=0.05)
-        assert sol.converged.all()
-        assert np.array_equal(sol.iterations, iterations)
-        assert np.array_equal(sol.g_per_node, g)
-
-    @pytest.mark.parametrize("depth", [0, 5])
-    def test_sweep_cap_keeps_the_last_iterate(self, depth, monkeypatch):
+    def test_sweep_cap_keeps_the_last_iterate(self, monkeypatch):
         monkeypatch.setattr(bulk, "_MAX_SWEEPS", 3)
-        monkeypatch.setattr(bulk, "_ANDERSON_DEPTH", depth)
         grid = np.linspace(-0.75, 0.75, 15)
         K = model_kernel(ModelParams(n=512, alpha=0.5))
         sol = cavity_solve(K, grid, eta=0.05)
@@ -520,12 +521,8 @@ class TestCavitySolve:
         assert sol.steps.shape == (3, grid.size)
         assert np.isfinite(sol.g_per_node).all()
         assert (sol.g_per_node != 0j - 1.0 / sol.z_grid).all(axis=0).all()
-        if depth == 0:
-            # the third damped iterate, to the bit
-            assert np.array_equal(sol.g_per_node, damped_map(K, grid, eta=0.05)[0])
-        else:
-            monkeypatch.setattr(bulk, "_MAX_SWEEPS", 2)
-            assert (sol.g_per_node != cavity_solve(K, grid, eta=0.05).g_per_node).any(axis=0).all()
+        monkeypatch.setattr(bulk, "_MAX_SWEEPS", 2)
+        assert (sol.g_per_node != cavity_solve(K, grid, eta=0.05).g_per_node).any(axis=0).all()
 
     @pytest.mark.slow
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])

@@ -425,6 +425,12 @@ class TestBulk:
                 "--density",
                 "--grid-points",
                 "9",
+                "--eta",
+                "0.1",
+                "--damping",
+                "0.7",
+                "--tol",
+                "1e-10",
                 "--out",
                 str(tmp_path / "b"),
             ]
@@ -435,6 +441,7 @@ class TestBulk:
         assert len(rows) == 9
         assert all(float(r[1]) >= -1e-9 for r in rows)
         doc = json.loads((tmp_path / "b_convergence.json").read_text())
+        assert (doc["config"]["eta"], doc["config"]["damping"], doc["config"]["tol"]) == (0.1, 0.7, 1e-10)
         grid = doc["grids"][0]
         assert grid["all_converged"] is True
         assert grid["converged_points"] == grid["grid_points"] == 9
@@ -463,6 +470,18 @@ class TestBulk:
         rc = main(["bulk", "--n", "32", "--realizations", "1", "--out", str(tmp_path / "b")])
         assert rc == EXIT_NON_CONVERGENCE
         assert_one_line_error(capsys.readouterr().err)
+
+    def test_other_runtime_error_propagates(self, tmp_path, monkeypatch):
+        # only ARPACK's non-convergence is exit 3; any other RuntimeError is a
+        # fault of the program and keeps its traceback
+        import scipy.sparse.linalg
+
+        def eigsh(*args, **kwargs):
+            raise RuntimeError("not a convergence failure")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+        with pytest.raises(RuntimeError, match="not a convergence failure"):
+            main(["bulk", "--n", "32", "--realizations", "1", "--out", str(tmp_path / "b")])
 
 
 class TestCoarseGrain:
@@ -558,12 +577,19 @@ class TestConfigAndEnvironment:
         capsys.readouterr()
         assert rc == EXIT_USAGE
 
-    def test_malformed_config_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "Expecting property name"), ("[0.3, 64]", "config file must hold a JSON object, got list")],
+        ids=["not_json", "list"],
+    )
+    def test_malformed_config_rejected(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
+        cfg.write_text(text)
         rc = main(["predict", "--config", str(cfg)])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert rc == EXIT_USAGE
+        assert_one_line_error(err)
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv, config, flags",
@@ -575,15 +601,26 @@ class TestConfigAndEnvironment:
             (["predict"], {"format": "xml"}, None),
             (["compare", "--n", "64"], {"deterministic": "false"}, None),
             (["coarsegrain"], {"partition": "blocks"}, None),
+            (["bulk", "--realizations", "1"], {"n": []}, None),
+            (["predict", "--k-max", "2"], {"format": "json"}, ["--format", "json"]),
+            (["compare", "--n", "64", "--k-max", "2"], {"deterministic": False}, ["--no-deterministic"]),
         ],
-        ids=["text_int", "b_zero", "scalar_list", "k_max_zero", "format_xml", "text_bool", "partition"],
+        ids=[
+            "text_int", "b_zero", "scalar_list", "k_max_zero", "format_xml", "text_bool", "partition",
+            "empty_list", "format_json", "bool_false",
+        ],
     )
-    def test_config_values_checked_like_flags(self, tmp_path, capsys, argv, config, flags):
+    def test_config_values_checked_like_flags(self, tmp_path, monkeypatch, capsys, argv, config, flags):
         # flags=None: the flag would reject the value, so the file's value must
-        # exit 2 naming the key; otherwise it must write what the flags write
+        # exit 2 naming the key; otherwise it must write what the flags write.
+        # Each run writes "run" in its own directory, so the out path that
+        # JSON documents record is the same text in both
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        rc = main(argv + ["--config", str(path), "--out", str(tmp_path / "file")])
+        for side in ("file", "flag"):
+            (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / "file")
+        rc = main(argv + ["--config", str(path), "--out", "run"])
         err = capsys.readouterr().err
         if flags is None:
             assert rc == EXIT_USAGE
@@ -591,12 +628,12 @@ class TestConfigAndEnvironment:
             assert repr(next(iter(config))) in err
             return
         assert rc == EXIT_OK
-        assert main(argv + flags + ["--out", str(tmp_path / "flag")]) == EXIT_OK
-        written = sorted(p.name for p in tmp_path.glob("file*"))
+        monkeypatch.chdir(tmp_path / "flag")
+        assert main(argv + flags + ["--out", "run"]) == EXIT_OK
+        written = sorted(p.name for p in (tmp_path / "file").iterdir())
         assert written
         for name in written:
-            flagged = tmp_path / name.replace("file", "flag", 1)
-            assert (tmp_path / name).read_bytes() == flagged.read_bytes()
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
 
     @pytest.mark.parametrize(
         "argv, key, text",

@@ -121,6 +121,15 @@ class TestGenFitness:
         assert np.all(np.diff(fv.x) <= 0.0)
         assert np.all(fv.x >= 1.0)
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [([], "nonempty 1-d"), ([[2.0, 1.0]], "nonempty 1-d"), ([2.0, 0.5], ">= 1"), ([1.0, 2.0], "sorted descending")],
+        ids=["empty", "two_d", "below_one", "ascending"],
+    )
+    def test_fitness_vector_refuses(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            FitnessVector(np.array(x))
+
     def test_seed_reproducibility(self):
         p = ModelParams(n=200, alpha=0.5, seed=42, weight_mode="iid_pareto")
         assert np.array_equal(gen_fitness(p).x, gen_fitness(p).x)

@@ -381,3 +381,8 @@ class TestKStar:
         assert k_star_estimate(4, 0.5) == 2
         assert abs(solve_omega_k(2, 4, 0.5).lambda_k) < math.sqrt(4) / 2
         assert solve_omega_k(1, 4, 0.5).lambda_k > math.sqrt(4) / 2
+        # at n = 2 the ladder is the k = 1 rung alone, above the proxy, so
+        # no k qualifies and k = 2's NoRootError propagates
+        assert len(ladder(10, 2, 0.5)) == 1 and solve_omega_k(1, 2, 0.5).lambda_k > math.sqrt(2) / 2
+        with pytest.raises(NoRootError, match="k=2"):
+            k_star_estimate(2, 0.5)
