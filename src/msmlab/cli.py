@@ -33,9 +33,9 @@ EXIT_NON_CONVERGENCE = 3
 EXIT_TRUNCATED = 4
 
 # largest n allowed without the --paper-scale acknowledgment; beyond it
-# compare's dense spectra take over a minute (at 2 BLAS threads on 2
-# cores, n = 4096: 5.1 s and 346 MB peak RSS; n = 10^4: 67 s and 1.6 GB,
-# one n x n matrix and eigvalsh's copy of it held at a time). bulk holds
+# compare's dense spectrum of P takes over a minute (at 2 BLAS threads on
+# 2 cores, n = 4096: 6.0 s and 346 MB peak RSS; n = 10^4: 73 s and 1.6 GB,
+# the n x n P and eigvalsh's copy of it held at once). bulk holds
 # no n x n array and a draw costs O(n + m), but the same limit refuses it
 CI_SCALE_LIMIT = 4096
 

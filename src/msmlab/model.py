@@ -13,8 +13,10 @@ and coarse_grain holds only log(1 - P) of the permuted weights. All three
 evaluate each entry through one formula, so they agree to the bit where
 they overlap.
 
-A has one form, the sparse 0/1 CSR array of sample_sparse_adjacency;
-callers that need a dense A, such as an eigensolve, take its toarray().
+A has one form, the sparse 0/1 CSR array of sample_sparse_adjacency,
+with sorted column indices and no duplicates. compare takes A's whole
+spectrum from its quotient over rows with one neighbour set, so only its
+eigh fallback takes A's toarray().
 
 Randomness uses the counter-based Philox generator with one child stream
 per (purpose, realization) key, so each draw is a pure function of its
@@ -314,9 +316,17 @@ def sample_sparse_adjacency(
     n = kernel.n
     rng = stream_rng(seed, STREAM_ADJACENCY, realization)
     near = kernel._near
-    rows = np.repeat(np.arange(n, dtype=near.indices.dtype), np.diff(near.indptr))
-    pairs = np.flatnonzero(near.indices > rows)
-    hits = pairs[rng.random(pairs.size) < near.data[pairs]]
+    indptr = near.indptr
+    # row i's columns run from 0 past the diagonal, so its pairs j > i are
+    # the tail of its CSR row from indptr[i] + i, empty where J_i <= i
+    first = np.minimum(indptr[:-1] + np.arange(n), indptr[1:])
+    tail = indptr[1:] - first
+    # a mask of the tails, so no index array spans the block
+    upper = np.repeat(np.tile([False, True], n), np.column_stack([first - indptr[:-1], tail]).ravel())
+    kept = np.zeros_like(upper)
+    kept[upper] = rng.random(tail.sum()) < near.data[upper]
+    hits = np.flatnonzero(kept)
+    hit_rows = np.searchsorted(indptr, hits, side="right") - 1
 
     y, start = kernel._y, kernel._far_start
     far = np.flatnonzero(start < n)
@@ -329,7 +339,7 @@ def sample_sparse_adjacency(
     # the first slot whose sum passes u; a u that rounds up to T_i stays in range
     slot = np.minimum(np.searchsorted(suffix, u, side="right"), np.repeat(last, points))
 
-    i = np.concatenate([rows[hits], np.repeat(far, points)])
+    i = np.concatenate([hit_rows, np.repeat(far, points)])
     j = np.concatenate([near.indices[hits], n - 1 - slot])
     both = (np.concatenate([i, j]), np.concatenate([j, i]))
     A = scipy.sparse.csr_array((np.ones(2 * i.size), both), shape=(n, n))

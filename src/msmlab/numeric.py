@@ -5,13 +5,15 @@ of anything scipy.sparse.linalg.aslinearoperator takes (a sparse array, a
 KernelOperator, a LinearOperator), and a dense solve of op @ I for
 k >= n - 1; it returns numpy's (values, vectors) pair. ||A - P|| is its
 k = 1 case on scipy's difference of the sparse draw A and the
-KernelOperator of P, so H is never stored. compare builds dense P, then
-dense A, only for their whole spectra: one eigvalsh each, whose values
-are matched to spectrum.ladder's predictions before any vector is
-computed. The matched vectors then come from eig_top on P's
-KernelOperator and on the sparse A, down to the first clear magnitude
-gap at or past the deepest matched rank, so no n x n vector block is
-made; eigh is the fallback where the values rule Lanczos out or it
+KernelOperator of P, so H is never stored. compare takes both whole
+spectra with one eigvalsh each: of the dense P, and of A's m x m
+quotient over its twin classes, the rows with one neighbour set, plus
+n - m exact zeros, so no dense A is built. The values are matched to
+spectrum.ladder's predictions before any vector is computed. The
+matched vectors then come from eig_top on P's KernelOperator and on the
+sparse A, down to the first clear magnitude gap at or past the deepest
+matched rank, so no n x n vector block is made; eigh of the rebuilt
+dense matrix is the fallback where the values rule Lanczos out or it
 fails. It returns one ComparisonReport: its rows, the predicted and
 matched vectors as row-per-rank blocks, and both spectra.
 
@@ -173,30 +175,59 @@ def _veto_ranks(vals: np.ndarray, wants: list[float | None]) -> list[int]:
 # it took <= 0.03 s. eigh's vectors also take three more n x n arrays.
 _LANCZOS_MAX_RANK = 192
 _LANCZOS_MIN_GAP = 1e-3
-# Lanczos's values must meet eigvalsh's to this fraction of |lambda_1|
+# Lanczos's values must meet the whole spectrum's to this fraction of |lambda_1|
 # at every rank down to k, or its vectors are not used
 _LANCZOS_VALUE_TOL = 1e-12
 
 
-def _matched_pairs(
-    matrix: np.ndarray, op, wants: list[float | None]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A dense matrix's whole spectrum, and the pair matched to each wanted sign in turn.
+def _quotient_spectrum(A: scipy.sparse.csr_array) -> np.ndarray:
+    """The whole spectrum of a 0/1 adjacency A with no self loops, from its quotient over twins.
 
-    op applies the same matrix without storing it: the KernelOperator of
-    P or the sparse A. eigvalsh gives the whole spectrum of the matrix,
-    which the caller built finite and symmetric, and _veto_ranks matches
-    on those values, so the matched ranks are known before any vector is
-    computed. The vectors then come from eig_top(op, k), with k chosen
-    from the values by the Lanczos limits above, when its values agree
-    with eigvalsh's at every rank <= k; the matched values are
-    eigvalsh's. Where no k passes the limits, and when Lanczos does not
-    converge or disagrees, one eigh solves the matrix and the veto runs
-    again on its own values. Returns all eigenvalues in magnitude order,
-    the matched ones, and their eigenvectors as (len(wants), n) rows.
+    Twins, rows with the same neighbour set, are never adjacent, since no
+    node neighbours itself, and two classes of twins are joined all to
+    all or not at all. So A = E M E^T for the n x m class indicator E and
+    the 0/1 class matrix M, and A's spectrum is that of the m x m
+    B = S^(1/2) M S^(1/2), S = diag(class sizes), plus n - m exact zeros
+    (Cvetkovic, Rowlinson & Simic, An Introduction to the Theory of Graph
+    Spectra, CUP 2010, on equitable partitions). Rows are grouped by the
+    bytes of their column indices, which a dict compares in full; rows
+    whose indices are stored in different orders only stay apart, which
+    keeps the identity exact. Classes are numbered by their first row, so
+    with no twins B is A.toarray() and its eigvalsh is A's to the bit. A
+    is only read. Returns the values unordered.
     """
-    vals = np.linalg.eigvalsh(matrix)
-    vals = vals[_magnitude_order(vals)]
+    indptr = A.indptr.tolist()
+    classes: dict[bytes, int] = {}
+    label = np.array(
+        [classes.setdefault(A.indices[a:b].tobytes(), len(classes)) for a, b in zip(indptr[:-1], indptr[1:])]
+    )
+    reps = np.unique(label, return_index=True)[1]
+    root = np.sqrt(np.bincount(label))
+    B = A[reps][:, reps].toarray()
+    B *= root
+    B *= root[:, None]
+    return np.concatenate([np.linalg.eigvalsh(B), np.zeros(A.shape[0] - reps.size)])
+
+
+def _matched_pairs(
+    spectrum: np.ndarray, dense, op, wants: list[float | None]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A matrix's whole spectrum, and the pair matched to each wanted sign in turn.
+
+    spectrum holds every eigenvalue of a finite symmetric matrix, in any
+    order. op applies the matrix without storing it: the KernelOperator
+    of P or the sparse A. dense() builds the matrix, and only the eigh
+    fallback calls it. _veto_ranks matches on the values, so the matched
+    ranks are known before any vector is computed. The vectors then come
+    from eig_top(op, k), with k chosen from the values by the Lanczos
+    limits above, when its values agree with the spectrum's at every
+    rank <= k; the matched values are the spectrum's. Where no k passes
+    the limits, and when Lanczos does not converge or disagrees, one eigh
+    solves dense() and the veto runs again on its own values. Returns all
+    eigenvalues in magnitude order, the matched ones, and their
+    eigenvectors as (len(wants), n) rows.
+    """
+    vals = spectrum[_magnitude_order(spectrum)]
     ranks = _veto_ranks(vals, wants)
     d = max(ranks) + 1
     mags = np.abs(vals)
@@ -212,8 +243,8 @@ def _matched_pairs(
             if np.all(np.abs(top_vals - vals[:k]) <= _LANCZOS_VALUE_TOL * mags[0]):
                 return vals, vals[ranks], top_vecs[:, ranks].T
     # the dense path: eigh's own order, which near ties can make differ
-    # from eigvalsh's, so its ranks are matched afresh
-    vals, vecs = np.linalg.eigh(matrix)
+    # from the spectrum's, so its ranks are matched afresh
+    vals, vecs = np.linalg.eigh(dense())
     order = _magnitude_order(vals)
     matched = order[_veto_ranks(vals[order], wants)]
     return vals[order], vals[matched], vecs[:, matched].T
@@ -223,11 +254,14 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
     """Three-way ladder comparison: analytic roots vs eig(P) vs eig(A).
 
     Samples one sparse adjacency, realization 0 of the params seed, from the
-    KernelOperator of the expected kernel, takes ||A - P|| on the two,
-    then builds dense P, and only then dense A, for _matched_pairs: one
-    eigvalsh each, matched on its eigenvalues, and the matched vectors
-    from Lanczos on the operator or the sparse draw, with eigh as the
-    fallback. Rank k is matched to the k-th eigenvalue by descending
+    KernelOperator of the expected kernel, and takes ||A - P|| on the
+    two. P's whole spectrum is eigvalsh of the dense P, and A's that of
+    its quotient over twin nodes (_quotient_spectrum): within 1e-12 of
+    |lambda_1| of eigvalsh of the dense A, and equal to it to the bit
+    when no two rows are alike. _matched_pairs matches on those values
+    and takes the matched vectors from Lanczos on the operator or the
+    sparse draw, with eigh of the rebuilt dense P or A as the fallback.
+    Rank k is matched to the k-th eigenvalue by descending
     magnitude with a sign veto (the predicted sign must agree for the
     match to stand while same-signed candidates remain). A
     missing root bracket at some k truncates the prediction columns from
@@ -250,9 +284,12 @@ def compare(params: ModelParams, k_max: int) -> ComparisonReport:
     t = len(preds)
     vecs_pred = np.array([eigenvector_entries(p) for p in preds]).reshape(t, params.n)
     wants = [math.copysign(1.0, p.lambda_k) for p in preds] + [None] * (k_max - t)
-    # each n x n array lives only inside its _matched_pairs call
-    vals_P, lams_P, vecs_P = _matched_pairs(expected_matrix(fv, params.epsilon_n).entries, K, wants)
-    vals_A, lams_A, vecs_A = _matched_pairs(A.toarray(), A, wants)
+    # P's n x n array lives only inside its eigvalsh, and an eigh
+    # fallback builds its matrix afresh
+    eps = params.epsilon_n
+    spectrum_P = np.linalg.eigvalsh(expected_matrix(fv, eps).entries)
+    vals_P, lams_P, vecs_P = _matched_pairs(spectrum_P, lambda: expected_matrix(fv, eps).entries, K, wants)
+    vals_A, lams_A, vecs_A = _matched_pairs(_quotient_spectrum(A), A.toarray, A, wants)
 
     rows: list[ComparisonRow] = []
     for i, want in enumerate(wants):

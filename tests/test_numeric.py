@@ -294,19 +294,80 @@ class TestNoiseNorm:
             noise_norm(A, constant_kernel(9, 0.2)[0])
 
 
+def adjacency(n: int, edges: list[tuple[int, int]]) -> scipy.sparse.csr_array:
+    """The symmetric 0/1 CSR adjacency of an undirected edge list on n nodes."""
+    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
+    return scipy.sparse.csr_array((np.ones(2 * i.size), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+
+
+class TestQuotientSpectrum:
+    @pytest.mark.parametrize("r", [1, 2, 7])
+    def test_star(self, r):
+        # K_1,r: the leaves are one twin class, so B is 2 x 2 and the
+        # spectrum is +-sqrt(r) and r - 1 exact zeros
+        vals = np.sort(numeric._quotient_spectrum(adjacency(r + 1, [(0, j) for j in range(1, r + 1)])))
+        assert np.abs(vals[[0, -1]] - [-math.sqrt(r), math.sqrt(r)]).max() <= 1e-15 * math.sqrt(r)
+        assert np.count_nonzero(vals == 0.0) == r - 1
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 3), (5, 4)])
+    def test_complete_bipartite(self, a, b):
+        vals = np.sort(numeric._quotient_spectrum(adjacency(a + b, [(i, a + j) for i in range(a) for j in range(b)])))
+        root = math.sqrt(a * b)
+        assert np.abs(vals[[0, -1]] - [-root, root]).max() <= 1e-15 * root
+        assert np.count_nonzero(vals == 0.0) == a + b - 2
+
+    def test_empty_graph(self):
+        vals = numeric._quotient_spectrum(adjacency(6, []))
+        assert vals.shape == (6,) and not vals.any()
+
+    def test_isolated_nodes(self):
+        # a 4-cycle with a pendant on node 0, beside three isolated nodes:
+        # nodes 1 and 2 share the neighbours {0, 3}, and the isolated
+        # nodes share none, so m = 5 classes hold the 8 nodes
+        A = adjacency(8, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 4)])
+        vals = np.sort(numeric._quotient_spectrum(A))
+        want = np.linalg.eigvalsh(A.toarray())
+        assert np.abs(vals - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.count_nonzero(vals == 0.0) >= 8 - 5
+
+    def test_no_twins_is_eigvalsh_to_the_bit(self):
+        A = adjacency(4, [(0, 1), (1, 2), (2, 3)])  # the path P4
+        assert np.array_equal(numeric._quotient_spectrum(A), np.linalg.eigvalsh(A.toarray()))
+
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_sampled_draws_match_eigvalsh(self, n, alpha, mode):
+        # within 1e-12 |lambda_1|, _LANCZOS_VALUE_TOL; m counts A's
+        # distinct rows, and A is left as it was
+        params = ModelParams(n=n, alpha=alpha, seed=4, weight_mode=mode)
+        A = sample_sparse_adjacency(KernelOperator(gen_fitness(params), params.epsilon_n), params.seed)
+        before = [a.copy() for a in (A.indptr, A.indices, A.data)]
+        vals = np.sort(numeric._quotient_spectrum(A))
+        for a, b in zip(before, (A.indptr, A.indices, A.data)):
+            assert np.array_equal(a, b)
+        dense = A.toarray()
+        want = np.linalg.eigvalsh(dense)
+        assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
+        m = np.unique(dense, axis=0).shape[0]
+        assert np.count_nonzero(vals == 0.0) >= n - m
+
+
 def compare_traced(monkeypatch, params: ModelParams, k_max: int):
-    """compare's report, and the solver calls of P's and of A's spectrum in turn.
+    """compare's report, the solver calls of P's and of A's spectrum, and each eigvalsh argument's shape.
 
     Spies record the calls; nothing is timed. Each matrix's solve opens
     with its eigvalsh, so the calls from one eigvalsh to the next belong to
     P: ["eigvalsh", "eig_top"] is the Lanczos path, and an "eigh" marks
     the dense one. noise_norm's eig_top runs before either and is dropped.
     """
-    calls = []
+    calls, shapes = [], []
 
     def spy(name, fn):
         def call(*args):
             calls.append(name)
+            if name == "eigvalsh":
+                shapes.append(args[0].shape)
             return fn(*args)
 
         return call
@@ -317,7 +378,7 @@ def compare_traced(monkeypatch, params: ModelParams, k_max: int):
         m.setattr(numeric, "eig_top", spy("eig_top", numeric.eig_top))
         report = compare(params, k_max)
     first, second = [i for i, c in enumerate(calls) if c == "eigvalsh"]
-    return report, calls[first:second], calls[second:]
+    return report, [calls[first:second], calls[second:]], shapes
 
 
 def dense_oracle(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -428,15 +489,23 @@ class TestCompare:
         # every row and its vectors rebuilt from one inline eigh of P and
         # of A, in the documented order (|lambda| descending, ties by signed
         # value) with the sign veto. All six cases take the Lanczos path:
-        # the values are eigvalsh's, to the bit, and the vectors eig_top's,
-        # which sat within 3.6e-15 |lambda_1| and 1 - |cos| <= 2.0e-15 of
-        # eigh's. Deterministic weights at alpha = 0.8 veto P's rank 29
-        # into k = 7, so that Lanczos block reaches past rank 29
+        # the values are eigvalsh's, of P to the bit and of A's twin
+        # quotient within 1e-12 |lambda_1| of A's (measured <= 4.4e-15),
+        # and the vectors eig_top's, which sat within 3.6e-15 |lambda_1| and
+        # 1 - |cos| <= 2.0e-15 of eigh's. Deterministic weights at
+        # alpha = 0.8 veto P's rank 29 into k = 7, so that Lanczos block
+        # reaches past rank 29
         n, k_max = 1024, 8
         params = ModelParams(n=n, alpha=alpha, seed=3, weight_mode=mode)
-        report, *calls = compare_traced(monkeypatch, params, k_max)
+        report, calls, shapes = compare_traced(monkeypatch, params, k_max)
         assert calls == [["eigvalsh", "eig_top"]] * 2
         solved = dense_oracle(params)
+        # P's eigvalsh takes the n x n P, and A's the quotient over A's
+        # twin classes, one per distinct row
+        m = np.unique(solved[1][0], axis=0).shape[0]
+        assert shapes == [(n, n), (m, m)]
+        if alpha == 0.2:
+            assert m < n / 2
         blocks = (report.vectors_P, report.vectors_A)
         spectra = (report.eigenvalues_P, report.eigenvalues_A)
         used, used_own = (set(), set()), (set(), set())
@@ -473,9 +542,10 @@ class TestCompare:
         if (alpha, mode) == (0.8, "deterministic"):
             assert max(used[0]) >= k_max
         assert report.vectors_P.shape == report.vectors_A.shape == (k_max, n)
-        for (m, _, _), got in zip(solved, spectra):
-            vals = np.linalg.eigvalsh(m)
-            assert np.array_equal(got, vals[np.lexsort((-vals, -np.abs(vals)))])
+        (P, _, _), (A, _, _) = solved
+        assert np.array_equal(report.eigenvalues_P, by_magnitude(np.linalg.eigvalsh(P)))
+        want = np.sort(np.linalg.eigvalsh(A))
+        assert np.abs(np.sort(report.eigenvalues_A) - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize(
         "n, alpha, mode, seed, k_max, want_dense",
@@ -491,7 +561,7 @@ class TestCompare:
         # where the values refuse Lanczos, eig_top never runs on that
         # matrix and eigh, matched on its own values, gives every row
         params = ModelParams(n=n, alpha=alpha, seed=seed, weight_mode=mode)
-        report, *calls = compare_traced(monkeypatch, params, k_max)
+        report, calls, _ = compare_traced(monkeypatch, params, k_max)
         for c, is_dense in zip(calls, want_dense):
             assert c == (["eigvalsh", "eigh"] if is_dense else ["eigvalsh", "eig_top"])
         self.assert_dense_rows(report, params, want_dense)
@@ -508,7 +578,7 @@ class TestCompare:
         wants = [1.0, -1.0, 1.0, 1.0]
         calls = []
         monkeypatch.setattr(numeric, "eig_top", lambda op, k: calls.append(k))
-        vals, matched, vecs = numeric._matched_pairs(m, m, wants)
+        vals, matched, vecs = numeric._matched_pairs(np.linalg.eigvalsh(m), lambda: m, m, wants)
         assert calls == []
         want_vals, want_vecs = np.linalg.eigh(m)
         order = np.lexsort((-want_vals, -np.abs(want_vals)))
@@ -538,7 +608,7 @@ class TestCompare:
 
         monkeypatch.setattr(numeric, "eig_top", eig_top)
         params = ModelParams(n=1024, alpha=0.5, seed=3)
-        report, *calls = compare_traced(monkeypatch, params, 8)
+        report, calls, _ = compare_traced(monkeypatch, params, 8)
         assert calls == [["eigvalsh", "eig_top", "eigh"]] * 2
         self.assert_dense_rows(report, params, (True, True))
 
