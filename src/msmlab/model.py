@@ -9,9 +9,9 @@ index 1 is the largest hub.
 KernelOperator applies P and reads its rows without an n x n array; the
 adjacency sampler, and the norms and solvers elsewhere, take P in that
 form. expected_matrix builds the dense array only for the eigensolves,
-and coarse_grain holds only log(1 - P) of the permuted weights. All three
-evaluate each entry through one formula, so they agree to the bit where
-they overlap.
+and coarse_grain holds log(1 - P) of one supernode's row block at a time.
+All three evaluate each entry through one formula, so they agree to the
+bit where they overlap.
 
 A has one form, the sparse 0/1 CSR array of sample_sparse_adjacency,
 with sorted column indices and no duplicates. compare takes A's whole
@@ -168,9 +168,9 @@ def gen_fitness(params: ModelParams) -> FitnessVector:
 def _kernel(epsilon_n: float, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
     """p = 1 - exp(-eps_n x_i x_j), in the one rounding every P form shares.
 
-    Evaluated in place in the product's array, so a dense P, or the
-    permuted P that coarse_grain takes logs of, holds no n x n temporary
-    beside its result. A product that overflows to inf gives p = 1, which
+    Evaluated in place in the product's array, so a dense P, or a row
+    block that coarse_grain takes logs of, holds no temporary beside its
+    result. A product that overflows to inf gives p = 1, which
     ModelParams' floor on eps_n makes exact.
     """
     with np.errstate(over="ignore"):
@@ -340,11 +340,10 @@ def sample_sparse_adjacency(
     slot = np.minimum(np.searchsorted(suffix, u, side="right"), np.repeat(last, points))
 
     i = np.concatenate([hit_rows, np.repeat(far, points)])
-    j = np.concatenate([near.indices[hits], n - 1 - slot])
-    both = (np.concatenate([i, j]), np.concatenate([j, i]))
-    A = scipy.sparse.csr_array((np.ones(2 * i.size), both), shape=(n, n))
-    A.data[:] = 1.0  # the constructor sums duplicates: a pair hit by several points is one edge
-    return A
+    j = np.concatenate([near.indices[hits], n - 1 - slot])  # every j > i
+    triu = scipy.sparse.csr_array((np.ones(i.size), (i, j)), shape=(n, n))
+    triu.data[:] = 1.0  # the constructor sums duplicates: a pair hit by several points is one edge
+    return triu + triu.T
 
 
 def coarse_grain(
@@ -365,10 +364,15 @@ def coarse_grain(
     the model is closed under homogeneous aggregation. The product is
     evaluated here as written (in log space), not through the closed form,
     so the invariance stays a checkable statement. The diagonal of the
-    induced matrix is zero, as in expected_matrix.
+    induced matrix is zero, as in expected_matrix. The supernodes are
+    numbered by descending X_I, ties in partition order.
 
     partition is "contiguous" (blocks of the descending sort order) or
     "random" (seeded uniform shuffle into equal blocks).
+
+    Each supernode's b x n row block of log(1 - p) is summed into its row
+    of P', so the peak is about 16 (n/b)^2 + 8 b n bytes: the result, the
+    re-mirror's copy of it, and one row block (2 x 8 n^2 at b = 1).
     """
     n = x.n
     b = block_size
@@ -381,29 +385,24 @@ def coarse_grain(
     else:
         raise ValueError(f"unknown partition {partition!r}")
     nb = n // b
-    xo = x.x[order]
-    # log(1 - p) of the permuted P, in place: each entry comes from the
-    # same product x_i x_j as expected_matrix's, so it is the same to the bit
-    lp = _kernel(epsilon_n, xo[:, None], xo[None, :])
-    np.fill_diagonal(lp, 0.0)
-    np.negative(lp, out=lp)
-    with np.errstate(divide="ignore"):
-        # saturated entries (p = 1 at double precision) give log 0 = -inf,
-        # which propagates to P' = 1 for any block containing them
-        np.log1p(lp, out=lp)
-    coarse = lp.reshape(nb, b, nb, b).sum(axis=(1, 3))
-    del lp  # at b = 1 the sums are n x n too: keep at most two such arrays live
-    np.expm1(coarse, out=coarse)
-    np.negative(coarse, out=coarse)
-    np.fill_diagonal(coarse, 0.0)
-    big_x = xo.reshape(nb, b).sum(axis=1)
+    big_x = x.x[order].reshape(nb, b).sum(axis=1)
     rank = np.argsort(-big_x, kind="stable")
-    big_x = big_x[rank]
-    coarse = coarse[np.ix_(rank, rank)]
+    # members of a supernode side by side, the supernodes in descending X_I
+    rows = x.x[order.reshape(nb, b)[rank]]
+    coarse = np.empty((nb, nb))
+    with np.errstate(divide="ignore"):
+        for row, xi in zip(coarse, rows):
+            # log(1 - p) of the row block, each entry expected_matrix's to the
+            # bit; p = 1 gives log 0 = -inf, so P' = 1 for its block pair. Self
+            # pairs land only on the diagonal, which is zeroed below
+            lp = _kernel(epsilon_n, xi[:, None], rows.ravel()[None, :])
+            np.log1p(np.negative(lp, out=lp), out=lp)
+            lp.reshape(b, nb, b).sum(axis=(0, 2), out=row)
+    np.negative(np.expm1(coarse, out=coarse), out=coarse)
+    np.fill_diagonal(coarse, 0.0)
     # coarse[I, J] adds the terms of coarse[J, I] in another order, so the
-    # two can differ in the last bit; permuting both axes alike keeps
-    # symmetry exact
+    # two can differ in the last bit; the mirror keeps symmetry exact
     coarse += coarse.T
     coarse *= 0.5
     # re-mirrored, zero diagonal, and -expm1 of a log-sum <= 0 lies in [0, 1]
-    return FitnessVector(x=big_x), SymmetricMatrix(coarse)
+    return FitnessVector(x=big_x[rank]), SymmetricMatrix(coarse)

@@ -22,6 +22,7 @@ exponent is its complex conjugate, so spiral returns this one only.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,15 +87,17 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
 
     k = 1 is omega = 0 exactly. For k >= 2 the residual starts at
     (k-1) pi > 0, and Brent refinement polishes the root in the bracket
-    [0, alpha (k pi + 4 pi)/ln n] to |residual| < 1e-9. It is unique,
-    unchecked here, when (ln n)/alpha exceeds f' on the bracket. A
-    residual still positive at the bracket's end means k is beyond the
-    ladder for this n; that, and k = 0, whose residual starts negative,
-    raise NoRootError.
+    [0, alpha (k pi + 4 pi)/ln n] to |residual| < 1e-9, evaluating no
+    omega twice. It is unique, unchecked here, when (ln n)/alpha exceeds
+    f' on the bracket. A residual still positive at the bracket's end
+    means k is beyond the ladder for this n; that, and k = 0, whose
+    residual starts at -pi, raise NoRootError.
     """
     _check_n(n)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if k == 0:  # f(0) = -pi exactly, so the residual starts at -pi
+        raise NoRootError("residual does not start positive for k=0")
     log_n = math.log(n)
     if k == 1:
         return SpectralPrediction(
@@ -106,9 +109,7 @@ def solve_omega_k(k: int, n: int, alpha: float) -> SpectralPrediction:
             residual=admissibility_residual(1, 0.0, n, alpha),
         )
     cap = alpha * (k * math.pi + 4.0 * math.pi) / log_n
-    resid = lambda w: admissibility_residual(k, w, n, alpha)
-    if resid(0.0) <= 0.0:  # k = 0 lands here: residual already negative at 0
-        raise NoRootError(f"residual does not start positive for k={k}")
+    resid = functools.cache(lambda w: admissibility_residual(k, w, n, alpha))
     if resid(cap) > 0.0:
         raise NoRootError(
             f"no admissible omega for k={k} at n={n}, alpha={alpha} "

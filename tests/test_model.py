@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,6 +281,38 @@ class TestSampleAdjacency:
             A = sample_sparse_adjacency(K, seed, realization).toarray()
             assert np.array_equal(A[rows, cols], (u < P[rows, cols]).astype(float))
 
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_matches_the_two_direction_build_to_the_byte(self, alpha, mode, monkeypatch):
+        # reference: the (i, j) pairs the sampler draws, duplicates and
+        # all, entered in both directions into one constructor that sums
+        # the duplicates, then set to 1
+        params = ModelParams(n=4096, alpha=alpha, seed=4, weight_mode=mode)
+        K = KernelOperator(gen_fitness(params), params.epsilon_n)
+        built = []
+        csr_array = scipy.sparse.csr_array
+
+        def record(arg, **kwargs):
+            if not built:
+                built.append(arg[1])
+            return csr_array(arg, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse, "csr_array", record)
+        repeats = 0
+        for seed, realization in ((1, 0), (1, 3), (8, 0)):
+            built.clear()
+            A = sample_sparse_adjacency(K, seed, realization)
+            i, j = built[0]
+            repeats += i.size - np.unique(i * params.n + j).size
+            both = (np.concatenate([i, j]), np.concatenate([j, i]))
+            want = csr_array((np.ones(2 * i.size), both), shape=A.shape)
+            want.data[:] = 1.0
+            for got, ref in ((A.indptr, want.indptr), (A.indices, want.indices), (A.data, want.data)):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert A.format == "csr" and A.has_canonical_format and want.has_canonical_format
+        # far pairs hit by several points occur, so the duplicate sums are tested
+        assert repeats > 0
+
     def test_pair_frequencies_match_P_over_far_pairs(self):
         # n = 60, alpha = 0.5: 1431 of the 1770 pairs, in 56 rows, are far.
         # Each pair's hit count over R realizations lies within 5 sigma of
@@ -422,11 +455,12 @@ class TestCoarseGrain:
     @pytest.mark.parametrize("mode", WEIGHT_MODES)
     @pytest.mark.parametrize("alpha", [0.2, 0.8])
     @pytest.mark.parametrize("partition", ["contiguous", "random"])
-    @pytest.mark.parametrize("b", [1, 3, 10, 120])
-    def test_matches_the_dense_P_route_to_the_bit(self, b, partition, alpha, mode):
+    @pytest.mark.parametrize("b", [1, 2, 3, 10, 120])
+    @pytest.mark.parametrize("n", [120, 1200])
+    def test_matches_the_dense_P_route_to_the_bit(self, n, b, partition, alpha, mode):
         # reference: log1p(-P) of the whole dense P, then both axes
-        # permuted; coarse_grain takes the logs of the permuted weights' P
-        params = ModelParams(n=120, alpha=alpha, seed=5, weight_mode=mode)
+        # permuted; coarse_grain takes the logs of its supernodes' row blocks
+        params = ModelParams(n=n, alpha=alpha, seed=5, weight_mode=mode)
         fv = gen_fitness(params)
         eps = params.epsilon_n
         n, nb = fv.n, fv.n // b
@@ -443,32 +477,23 @@ class TestCoarseGrain:
         assert big.x.tobytes() == want_x[rank].tobytes()
         assert coarse.entries.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize(
-        "partition,b,bound",
-        [
-            pytest.param(partition, b, bound, id=partition + suffix)
-            for partition in ("contiguous", "random")
-            # b = 10: the log-complement and its (n/10)^2 block sums; b = 2:
-            # the same with (n/2)^2 block sums, a quarter of n^2; b = 1: the
-            # block sums are n x n, and one more n x n array is made by the
-            # gather and again by the re-mirror, not by both at once
-            for b, bound, suffix in ((10, 1.25, ""), (2, 1.3, "-b2"), (1, 2.1, "-b1"))
-        ],
-    )
-    def test_peak_memory_is_one_n_by_n_array(self, partition, b, bound):
-        # the log-complement is evaluated in place on the permuted weights,
-        # so the supernode sums are taken from the one n x n array, which
-        # is freed before the sums are exponentiated, permuted and mirrored
-        n = 1000
+    @pytest.mark.parametrize("partition", ["contiguous", "random"])
+    @pytest.mark.parametrize("n,b", [(1000, 10), (1000, 2), (1000, 1), (10**4, 10)])
+    def test_peak_memory_is_the_block_sums_and_one_row_block(self, n, b, partition):
+        # live at once: the (n/b)^2 block sums and the re-mirror's copy of
+        # them, beside one b x n row block of log(1 - p) and the order and
+        # weight vectors of n entries each, 4 b n floats in all; at b = 1
+        # the sums are n x n, and 0.1 (n/b)^2 floats of slack cover the rest
         fv = det_fitness(n, 0.5)
         eps = ModelParams(n=n, alpha=0.5).epsilon_n
+        coarse_grain(det_fitness(10, 0.5), eps, 1, partition)  # the generator imports on first use
         tracemalloc.start()
         try:
             coarse_grain(fv, eps, b, partition, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * 8 * n * n
+        assert peak <= 8 * max(2.1 * (n // b) ** 2, 2 * (n // b) ** 2 + 4 * b * n)
 
     def test_random_partition_reproducible(self):
         fv = det_fitness(40, 0.5)
@@ -483,6 +508,80 @@ class TestCoarseGrain:
             coarse_grain(fv, 1e-3, 3)
         with pytest.raises(ValueError):
             coarse_grain(fv, 1e-3, 2, partition="striped")
+
+
+def supernode_labels(n: int, b: int, partition: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """coarse_grain's node order, members of a supernode side by side, and each node's supernode."""
+    order = np.arange(n) if partition == "contiguous" else stream_rng(seed, STREAM_PARTITION).permutation(n)
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.arange(n) // b
+    return order, label
+
+
+def aggregate(A: scipy.sparse.csr_array, label: np.ndarray) -> scipy.sparse.coo_array:
+    """A' = [E'AE > 0] off the diagonal, E the n x (n/b) indicator of the labels."""
+    n, nb = label.size, label.max() + 1
+    E = scipy.sparse.csr_array((np.ones(n), (np.arange(n), label)), shape=(n, nb))
+    C = (E.T @ A @ E).tocoo()
+    off = C.row != C.col
+    return scipy.sparse.coo_array((np.ones(off.sum()), (C.row[off], C.col[off])), shape=(nb, nb))
+
+
+class TestAggregatedAdjacency:
+    """Merging supernodes of a draw of A gives a draw from the coarse kernel P'."""
+
+    @pytest.mark.parametrize("partition", ["contiguous", "random"])
+    def test_pair_frequencies_match_coarse_P(self, partition):
+        # n = 60, b = 3, alpha = 0.5: each of the 190 supernode pairs is
+        # hit in A' as often as coarse_grain's P' says, by the z and
+        # chi-square bounds of test_pair_frequencies_match_P_over_far_pairs
+        n, b, R = 60, 3, 2000
+        params = ModelParams(n=n, alpha=0.5)
+        fv = gen_fitness(params)
+        big, coarse = coarse_grain(fv, params.epsilon_n, b, partition, seed=6)
+        order, label = supernode_labels(n, b, partition, 6)
+        # coarse_grain numbers the supernodes by descending X_I, ties in order
+        big_x = fv.x[order].reshape(-1, b).sum(axis=1)
+        rank = np.argsort(-big_x, kind="stable")
+        assert big.x.tobytes() == big_x[rank].tobytes()
+        ranked = np.empty_like(rank)
+        ranked[rank] = np.arange(rank.size)
+        K = KernelOperator(fv, params.epsilon_n)
+        counts = np.zeros(coarse.entries.shape)
+        for r in range(R):
+            counts += aggregate(sample_sparse_adjacency(K, 5, r), ranked[label]).toarray()
+        iu = np.triu_indices(n // b, 1)
+        p, hits = coarse.entries[iu], counts[iu]
+        sure = p == 1.0
+        assert np.all(hits[sure] == R)
+        p, hits = p[~sure], hits[~sure]
+        pq = p * (1.0 - p)
+        z = (hits - R * p) / np.sqrt(R * pq)
+        assert np.abs(z).max() < 5.0
+        chi = R * np.minimum(p, 1.0 - p) >= 5.0
+        dof = np.count_nonzero(chi)
+        assert dof > 150
+        sd = math.sqrt(np.sum(2.0 + (1.0 - 6.0 * pq[chi]) / (R * pq[chi]))) / dof
+        assert abs(np.sum(z[chi] ** 2) / dof - 1.0) < 5.0 * sd
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("partition", ["contiguous", "random"])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_edge_count_at_paper_scale(self, alpha, partition):
+        # n = 10^5, b = 10: A' has m' edges within 5 sigma of 1'P'1 / 2,
+        # var m' = 1'(P'_2eps - P'_eps)1 / 2, with P' the kernel of the
+        # supernode weights X_I, summed here from the partition: the
+        # (n/b)^2 matrix of coarse_grain would take 0.8 GB
+        params = ModelParams(n=10**5, alpha=alpha)
+        fv = gen_fitness(params)
+        label = supernode_labels(params.n, 10, partition, 3)[1]
+        big = FitnessVector(np.sort(np.bincount(label, weights=fv.x))[::-1])
+        ones = np.ones((big.n, 1))
+        mean = KernelOperator(big, params.epsilon_n).matmat(ones).sum() / 2
+        var = KernelOperator(big, 2 * params.epsilon_n).matmat(ones).sum() / 2 - mean
+        A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), 1)
+        edges = aggregate(A, label).nnz / 2
+        assert abs(edges - mean) < 5 * math.sqrt(var)
 
 
 class TestExpectedDegrees:

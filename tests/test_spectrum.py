@@ -68,13 +68,33 @@ class TestAdmissibilityResidual:
     def test_k1_at_origin_is_exact_zero(self):
         assert admissibility_residual(1, 0.0, 10**4, 0.5) == 0.0
 
-    def test_k0_has_no_sign_change(self):
+    def test_k0_has_no_sign_change(self, monkeypatch):
         n, alpha = 10**4, 0.5
         cap = alpha * 4.0 * math.pi / math.log(n)
         vals = [admissibility_residual(0, w, n, alpha) for w in np.linspace(0.0, cap, 200)]
         assert all(v < 0.0 for v in vals)
-        with pytest.raises(NoRootError):
+        # f(0) = -pi exactly, so k = 0 is refused without a residual
+        monkeypatch.setattr("msmlab.spectrum.admissibility_residual", None)
+        with pytest.raises(NoRootError, match="k=0"):
             solve_omega_k(0, n, alpha)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_no_omega_is_evaluated_twice(self, alpha, n, monkeypatch):
+        # the bracket's ends and each Brent step take one residual each,
+        # and the root's residual is the one Brent evaluated there
+        seen = []
+
+        def counted(k, omega, n, alpha):
+            seen.append(omega)
+            return admissibility_residual(k, omega, n, alpha)
+
+        monkeypatch.setattr("msmlab.spectrum.admissibility_residual", counted)
+        for k in range(2, 9):
+            seen.clear()
+            got = solve_omega_k(k, n, alpha)
+            assert len(seen) == len(set(seen)) <= 8 and 0.0 in seen
+            assert got.residual == admissibility_residual(k, got.omega_k, n, alpha)
 
     def test_bisection_oracle_k2(self):
         # Independent bisection to 1e-12, then the residual must vanish.
