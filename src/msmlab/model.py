@@ -8,10 +8,10 @@ index 1 is the largest hub.
 
 KernelOperator applies P and reads its rows without an n x n array; the
 adjacency sampler, and the norms and solvers elsewhere, take P in that
-form. expected_matrix builds the dense array only for the eigensolves,
-and coarse_grain holds log(1 - P) of one supernode's row block at a time.
-All three evaluate each entry through one formula, so they agree to the
-bit where they overlap.
+form. expected_matrix builds the dense array only for the eigensolves.
+coarse_grain sums each supernode pair's log(1 - p) once, one row block
+at a time, in about 8 (n/b)^2 + 8 b n bytes. All three evaluate each
+entry through one formula, so they agree to the bit where they overlap.
 
 A has one form, the sparse 0/1 CSR array of sample_sparse_adjacency,
 with sorted column indices and no duplicates. compare takes A's whole
@@ -326,7 +326,6 @@ def sample_sparse_adjacency(
     kept = np.zeros_like(upper)
     kept[upper] = rng.random(tail.sum()) < near.data[upper]
     hits = np.flatnonzero(kept)
-    hit_rows = np.searchsorted(indptr, hits, side="right") - 1
 
     y, start = kernel._y, kernel._far_start
     far = np.flatnonzero(start < n)
@@ -339,9 +338,12 @@ def sample_sparse_adjacency(
     # the first slot whose sum passes u; a u that rounds up to T_i stays in range
     slot = np.minimum(np.searchsorted(suffix, u, side="right"), np.repeat(last, points))
 
-    i = np.concatenate([hit_rows, np.repeat(far, points)])
+    i = np.concatenate([np.searchsorted(indptr, hits, side="right") - 1, np.repeat(far, points)])
     j = np.concatenate([near.indices[hits], n - 1 - slot])  # every j > i
+    # the stages' arrays go before the build, and (i, j) after it, so the mirror holds U, U^T and A
+    del first, tail, upper, kept, hits, far, suffix, last, total, points, u, slot
     triu = scipy.sparse.csr_array((np.ones(i.size), (i, j)), shape=(n, n))
+    del i, j
     triu.data[:] = 1.0  # the constructor sums duplicates: a pair hit by several points is one edge
     return triu + triu.T
 
@@ -370,9 +372,10 @@ def coarse_grain(
     partition is "contiguous" (blocks of the descending sort order) or
     "random" (seeded uniform shuffle into equal blocks).
 
-    Each supernode's b x n row block of log(1 - p) is summed into its row
-    of P', so the peak is about 16 (n/b)^2 + 8 b n bytes: the result, the
-    re-mirror's copy of it, and one row block (2 x 8 n^2 at b = 1).
+    Each supernode's row block of log(1 - p) against itself and the
+    supernodes after it is summed into its row of P' and copied into its
+    column, so each pair is summed once, and the peak is about
+    8 (n/b)^2 + 8 b n bytes: the result and one row block (8 n^2 at b = 1).
     """
     n = x.n
     b = block_size
@@ -391,18 +394,15 @@ def coarse_grain(
     rows = x.x[order.reshape(nb, b)[rank]]
     coarse = np.empty((nb, nb))
     with np.errstate(divide="ignore"):
-        for row, xi in zip(coarse, rows):
-            # log(1 - p) of the row block, each entry expected_matrix's to the
-            # bit; p = 1 gives log 0 = -inf, so P' = 1 for its block pair. Self
-            # pairs land only on the diagonal, which is zeroed below
-            lp = _kernel(epsilon_n, xi[:, None], rows.ravel()[None, :])
+        for i, xi in enumerate(rows):
+            # log(1 - p) against supernodes i, i + 1, ..., each entry
+            # expected_matrix's to the bit; p = 1 gives log 0 = -inf, so P' = 1
+            # for its block pair. Self pairs land only on the zeroed diagonal
+            lp = _kernel(epsilon_n, xi[:, None], rows[i:].ravel()[None, :])
             np.log1p(np.negative(lp, out=lp), out=lp)
-            lp.reshape(b, nb, b).sum(axis=(0, 2), out=row)
+            lp.reshape(b, nb - i, b).sum(axis=(0, 2), out=coarse[i, i:])
+            coarse[i:, i] = coarse[i, i:]
     np.negative(np.expm1(coarse, out=coarse), out=coarse)
     np.fill_diagonal(coarse, 0.0)
-    # coarse[I, J] adds the terms of coarse[J, I] in another order, so the
-    # two can differ in the last bit; the mirror keeps symmetry exact
-    coarse += coarse.T
-    coarse *= 0.5
-    # re-mirrored, zero diagonal, and -expm1 of a log-sum <= 0 lies in [0, 1]
+    # mirrored, zero diagonal, and -expm1 of a log-sum <= 0 lies in [0, 1]
     return FitnessVector(x=big_x[rank]), SymmetricMatrix(coarse)

@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -506,6 +507,22 @@ class TestCoarseGrain:
         )
         assert rc == EXIT_OK
         assert json.loads(out)["report"]["passed"] is True
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_peak_memory_is_two_block_sums(self, b):
+        # P' and the closed form, (n/b)^2 floats each, and the identity's
+        # maximum taken one row at a time; 0.1 (n/b)^2 floats of slack
+        # cover coarse_grain's row block and the weights
+        n = 2000
+        assert main(["coarsegrain", "--n", "40", "--b", "4"]) == EXIT_OK  # first-use imports
+        tracemalloc.start()
+        try:
+            rc = main(["coarsegrain", "--n", str(n), "--b", str(b), "--partition", "random"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_OK
+        assert peak <= 2.1 * 8 * (n // b) ** 2
 
     def test_indivisible_block_is_usage_error(self, capsys):
         rc = main(["coarsegrain", "--n", "100", "--b", "7"])

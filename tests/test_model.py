@@ -25,6 +25,7 @@ from msmlab.model import (
     sample_sparse_adjacency,
     stream_rng,
 )
+from msmlab.numeric import eig_top
 
 
 def det_fitness(n: int, alpha: float) -> FitnessVector:
@@ -358,6 +359,22 @@ class TestSampleAdjacency:
         sigma = np.sqrt(m[iu] * (1 - m[iu]) / R)
         assert np.all(np.abs(mean[iu] - m[iu]) < 5 * sigma)
 
+    @pytest.mark.parametrize("mode", WEIGHT_MODES)
+    @pytest.mark.parametrize("alpha", [0.2, 0.8])
+    def test_peak_memory_is_the_mirror(self, alpha, mode):
+        # the stages' arrays are freed before U's build and (i, j) after
+        # it, so the mirror's U, the CSR copy of U^T and A, 2 A's bytes in
+        # all, set the peak; 0.5 A's bytes of slack cover the rest
+        params = ModelParams(n=20_000, alpha=alpha, seed=1, weight_mode=mode)
+        K = KernelOperator(gen_fitness(params), params.epsilon_n)
+        sample_sparse_adjacency(constant_kernel(10, 0.5), 0)  # scipy's first-use allocations
+        tracemalloc.start()
+        try:
+            A = sample_sparse_adjacency(K, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
@@ -472,7 +489,7 @@ class TestCoarseGrain:
         want_x = fv.x[order].reshape(nb, b).sum(axis=1)
         rank = np.argsort(-want_x, kind="stable")
         want = want[rank][:, rank]
-        want = 0.5 * (want + want.T)
+        want = np.tril(want) + np.tril(want, -1).T
         big, coarse = coarse_grain(fv, eps, b, partition, seed=7)
         assert big.x.tobytes() == want_x[rank].tobytes()
         assert coarse.entries.tobytes() == want.tobytes()
@@ -480,10 +497,10 @@ class TestCoarseGrain:
     @pytest.mark.parametrize("partition", ["contiguous", "random"])
     @pytest.mark.parametrize("n,b", [(1000, 10), (1000, 2), (1000, 1), (10**4, 10)])
     def test_peak_memory_is_the_block_sums_and_one_row_block(self, n, b, partition):
-        # live at once: the (n/b)^2 block sums and the re-mirror's copy of
-        # them, beside one b x n row block of log(1 - p) and the order and
-        # weight vectors of n entries each, 4 b n floats in all; at b = 1
-        # the sums are n x n, and 0.1 (n/b)^2 floats of slack cover the rest
+        # live at once: the (n/b)^2 block sums, beside one row block of at
+        # most b x n entries of log(1 - p) and the order and weight vectors
+        # of n entries each, 4 b n floats in all; at b = 1 the sums are
+        # n x n, and 0.1 (n/b)^2 floats of slack cover the rest
         fv = det_fitness(n, 0.5)
         eps = ModelParams(n=n, alpha=0.5).epsilon_n
         coarse_grain(det_fitness(10, 0.5), eps, 1, partition)  # the generator imports on first use
@@ -493,7 +510,25 @@ class TestCoarseGrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * max(2.1 * (n // b) ** 2, 2 * (n // b) ** 2 + 4 * b * n)
+        assert peak <= 8 * max(1.1 * (n // b) ** 2, (n // b) ** 2 + 4 * b * n)
+
+    @pytest.mark.parametrize("b", [1, 3, 10])
+    def test_each_supernode_pair_is_summed_once(self, b, monkeypatch):
+        # row block I meets only the supernodes J >= I, so the kernel sees
+        # b (n - I b) entries for it, n (n + b) / 2 in all, not n^2
+        import msmlab.model
+
+        n, seen = 120, []
+        kernel = msmlab.model._kernel
+
+        def counted(epsilon_n, xi, xj):
+            p = kernel(epsilon_n, xi, xj)
+            seen.append(p.size)
+            return p
+
+        monkeypatch.setattr(msmlab.model, "_kernel", counted)
+        coarse_grain(det_fitness(n, 0.5), 1e-3, b, "random", seed=2)
+        assert 0 < sum(seen) <= n * (n + b) // 2
 
     def test_random_partition_reproducible(self):
         fv = det_fitness(40, 0.5)
@@ -571,17 +606,23 @@ class TestAggregatedAdjacency:
         # n = 10^5, b = 10: A' has m' edges within 5 sigma of 1'P'1 / 2,
         # var m' = 1'(P'_2eps - P'_eps)1 / 2, with P' the kernel of the
         # supernode weights X_I, summed here from the partition: the
-        # (n/b)^2 matrix of coarse_grain would take 0.8 GB
+        # (n/b)^2 matrix of coarse_grain would take 0.8 GB. The top six
+        # eigenvalues of A' and of P' are printed beside each other, with
+        # no tolerance until there is a prediction for their gap
         params = ModelParams(n=10**5, alpha=alpha)
         fv = gen_fitness(params)
         label = supernode_labels(params.n, 10, partition, 3)[1]
         big = FitnessVector(np.sort(np.bincount(label, weights=fv.x))[::-1])
         ones = np.ones((big.n, 1))
-        mean = KernelOperator(big, params.epsilon_n).matmat(ones).sum() / 2
+        coarse_op = KernelOperator(big, params.epsilon_n)
+        mean = coarse_op.matmat(ones).sum() / 2
         var = KernelOperator(big, 2 * params.epsilon_n).matmat(ones).sum() / 2 - mean
         A = sample_sparse_adjacency(KernelOperator(fv, params.epsilon_n), 1)
-        edges = aggregate(A, label).nnz / 2
+        coarse_A = aggregate(A, label).tocsr()
+        edges = coarse_A.nnz / 2
         assert abs(edges - mean) < 5 * math.sqrt(var)
+        top = [np.round(eig_top(op, 6)[0], 2).tolist() for op in (coarse_A, coarse_op)]
+        print(f"alpha={alpha} {partition}: top six of A' {top[0]}, of P' {top[1]}")
 
 
 class TestExpectedDegrees:
